@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from .errors import GridTooSmall, SeriesNotConverged
+from .errors import GridTooSmall, InvariantViolation, SeriesNotConverged
 
 #: maximum tolerated series tail, and the imaginary residue the Hermitian
 #: p <-> q symmetry must cancel to
@@ -52,6 +52,11 @@ class KerrSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha0", complex(self.alpha0))
+        numbers = (self.alpha0.real, self.alpha0.imag, self.mu, self.gamma, self.detuning)
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(f"alpha0, mu, gamma and detuning must be finite, got {numbers}")
+        if self.mu < 0:
+            raise ValueError(f"Kerr rate must be non-negative, got {self.mu}")
         if self.gamma < 0:
             raise ValueError(f"damping rate must be non-negative, got {self.gamma}")
         if self.mu == 0 and self.gamma == 0:
@@ -78,8 +83,10 @@ class PhaseGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
-        if self.half_extent <= 0:
-            raise ValueError(f"half_extent must be positive, got {self.half_extent}")
+        if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not 0 < self.half_extent < math.inf:
+            raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
         if self.resolution < 1 or self.resolution % 2 == 0:
             raise ValueError(f"resolution must be an odd positive integer, got {self.resolution}")
 
@@ -155,18 +162,23 @@ def z_factor(p: int, q: int, t: float, sys: KerrSystem) -> complex:
     lam = np.array([sys.gamma + 2j * sys.mu * (p - q)])
     g2 = abs(sys.alpha0) ** 2
     z = np.exp(-0.5 * (p + q) * lam * t + sys.gamma * g2 * _lam_integral(lam, t))[0]
-    assert abs(z) <= math.exp(sys.gamma * g2 * t) * (1.0 + 1e-12), (
-        f"|Z_{p}{q}| = {abs(z)} violates the exp(gamma |a0|^2 t) bound"
-    )
+    if not abs(z) <= math.exp(sys.gamma * g2 * t) * (1.0 + 1e-12):
+        raise InvariantViolation(
+            f"|Z_{p}{q}| = {abs(z)} violates the exp(gamma |a0|^2 t) bound"
+        )
     return complex(z)
 
 
 def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
-    """Z_pq for all 0 <= p, q <= order, plus the detuning phase per band."""
+    """Z_pq for all 0 <= p, q <= order, times the detuning phase per band.
+
+    The phase e^{+i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
+    the rotation that H = hbar delta n gives the master equation.
+    """
     d = np.arange(-order, order + 1)
     lam = sys.gamma + 2j * sys.mu * d
     g2 = abs(sys.alpha0) ** 2
-    log_v = sys.gamma * g2 * _lam_integral(lam, t) - 1j * sys.detuning * d * t
+    log_v = sys.gamma * g2 * _lam_integral(lam, t) + 1j * sys.detuning * d * t
     pp, qq = np.indices((order + 1, order + 1))
     band = pp - qq + order
     return np.exp(-0.5 * (pp + qq) * lam[band] * t + log_v[band])
@@ -225,7 +237,8 @@ def _evaluate(alphas: np.ndarray, t: float, sys: KerrSystem) -> np.ndarray:
     zmat = _z_matrix(order, t, sys)
     tvals = np.einsum("gp,gp->g", rows @ zmat, rows.conj())
     residue = float(np.max(np.abs(tvals.imag))) if tvals.size else 0.0
-    assert residue <= IMAG_TOL, f"imaginary residue {residue} breaks p<->q Hermiticity"
+    if not residue <= IMAG_TOL:
+        raise InvariantViolation(f"imaginary residue {residue} breaks p<->q Hermiticity")
     return tvals.real
 
 
@@ -233,7 +246,8 @@ def q_value(alpha, t: float, sys: KerrSystem) -> float:
     """Q(alpha, t) at a single phase-space point."""
     vals = _evaluate(np.array([complex(alpha)]), t, sys)
     q = float(vals[0])
-    assert _Q_FLOOR <= q <= _Q_CEIL, f"Q = {q} outside [0, 1] beyond slack"
+    if not _Q_FLOOR <= q <= _Q_CEIL:
+        raise InvariantViolation(f"Q = {q} outside [0, 1] beyond slack")
     return q
 
 

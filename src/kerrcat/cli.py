@@ -3,7 +3,7 @@
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of the resolved configuration so
 repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (cutoff leak, divergence, failed check),
+error, 3 numerical failure (cutoff leak, failed check, broken invariant),
 4 series-convergence failure.
 
 Config schema (schema_version 1)::
@@ -50,9 +50,9 @@ from .errors import (
     CutoffLeak,
     CutoffTooSmall,
     InsufficientDecay,
+    InvariantViolation,
     KerrcatError,
     SeriesNotConverged,
-    StepSizeUnstable,
 )
 
 EXIT_OK = 0
@@ -86,10 +86,19 @@ def _as_complex_field(value, name: str) -> complex:
     raise ConfigError(f"{name} must be a number or [re, im] pair, got {value!r}")
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {token}")
+    return value
+
+
 def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunConfig:
     """Parse and validate the JSON config, applying CLI overrides."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(
+            Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
+        )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -113,12 +122,13 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         sec = raw.get("dimensionless")
         if not isinstance(sec, dict):
             raise ConfigError("dimensionless mode requires a 'dimensionless' section")
-        alpha0 = _as_complex_field(sec.get("alpha0", 2.0), "alpha0")
         gamma_over_mu = float(sec.get("gamma_over_mu", 0.0))
-        if gamma_over_mu < 0:
-            raise ConfigError("gamma_over_mu must be non-negative")
-        detuning = float(sec.get("detuning_over_mu", 0.0))
-        sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma_over_mu, detuning=detuning)
+        rates = {
+            "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
+            "mu": 1.0,
+            "gamma": gamma_over_mu,
+            "detuning": float(sec.get("detuning_over_mu", 0.0)),
+        }
     else:
         sec = raw.get("physical")
         if not isinstance(sec, dict):
@@ -151,13 +161,17 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         except KerrcatError as exc:
             raise ConfigError(str(exc)) from exc
         derived = trap_params.derive(trap)
-        sys_ = KerrSystem(
-            alpha0=derived.alpha0,
-            mu=derived.mu,
-            gamma=trap.gamma,
-            detuning=derived.detuning,
-        )
+        rates = {
+            "alpha0": derived.alpha0,
+            "mu": derived.mu,
+            "gamma": trap.gamma,
+            "detuning": derived.detuning,
+        }
         gamma_over_mu = trap.gamma / derived.mu
+    try:
+        sys_ = KerrSystem(**rates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     gsec = raw.get("grid") or {}
     half_extent = float(gsec.get("half_extent", abs(sys_.alpha0) + 5.0))
@@ -283,8 +297,14 @@ def cmd_params(config: RunConfig) -> dict:
     }
 
 
+def _check_time(t: float, flag: str) -> None:
+    if not 0 <= t < math.inf:
+        raise ConfigError(f"{flag} must be finite and non-negative, got {t!r}")
+
+
 def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
     """CSV text of Q over the configured grid at time ``t``."""
+    _check_time(t, "--time")
     if backend == "analytic":
         surface = q_surface(config.grid, t, config.sys)
     elif backend == "numeric":
@@ -306,6 +326,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
 
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> str:
     """CSV timeseries of the numeric observables."""
+    _check_time(t_final, "--t-final")
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     if t_final == 0.0:
@@ -399,10 +420,10 @@ def cmd_validate(config: RunConfig) -> dict:
     raw = rng.normal(size=(n_small, n_small)) + 1j * rng.normal(size=(n_small, n_small))
     on_band = np.eye(n_small, k=2, dtype=bool)  # single anti-diagonal m - n = -2
     masked = np.where(on_band, raw, 0.0)
-    stepped = lindblad.integrate_matrix(
+    propagated = lindblad.integrate_matrix(
         masked, KerrSystem(alpha0=0.0, mu=sys_.mu, gamma=max(sys_.gamma, 0.1)), 0.1
     )
-    off_band = np.where(on_band, 0.0, stepped)
+    off_band = np.where(on_band, 0.0, propagated)
     checks.append(
         _check("band_structure_preserved", float(np.max(np.abs(off_band))), 0.0)
     )
@@ -605,7 +626,7 @@ def main(argv=None) -> int:
     except SeriesNotConverged as exc:
         print(f"convergence failure: {exc}", file=_sys.stderr)
         return EXIT_CONVERGENCE
-    except (CutoffLeak, CutoffTooSmall, StepSizeUnstable) as exc:
+    except (CutoffLeak, CutoffTooSmall, InvariantViolation) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

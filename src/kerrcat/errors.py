@@ -25,8 +25,8 @@ class GridTooSmall(KerrcatError):
     """A phase-space grid fails its normalization check."""
 
 
-class StepSizeUnstable(KerrcatError):
-    """The fixed-step integrator produced a diverging solution."""
+class InvariantViolation(KerrcatError):
+    """A computed value broke a bound that the closed form guarantees."""
 
 
 class CutoffLeak(KerrcatError):

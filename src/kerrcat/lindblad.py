@@ -1,4 +1,4 @@
-"""Fixed-step integrator for the damped Kerr master equation.
+"""Exact Fock-basis propagator for the damped Kerr master equation.
 
 In the number basis the master equation is elementwise,
 
@@ -6,23 +6,27 @@ In the number basis the master equation is elementwise,
                       - (gamma/2)(m + n) ] rho_mn
                     + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1},
 
-so anti-diagonals (fixed m - n) form independent bidiagonal linear systems.
-The stepper below acts on the whole matrix with one elementwise product and
-one diagonal shift per stage, which preserves that band structure exactly.
-The truncation boundary is absorbing: trace lost through the top level is
-reported, never redistributed.
+so anti-diagonals (fixed k = m - n) form independent bidiagonal linear
+systems. In the frame that removes the diagonal rates e^{coef_mn t}, the
+gain term carries only the band-constant factor e^{-lam_k t},
+lam_k = gamma - 2 i mu k, so the solution is a finite power series in the
+nilpotent weighted shift (the damped-Kerr result of Milburn & Holmes,
+PRL 56, 2237 (1986)). It is exact for any initial matrix and any time,
+needs no step size, and never mixes bands. The truncation boundary is
+absorbing: trace lost through the top level is reported, never
+redistributed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, fock
-from .analytic_q import KerrSystem, PhaseGrid, QSurface
-from .errors import CutoffLeak, DegenerateBranches, StepSizeUnstable
+from .analytic_q import KerrSystem, PhaseGrid, QSurface, _lam_integral
+from .errors import CutoffLeak, DegenerateBranches
 
 #: boundary population above which the truncated basis is declared too small
 LEAK_TOL = 1e-8
@@ -30,44 +34,30 @@ LEAK_TOL = 1e-8
 #: sampled states must conserve trace at least this well
 TRACE_TOL = 1e-8
 
-_DIVERGENCE_CEIL = 10.0
-
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """What to integrate, for how long, and where to sample.
-
-    ``dt`` fixes the step directly; ``accuracy`` instead halves the default
-    step until two successive runs agree to the target in max norm. With
-    neither, the stability rule dt = 0.05 / (gamma N + mu N^2 + |delta| N)
-    applies.
-    """
+    """What to propagate, for how long, and where to sample."""
 
     sys: KerrSystem
     cutoff: int
     t_final: float
     sample_times: tuple = ()
-    dt: float | None = None
-    accuracy: float | None = None
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.sample_times)
         if list(times) != sorted(times):
             raise ValueError("sample_times must be sorted ascending")
-        if times and (times[0] < 0 or times[-1] > self.t_final + 1e-15):
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and non-negative")
+        if not all(0 <= t <= self.t_final + 1e-15 for t in times):
             raise ValueError("sample_times must lie in [0, t_final]")
-        if self.t_final < 0:
-            raise ValueError("t_final must be non-negative")
         needed = fock.default_cutoff(self.sys.alpha0)
         if self.cutoff < needed:
             raise ValueError(
                 f"cutoff {self.cutoff} below the rule value {needed} "
                 f"for |alpha0| = {abs(self.sys.alpha0)}"
             )
-        if self.dt is not None and self.accuracy is not None:
-            raise ValueError("give dt or accuracy, not both")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
         object.__setattr__(self, "sample_times", times)
 
 
@@ -82,14 +72,6 @@ class EvolutionRecord:
     trace_error: float
     cat_fidelity: float
     coherence: float
-
-
-def default_dt(sys: KerrSystem, cutoff: int) -> float:
-    """Stability-rule step for the stiffest element phase of the truncated RHS."""
-    rate = sys.gamma * cutoff + abs(sys.mu) * cutoff**2 + abs(sys.detuning) * cutoff
-    if rate == 0:
-        return 1.0
-    return 0.05 / rate
 
 
 def _coefficients(sys: KerrSystem, n: int):
@@ -121,36 +103,27 @@ def rhs(rho: fock.DensityOperator, sys: KerrSystem) -> np.ndarray:
     return _rhs(np.asarray(rho.elements), coef, gain)
 
 
-def _rk4_step(mat: np.ndarray, dt: float, coef: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    k1 = _rhs(mat, coef, gain)
-    k2 = _rhs(mat + 0.5 * dt * k1, coef, gain)
-    k3 = _rhs(mat + 0.5 * dt * k2, coef, gain)
-    k4 = _rhs(mat + dt * k3, coef, gain)
-    return mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float) -> np.ndarray:
+    """Exact propagation of an arbitrary matrix to time ``t``, no state validation.
 
-
-def integrate_matrix(
-    mat: np.ndarray, sys: KerrSystem, t_final: float, dt: float | None = None
-) -> np.ndarray:
-    """Raw RK4 propagation of an arbitrary matrix, no state validation.
-
-    The final partial step is shortened to land exactly on ``t_final``.
+    rho(t) = e^{coef t} o sum_j (gamma x_k)^j S^j rho(0) / j!, where S is the
+    weighted shift rho_mn -> sqrt((m+1)(n+1)) rho_{m+1,n+1} and
+    x_k = (1 - e^{-lam_k t}) / lam_k with lam_k = gamma - 2 i mu k on the band
+    k = m - n. S^j leaves only the leading (N-j) x (N-j) block, so the sum
+    ends after N terms and each term is built from the previous one.
     """
     n = mat.shape[0]
     coef, gain = _coefficients(sys, n)
-    step = default_dt(sys, n) if dt is None else dt
-    out = np.array(mat, dtype=complex)
-    remaining = t_final
-    while remaining > 1e-15 * max(1.0, t_final):
-        h = min(step, remaining)
-        out = _rk4_step(out, h, coef, gain)
-        remaining -= h
-        peak = np.max(np.abs(out))
-        if not np.isfinite(peak) or peak > _DIVERGENCE_CEIL:
-            raise StepSizeUnstable(
-                f"solution norm {peak!r} after step {h}; reduce dt"
-            )
-    return out
+    k = np.arange(1 - n, n)
+    x = _lam_integral(sys.gamma - 2j * sys.mu * k, t)
+    idx = np.arange(n)
+    weight = gain * x[idx[:, np.newaxis] - idx[np.newaxis, :] + n - 1]
+    total = np.array(mat, dtype=complex)
+    term = total
+    for j in range(1, n):
+        term = weight[: n - j, : n - j] * term[1:, 1:] / j
+        total[: n - j, : n - j] += term
+    return np.exp(coef * t) * total
 
 
 def _make_record(
@@ -178,53 +151,18 @@ def _make_record(
     )
 
 
-def _run(
-    spec: EvolutionSpec, initial: np.ndarray, dt: float
-) -> list[tuple[float, np.ndarray]]:
-    coef, gain = _coefficients(spec.sys, spec.cutoff)
-    samples = []
-    mat = np.array(initial, dtype=complex)
-    now = 0.0
-    for target in spec.sample_times:
-        while target - now > 1e-12 * max(1.0, spec.t_final):
-            h = min(dt, target - now)
-            mat = _rk4_step(mat, h, coef, gain)
-            now += h
-            peak = np.max(np.abs(mat))
-            if not np.isfinite(peak) or peak > _DIVERGENCE_CEIL:
-                raise StepSizeUnstable(
-                    f"solution norm {peak!r} at t = {now}; reduce dt"
-                )
-        samples.append((target, mat.copy()))
-    return samples
-
-
 def evolve(spec: EvolutionSpec, initial: fock.DensityOperator) -> list[EvolutionRecord]:
-    """Integrate the master equation, sampling at ``spec.sample_times``."""
+    """Propagate ``initial`` to each of ``spec.sample_times`` and validate the states."""
     if initial.cutoff != spec.cutoff:
         raise ValueError(
             f"initial state cutoff {initial.cutoff} != spec cutoff {spec.cutoff}"
         )
     mat0 = np.asarray(initial.elements)
-    if spec.accuracy is not None:
-        dt = default_dt(spec.sys, spec.cutoff)
-        samples = _run(spec, mat0, dt)
-        while True:
-            dt /= 2.0
-            finer = _run(spec, mat0, dt)
-            diff = max(
-                (float(np.max(np.abs(a[1] - b[1]))) for a, b in zip(samples, finer)),
-                default=0.0,
-            )
-            samples = finer
-            if diff < spec.accuracy:
-                break
-    else:
-        dt = spec.dt if spec.dt is not None else default_dt(spec.sys, spec.cutoff)
-        samples = _run(spec, mat0, dt)
-
     cat_target = fock.cat_state(spec.sys.alpha0, spec.cutoff)
-    return [_make_record(t, mat, spec.sys, cat_target) for t, mat in samples]
+    return [
+        _make_record(t, integrate_matrix(mat0, spec.sys, t), spec.sys, cat_target)
+        for t in spec.sample_times
+    ]
 
 
 def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid, time: float = 0.0) -> QSurface:

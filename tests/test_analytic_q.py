@@ -35,6 +35,19 @@ class TestKerrSystem:
         with pytest.raises(ValueError):
             KerrSystem(alpha0=1.0, mu=1.0, gamma=-0.1)
 
+    def test_rejects_negative_mu(self):
+        with pytest.raises(ValueError):
+            KerrSystem(alpha0=1.0, mu=-1.0, gamma=0.1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"alpha0": complex(math.inf, 0.0)}, {"alpha0": complex(0.0, math.nan)},
+         {"mu": math.inf}, {"gamma": math.nan}, {"detuning": -math.inf}],
+    )
+    def test_rejects_non_finite(self, fields):
+        with pytest.raises(ValueError):
+            KerrSystem(**{"alpha0": 1.0, "mu": 1.0, "gamma": 0.1, **fields})
+
 
 class TestPhaseGrid:
     def test_spacing(self):
@@ -48,6 +61,13 @@ class TestPhaseGrid:
     def test_rejects_nonpositive_extent(self):
         with pytest.raises(ValueError):
             PhaseGrid(center=0j, half_extent=0.0, resolution=11)
+
+    @pytest.mark.parametrize(
+        "center, extent", [(0j, math.nan), (0j, math.inf), (complex(math.nan, 0.0), 1.0)]
+    )
+    def test_rejects_non_finite(self, center, extent):
+        with pytest.raises(ValueError):
+            PhaseGrid(center=center, half_extent=extent, resolution=11)
 
     def test_degenerate_single_point(self):
         grid = PhaseGrid(center=1.0 + 2.0j, half_extent=3.0, resolution=1)
@@ -228,10 +248,11 @@ class TestCrossElement:
 
 class TestDetuning:
     def test_detuning_rotates_initial_amplitude(self):
-        # extra e^{-i delta (p-q) t} phases are the series of a rotated alpha0
+        # H = hbar delta n rotates alpha0 to alpha0 e^{-i delta t}, as the
+        # master equation's -i delta (m - n) phase does
         t = 0.6
         delta = 0.8
         sys_d = make_sys(alpha0=2.0, detuning=delta)
-        sys_rot = make_sys(alpha0=2.0 * np.exp(1j * delta * t))
+        sys_rot = make_sys(alpha0=2.0 * np.exp(-1j * delta * t))
         for a in (1.0, 0.5 - 1.5j, 2.0 + 0.1j):
             assert abs(q_value(a, t, sys_d) - q_value(a, t, sys_rot)) < 1e-10

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kerrcat import cli, trap_params
+from kerrcat import analytic_q, cli, trap_params
+from kerrcat.errors import InvariantViolation
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -202,6 +203,43 @@ class TestValidate:
         )
         assert code == cli.EXIT_CONVERGENCE
         assert "convergence" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "fields, argv",
+        [
+            ({"gamma_over_mu": math.nan}, ["qsurface", "--time", "1.0"]),
+            ({"alpha0": [math.inf, 0.0]}, ["qsurface", "--time", "1.0"]),
+            ({}, ["qsurface", "--time", "-1"]),
+            ({}, ["evolve", "--t-final", "-1"]),
+            ({}, ["qsurface", "--time", "-1", "--backend", "numeric"]),
+            ({}, ["evolve", "--t-final", "nan"]),
+        ],
+        ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
+             "negative_time_numeric", "nan_t_final"],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
+        doc = dimensionless_doc(res=11)
+        doc["dimensionless"].update(fields)
+        cfg = write_config(tmp_path, doc)
+        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+    def test_broken_series_symmetry_exits_3(self, tmp_path, capsys, monkeypatch):
+        def skewed(order, t, sys):
+            return 1j * np.triu(np.ones((order + 1, order + 1)))
+
+        monkeypatch.setattr(analytic_q, "_z_matrix", skewed)
+        sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
+        with pytest.raises(InvariantViolation):
+            analytic_q.q_value(0.5, 1.0, sys_)
+        cfg = write_config(tmp_path, dimensionless_doc(res=11))
+        code = cli.main(["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "1.0"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "InvariantViolation" in capsys.readouterr().err
 
 
 class TestSweep:
