@@ -9,10 +9,13 @@ The damped Kerr master equation admits a closed-form Husimi function
                    + gamma |a0|^2 (1 - e^{-lam t}) / lam },
     lam = gamma + 2 i mu (p-q)
 
-subject to Q(alpha, 0) = exp(-|alpha - a0|^2). Every term is assembled in
-log space (log magnitude plus phase) so nothing overflows for the |a0| and
-grid extents this package targets; the degenerate lam -> 0 denominator is
-evaluated by its Taylor series.
+subject to Q(alpha, 0) = exp(-|alpha - a0|^2) (Milburn & Holmes, PRL 56,
+2237 (1986)). The series is the quadratic form <alpha| rho(t) |alpha> of the
+Fock matrix rho_qp(t) = c_q conj(c_p) Z_pq(t), c_n = <n|a0>, so Q is
+evaluated through fock.coherent_form, the same probe kernel that the
+numeric backend uses. The matrix is truncated where the Poisson tail of
+|a0|^2 bounds the error below TAIL_TOL, independently of the grid; the
+degenerate lam -> 0 denominator is evaluated by its Taylor series.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
-from .errors import GridTooSmall, InvariantViolation, SeriesNotConverged
+from . import fock
+from .errors import GridTooSmall, InvariantViolation
 
-#: maximum tolerated series tail, and the imaginary residue the Hermitian
-#: p <-> q symmetry must cancel to
+#: largest truncation error allowed in any Q value, and the largest
+#: |rho - rho^dag| the Hermitian p <-> q symmetry of the series may leave
 TAIL_TOL = 1e-10
 IMAG_TOL = 1e-10
 
@@ -135,10 +138,18 @@ class QSurface:
         object.__setattr__(self, "values", vals)
 
 
-def series_order(max_abs_alpha: float, sys: KerrSystem) -> int:
-    """Truncation order P = max(25, ceil(r + 10 sqrt(r))), r = max|alpha| |a0|."""
-    r = max_abs_alpha * abs(sys.alpha0)
-    return max(25, math.ceil(r + 10.0 * math.sqrt(r)))
+def series_order(sys: KerrSystem) -> int:
+    """Fock truncation N: smallest N with 2 sqrt(P[Poisson(|a0|^2) >= N]) <= TAIL_TOL.
+
+    For a positive rho, Cauchy-Schwarz bounds the change in any
+    <beta|rho|alpha> from dropping the levels n >= N by 2 sqrt(Tr rho_{n>=N}).
+    That trace is the Poisson tail of |a0>, and damping only lowers it.
+    """
+    mean = abs(sys.alpha0) ** 2
+    n = max(1, math.floor(mean))
+    while 2.0 * math.sqrt(pdtrc(n - 1, mean)) > TAIL_TOL:
+        n += 1
+    return n
 
 
 def _lam_integral(lam: np.ndarray, t: float) -> np.ndarray:
@@ -184,81 +195,36 @@ def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
     return np.exp(-0.5 * (pp + qq) * lam[band] * t + log_v[band])
 
 
-def _coeff_rows(alphas: np.ndarray, sys: KerrSystem, order: int) -> np.ndarray:
-    """Row g holds exp(-(|alpha_g|^2+|a0|^2)/2) (alpha_g a0*)^p / p! for all p."""
-    w = alphas * np.conj(sys.alpha0)
-    p = np.arange(order + 1)
-    pref = -0.5 * (np.abs(alphas) ** 2 + abs(sys.alpha0) ** 2)
-    rows = np.zeros((alphas.size, order + 1), dtype=complex)
-    nz = w != 0
-    with np.errstate(divide="ignore"):
-        logw = np.log(w[nz])
-    rows[nz, :] = np.exp(
-        p[np.newaxis, :] * logw[:, np.newaxis]
-        - gammaln(p + 1)[np.newaxis, :]
-        + pref[nz, np.newaxis]
-    )
-    rows[~nz, 0] = np.exp(pref[~nz])
-    return rows
+def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
+    """Closed-form rho(t) on the first series_order(sys) levels.
 
-
-def _tail_bound(max_abs_alpha: float, t: float, sys: KerrSystem, order: int) -> float:
-    """Bound on everything dropped beyond the order-P truncation box.
-
-    Terms are Poisson weighted in each index with rate r = |alpha| |a0|;
-    |Z| is bounded by exp(gamma |a0|^2 (1-e^{-gamma t})/gamma).
+    rho_qp(t) = c_q conj(c_p) Z_pq(t), with c the amplitudes of |alpha0>;
+    Q(alpha, t) = <alpha| rho(t) |alpha> is then the double series above.
     """
-    r = max_abs_alpha * abs(sys.alpha0)
-    if r == 0:
-        return 0.0
-    g2 = abs(sys.alpha0) ** 2
-    log_z_bound = g2 * (-math.expm1(-sys.gamma * t)) if sys.gamma > 0 else 0.0
-    tail = float(poisson.sf(order, r))
-    if tail == 0.0:
-        return 0.0
-    log_bound = math.log(2.0) + log_z_bound + math.log(tail)
-    return math.exp(log_bound) if log_bound < 700.0 else math.inf
-
-
-def _evaluate(alphas: np.ndarray, t: float, sys: KerrSystem) -> np.ndarray:
-    """Q at each point of a flat complex array."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    max_abs = float(np.max(np.abs(alphas))) if alphas.size else 0.0
-    order = series_order(max_abs, sys)
-    bound = _tail_bound(max_abs, t, sys, order)
-    if bound > TAIL_TOL:
-        worst = alphas[np.argmax(np.abs(alphas))]
-        raise SeriesNotConverged(
-            f"series tail {bound!r} exceeds {TAIL_TOL} at order {order} "
-            f"(worst point alpha = {worst!r})"
-        )
-    rows = _coeff_rows(alphas, sys, order)
-    zmat = _z_matrix(order, t, sys)
-    tvals = np.einsum("gp,gp->g", rows @ zmat, rows.conj())
-    residue = float(np.max(np.abs(tvals.imag))) if tvals.size else 0.0
+    fock.check_probe_range(abs(sys.alpha0) ** 2)
+    n = series_order(sys)
+    c = fock.coherent_amplitudes(sys.alpha0, n)
+    rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
+    residue = float(np.max(np.abs(rho - rho.conj().T)))
     if not residue <= IMAG_TOL:
-        raise InvariantViolation(f"imaginary residue {residue} breaks p<->q Hermiticity")
-    return tvals.real
+        raise InvariantViolation(f"max |rho - rho^dag| = {residue} breaks p<->q Hermiticity")
+    return rho
 
 
 def q_value(alpha, t: float, sys: KerrSystem) -> float:
     """Q(alpha, t) at a single phase-space point."""
-    vals = _evaluate(np.array([complex(alpha)]), t, sys)
-    q = float(vals[0])
+    q = float(fock.coherent_form(_fock_matrix(t, sys), np.array([complex(alpha)])).real[0])
     if not _Q_FLOOR <= q <= _Q_CEIL:
         raise InvariantViolation(f"Q = {q} outside [0, 1] beyond slack")
     return q
 
 
 def q_surface(grid: PhaseGrid, t: float, sys: KerrSystem) -> QSurface:
-    """Q over every node of ``grid`` at time ``t``.
-
-    Nodes are independent (no reduction order dependence), so the evaluation
-    is safe to parallelize; here it is vectorized over the whole grid.
-    """
+    """Q over every node of ``grid`` at time ``t``, in chunks of fock.PROBE_CHUNK nodes."""
     pts = grid.points()
-    vals = _evaluate(pts.ravel(), t, sys)
+    vals = fock.coherent_form(_fock_matrix(t, sys), pts.ravel()).real
     return QSurface(grid=grid, time=float(t), values=vals.reshape(pts.shape))
 
 
@@ -285,25 +251,11 @@ def mean_n_from_q(surface: QSurface) -> float:
 
 
 def coherent_matrix_element(beta, alpha, t: float, sys: KerrSystem) -> complex:
-    """Analytic continuation <beta| rho(t) |alpha> of the Q series.
+    """<beta| rho(t) |alpha> of the closed-form Fock matrix.
 
-    Q(alpha, t) is the diagonal beta = alpha; replacing the conjugated
-    variable with an independent bra amplitude gives the full coherent-state
-    kernel of rho(t). Used for branch-coherence diagnostics.
+    Q(alpha, t) is the diagonal beta = alpha; the off-diagonal elements
+    feed the branch-coherence diagnostics.
     """
-    b = complex(beta)
-    a = complex(alpha)
-    max_abs = max(abs(a), abs(b))
-    order = series_order(max_abs, sys)
-    bound = _tail_bound(max_abs, t, sys, order)
-    if bound > TAIL_TOL:
-        raise SeriesNotConverged(
-            f"series tail {bound!r} exceeds {TAIL_TOL} at order {order}"
-        )
-    row_ket = _coeff_rows(np.array([a]), sys, order)[0]  # (alpha a0*)^p / p! side
-    row_bra = _coeff_rows(np.array([b]), sys, order)[0]  # (beta* a0)^q / q! side
-    zmat = _z_matrix(order, t, sys)
-    val = row_ket @ zmat @ row_bra.conj()
-    # the two half-prefactors assembled by _coeff_rows use |alpha|^2 and
-    # |beta|^2; together they give e^{-(|alpha|^2+|beta|^2)/2 - |a0|^2}
-    return complex(val)
+    ket = np.array([complex(alpha)])
+    bra = np.array([complex(beta)])
+    return complex(fock.coherent_form(_fock_matrix(t, sys), ket, bra)[0])

@@ -3,8 +3,10 @@
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of the resolved configuration so
 repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (cutoff leak, failed check, broken invariant),
-4 series-convergence failure.
+error (including wrong-typed or non-finite numbers), 3 numerical failure
+(cutoff leak, failed check, broken invariant), 4 convergence failure (a
+grid point, or the analytic backend's alpha0, beyond |alpha| = 37.6, where
+e^{-|alpha|^2/2} underflows).
 
 Config schema (schema_version 1)::
 
@@ -27,7 +29,9 @@ Config schema (schema_version 1)::
       "seed": int
     }
 
-In dimensionless mode mu = 1 and all times are in units of 1/mu.
+In dimensionless mode mu = 1 and all times are in units of 1/mu. ``sweep``
+always works in those units at resonance, in either mode, and rejects a
+detuned config.
 """
 
 from __future__ import annotations
@@ -78,11 +82,19 @@ class RunConfig:
     gamma_over_mu: float
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``; a value of the wrong type is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from exc
+
+
 def _as_complex_field(value, name: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_number(value[0], name), _number(value[1], name))
     raise ConfigError(f"{name} must be a number or [re, im] pair, got {value!r}")
 
 
@@ -122,34 +134,36 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         sec = raw.get("dimensionless")
         if not isinstance(sec, dict):
             raise ConfigError("dimensionless mode requires a 'dimensionless' section")
-        gamma_over_mu = float(sec.get("gamma_over_mu", 0.0))
+        gamma_over_mu = _number(sec.get("gamma_over_mu", 0.0), "gamma_over_mu")
         rates = {
             "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
             "mu": 1.0,
             "gamma": gamma_over_mu,
-            "detuning": float(sec.get("detuning_over_mu", 0.0)),
+            "detuning": _number(sec.get("detuning_over_mu", 0.0), "detuning_over_mu"),
         }
     else:
         sec = raw.get("physical")
         if not isinstance(sec, dict):
             raise ConfigError("physical mode requires a 'physical' section")
+
+        def number(key, default=None):
+            value = sec[key] if default is None else sec.get(key, default)
+            return _number(value, f"physical.{key}")
+
+        def optional(key):
+            return number(key) if sec.get(key) is not None else None
+
         try:
             trap = trap_params.TrapConfig(
-                b_field=float(sec["b_field"]),
-                v0=float(sec["v0"]),
-                d=float(sec["d"]),
-                temperature=float(sec.get("temperature", 4.0)),
-                drive_amplitude=float(sec.get("drive_amplitude", 0.0)),
-                drive_duration=float(sec.get("drive_duration", 0.0)),
-                pump_frequency=(
-                    float(sec["pump_frequency"])
-                    if sec.get("pump_frequency") is not None
-                    else None
-                ),
-                detuning=(
-                    float(sec["detuning"]) if sec.get("detuning") is not None else None
-                ),
-                gamma=float(sec.get("gamma", 1.0)),
+                b_field=number("b_field"),
+                v0=number("v0"),
+                d=number("d"),
+                temperature=number("temperature", 4.0),
+                drive_amplitude=number("drive_amplitude", 0.0),
+                drive_duration=number("drive_duration", 0.0),
+                pump_frequency=optional("pump_frequency"),
+                detuning=optional("detuning"),
+                gamma=number("gamma", 1.0),
                 alpha0_override=(
                     _as_complex_field(sec["alpha0_override"], "alpha0_override")
                     if sec.get("alpha0_override") is not None
@@ -174,8 +188,10 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         raise ConfigError(str(exc)) from exc
 
     gsec = raw.get("grid") or {}
-    half_extent = float(gsec.get("half_extent", abs(sys_.alpha0) + 5.0))
-    resolution = int(gsec.get("resolution", 101))
+    if not isinstance(gsec, dict):
+        raise ConfigError(f"grid must be an object, got {gsec!r}")
+    half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
+    resolution = _number(gsec.get("resolution", 101), "grid.resolution", int)
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
     if overrides is not None:
         if getattr(overrides, "grid_extent", None) is not None:
@@ -191,7 +207,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if overrides is not None and getattr(overrides, "cutoff", None) is not None:
         cutoff = overrides.cutoff
     if cutoff is not None:
-        cutoff = int(cutoff)
+        cutoff = _number(cutoff, "cutoff", int)
     else:
         # ten levels of headroom over the state-validity rule so far grid
         # probes reach machine precision, not just the 1e-12 state tolerance
@@ -202,7 +218,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     out = raw.get("output_dir") or "."
     if overrides is not None and getattr(overrides, "out", None) is not None:
         out = overrides.out
-    seed = int(raw.get("seed", 0))
+    seed = _number(raw.get("seed", 0), "seed", int)
 
     digest_src = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:16]
@@ -316,11 +332,10 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     lines = [_csv_header(config), "re_alpha,im_alpha,q\n"]
-    re_ax = surface.grid.re_axis()
-    im_ax = surface.grid.im_axis()
-    for i, im in enumerate(im_ax):
-        for j, re in enumerate(re_ax):
-            lines.append(f"{_fmt(re)},{_fmt(im)},{_fmt(surface.values[i, j])}\n")
+    re_txt = [_fmt(re) for re in surface.grid.re_axis()]
+    im_txt = [_fmt(im) for im in surface.grid.im_axis()]
+    for im, row in zip(im_txt, surface.values.tolist()):
+        lines.extend(f"{re},{im},{q!r}\n" for re, q in zip(re_txt, row))
     return "".join(lines)
 
 
@@ -352,6 +367,10 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
     }
 
 
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
 def cmd_validate(config: RunConfig) -> dict:
     """Dual-path and invariant suite. The report lists every check."""
     sys_ = config.sys
@@ -361,39 +380,27 @@ def cmd_validate(config: RunConfig) -> dict:
     gaussian = np.exp(-np.abs(pts - sys_.alpha0) ** 2)
 
     surf0 = q_surface(config.grid, 0.0, sys_)
-    checks.append(
-        _check("initial_condition_analytic", float(np.max(np.abs(surf0.values - gaussian))), 1e-10)
-    )
+    checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
     rho0 = _initial_density(config)
     surf0n = lindblad.q_from_rho(rho0, config.grid, 0.0)
-    checks.append(
-        _check("initial_condition_numeric", float(np.max(np.abs(surf0n.values - gaussian))), 1e-10)
-    )
+    checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
     sample_times = (0.5 * t_cat, t_cat)
     records = _evolved(config, sample_times)
     for label, rec in zip(("t_cat_half", "t_cat"), records):
         ana = q_surface(config.grid, rec.time, sys_)
         num = lindblad.q_from_rho(rec.rho, config.grid, rec.time)
-        checks.append(
-            _check(f"dual_path_{label}", float(np.max(np.abs(ana.values - num.values))), 1e-6)
-        )
+        checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
 
     decay_err = max(
         abs(r.mean_n - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * r.time))
         for r in records
     )
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
-    checks.append(
-        _check("trace_conservation", float(max(r.trace_error for r in records)), 1e-8)
-    )
-    herm = max(
-        float(np.max(np.abs(r.rho.elements - r.rho.elements.conj().T))) for r in records
-    )
+    checks.append(_check("trace_conservation", float(max(r.trace_error for r in records)), 1e-8))
+    herm = max(_max_diff(r.rho.elements, r.rho.elements.conj().T) for r in records)
     checks.append(_check("hermiticity", herm, 1e-10))
-    neg = max(
-        -float(np.linalg.eigvalsh(r.rho.elements).min()) for r in records
-    )
+    neg = max(-float(np.linalg.eigvalsh(r.rho.elements).min()) for r in records)
     checks.append(_check("positivity", neg, 1e-9))
 
     final = records[-1]
@@ -402,18 +409,14 @@ def cmd_validate(config: RunConfig) -> dict:
     checks.append(_check("q_range_low", -q_min, 1e-9))
     checks.append(_check("q_range_high", q_max - 1.0, 1e-9))
 
-    norm_grid = PhaseGrid(
-        center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201
-    )
+    norm_grid = PhaseGrid(center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201)
     norm = grid_normalization(q_surface(norm_grid, t_cat, sys_))
     checks.append(_check("q_normalization", abs(norm - 1.0), 1e-3))
 
     w_extent = abs(sys_.alpha0) + 3.0
     w_vals = [w for _, w in analysis.wigner_slice(final.rho, "imaginary", w_extent, 41)]
     w_vals += [w for _, w in analysis.wigner_slice(final.rho, "real", w_extent, 41)]
-    checks.append(
-        _check("wigner_bound", max(abs(w) for w in w_vals) - 2.0 / math.pi, 1e-9)
-    )
+    checks.append(_check("wigner_bound", max(abs(w) for w in w_vals) - 2.0 / math.pi, 1e-9))
 
     rng = np.random.default_rng(config.seed)
     n_small = 8
@@ -424,21 +427,14 @@ def cmd_validate(config: RunConfig) -> dict:
         masked, KerrSystem(alpha0=0.0, mu=sys_.mu, gamma=max(sys_.gamma, 0.1)), 0.1
     )
     off_band = np.where(on_band, 0.0, propagated)
-    checks.append(
-        _check("band_structure_preserved", float(np.max(np.abs(off_band))), 0.0)
-    )
+    checks.append(_check("band_structure_preserved", float(np.max(np.abs(off_band))), 0.0))
 
     if sys_.gamma == 0:
         t_rev = 2.0 * math.pi / sys_.mu
         rev = q_surface(config.grid, t_rev, sys_)
-        checks.append(
-            _check("revival", float(np.max(np.abs(rev.values - surf0.values))), 1e-8)
-        )
+        checks.append(_check("revival", _max_diff(rev.values, surf0.values), 1e-8))
         half = q_surface(config.grid, math.pi / sys_.mu, sys_)
-        mirrored = surf0.values[::-1, ::-1]
-        checks.append(
-            _check("parity", float(np.max(np.abs(half.values - mirrored))), 1e-8)
-        )
+        checks.append(_check("parity", _max_diff(half.values, surf0.values[::-1, ::-1]), 1e-8))
 
     return {
         "version": __version__,
@@ -449,7 +445,15 @@ def cmd_validate(config: RunConfig) -> dict:
 
 
 def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
-    """Cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner."""
+    """Cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
+
+    Rows run at resonance in units of mu (mu = 1) in either mode, so a detuned
+    config, whose cat target and branch probes differ, is rejected.
+    """
+    if config.sys.detuning != 0:
+        raise ConfigError(
+            f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
+        )
     lines = [
         _csv_header(config),
         "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"

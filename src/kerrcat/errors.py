@@ -18,7 +18,7 @@ class NonPositiveInput(KerrcatError):
 
 
 class SeriesNotConverged(KerrcatError):
-    """The truncated phase-space series tail exceeds tolerance."""
+    """A phase-space value cannot be computed to tolerance (probe weight underflow)."""
 
 
 class GridTooSmall(KerrcatError):

@@ -2,8 +2,9 @@
 
 States are stored in the number basis |0>, ..., |N-1>. Coherent amplitudes
 are built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1) starting
-from c_0 = exp(-|alpha|^2 / 2), which avoids explicit factorials. Phase-space
-functions use the conventions
+from c_0 = exp(-|alpha|^2 / 2), which avoids explicit factorials; it also
+builds the probes of ``coherent_form``, the quadratic form <beta|M|alpha>
+behind every Q surface. Phase-space functions use the conventions
 
     Q(alpha) = <alpha| rho |alpha>        (no 1/pi factor)
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
@@ -19,10 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import CutoffTooSmall, DimensionMismatch
+from .errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 
 #: truncated coherent-state weight allowed to fall beyond the cutoff
 TRUNCATION_TOL = 1e-12
+
+#: largest |alpha|^2 / 2 for which e^{-|alpha|^2/2} is a normal double (|alpha| <= 37.6)
+PROBE_EXPONENT_MAX = -math.log(np.finfo(float).tiny)
+
+#: points per block of coherent_form, whose (N x points) probe arrays stay this narrow
+PROBE_CHUNK = 2048
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -108,13 +115,12 @@ class DensityOperator:
 def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     """Exact number-basis amplitudes <n|alpha> for n < cutoff, not renormalized."""
     a = _as_complex(alpha)
-    c0 = math.exp(-0.5 * abs(a) ** 2)
-    if c0 == 0.0:
+    if 0.5 * abs(a) ** 2 > PROBE_EXPONENT_MAX:
         raise CutoffTooSmall(
             f"coherent amplitude |alpha| = {abs(a)} underflows the vacuum weight"
         )
     amp = np.empty(cutoff, dtype=complex)
-    amp[0] = c0
+    amp[0] = math.exp(-0.5 * abs(a) ** 2)
     for n in range(cutoff - 1):
         amp[n + 1] = amp[n] * a / math.sqrt(n + 1)
     return amp
@@ -188,6 +194,47 @@ def husimi_q(rho: DensityOperator, alpha) -> float:
     probe = coherent_amplitudes(a, rho.cutoff)
     q = np.vdot(probe, rho.elements @ probe)
     return float(q.real)
+
+
+def check_probe_range(max_abs_sq: float) -> None:
+    """SeriesNotConverged unless e^{-|alpha|^2/2} is a normal double for max |alpha|^2."""
+    if not 0.5 * max_abs_sq <= PROBE_EXPONENT_MAX:
+        limit = math.sqrt(2.0 * PROBE_EXPONENT_MAX)
+        raise SeriesNotConverged(
+            f"|alpha| = {math.sqrt(max_abs_sq)!r} underflows e^(-|alpha|^2/2) (limit {limit:.4g})"
+        )
+
+
+def _probes(points: np.ndarray, n: int) -> np.ndarray:
+    """<k|alpha_g> for k < n as an (n, points) array, by the amplitude recurrence."""
+    out = np.empty((n, points.size), dtype=complex)
+    out[0] = np.exp(-0.5 * (points.real**2 + points.imag**2))
+    for k in range(n - 1):
+        np.multiply(out[k], points, out=out[k + 1])
+        out[k + 1] /= math.sqrt(k + 1)
+    return out
+
+
+def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = None) -> np.ndarray:
+    """<bra_g| mat |ket_g> for every index g of two flat point arrays, PROBE_CHUNK at a time.
+
+    ``bra`` defaults to ``ket``, which gives Q(alpha_g) = <alpha_g| rho |alpha_g>.
+    Any point beyond check_probe_range raises SeriesNotConverged.
+    """
+    ket = np.asarray(ket, dtype=complex).ravel()
+    bra = ket if bra is None else np.asarray(bra, dtype=complex).ravel()
+    if bra.shape != ket.shape:
+        raise DimensionMismatch(f"{bra.size} bra points for {ket.size} ket points")
+    if ket.size:
+        sides = (ket,) if bra is ket else (ket, bra)
+        check_probe_range(max(float(np.max(np.abs(p))) for p in sides) ** 2)
+    out = np.empty(ket.size, dtype=complex)
+    for start in range(0, ket.size, PROBE_CHUNK):
+        block = slice(start, start + PROBE_CHUNK)
+        kets = _probes(ket[block], mat.shape[0])
+        bras = kets if bra is ket else _probes(bra[block], mat.shape[0])
+        out[block] = np.einsum("mg,mg->g", bras.conj(), mat @ kets)
+    return out
 
 
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:

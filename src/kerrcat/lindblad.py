@@ -166,16 +166,6 @@ def evolve(spec: EvolutionSpec, initial: fock.DensityOperator) -> list[Evolution
 
 
 def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid, time: float = 0.0) -> QSurface:
-    """Husimi surface <alpha| rho |alpha> over all grid nodes.
-
-    Same values as fock.husimi_q per node, evaluated with one batched
-    quadratic form; nodes never share mutable state.
-    """
-    pts = grid.points().ravel()
-    n = rho.cutoff
-    probes = np.empty((pts.size, n), dtype=complex)
-    probes[:, 0] = np.exp(-0.5 * np.abs(pts) ** 2)
-    for k in range(n - 1):
-        probes[:, k + 1] = probes[:, k] * pts / math.sqrt(k + 1)
-    q = np.einsum("gm,gm->g", probes.conj() @ rho.elements, probes).real
+    """Husimi surface <alpha| rho |alpha> over all grid nodes (fock.coherent_form)."""
+    q = fock.coherent_form(rho.elements, grid.points().ravel()).real
     return QSurface(grid=grid, time=float(time), values=q.reshape((grid.resolution, grid.resolution)))

@@ -3,13 +3,17 @@
 Everything here deliberately avoids the package's own evaluation paths:
 factorials instead of recurrences, matrix exponentials instead of Laguerre
 forms, closed-form damping solutions instead of integrators, and a
-fixed-step Runge-Kutta integrator instead of the exact propagator.
+fixed-step Runge-Kutta integrator instead of the exact propagator, and the
+closed-form Q as a log-space double series instead of the Fock-matrix
+quadratic form.
 """
 
+import cmath
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 
 def coherent_amplitudes_factorial(alpha, cutoff):
@@ -146,3 +150,34 @@ def rk4_integrate(mat, sys, t, dt):
     if rest > 1e-15 * max(1.0, t):
         prop = step(rest) @ prop
     return (prop @ np.asarray(mat, dtype=complex).reshape(size)).reshape(n, n)
+
+
+def q_series(alpha, t, sys, order):
+    """Closed-form Q(alpha, t) as the double series over 0 <= p, q <= order.
+
+    Q = sum_{p,q} w_p Z_pq conj(w_q), w_p = e^{-(|alpha|^2+|a0|^2)/2} (alpha a0*)^p / p!,
+    with each w_p assembled in log space (log magnitude plus phase, gammaln
+    for the factorial) and each Z_pq(t) evaluated entry by entry from
+
+        Z_pq = exp{-(p+q)/2 lam t + gamma |a0|^2 (1 - e^{-lam t}) / lam + i delta (p-q) t},
+        lam = gamma + 2 i mu (p-q),   (1 - e^{-lam t}) / lam -> t at lam = 0.
+    """
+    alpha = complex(alpha)
+    a0 = complex(sys.alpha0)
+    pref = -0.5 * (abs(alpha) ** 2 + abs(a0) ** 2)
+    w = alpha * a0.conjugate()
+    p = np.arange(order + 1)
+    if w == 0:
+        row = np.zeros(order + 1, dtype=complex)
+        row[0] = math.exp(pref)
+    else:
+        row = np.exp(p * cmath.log(w) - gammaln(p + 1) + pref)
+    g2 = abs(a0) ** 2
+    z = np.empty((order + 1, order + 1), dtype=complex)
+    for i in range(order + 1):
+        for j in range(order + 1):
+            lam = sys.gamma + 2j * sys.mu * (i - j)
+            integral = t if lam == 0 else (1.0 - cmath.exp(-lam * t)) / lam
+            phase = 1j * sys.detuning * (i - j) * t
+            z[i, j] = cmath.exp(-0.5 * (i + j) * lam * t + sys.gamma * g2 * integral + phase)
+    return float((row @ z @ row.conj()).real)

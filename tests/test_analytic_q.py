@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from kerrcat import fock, analytic_q
 from kerrcat.analytic_q import (
@@ -16,6 +18,8 @@ from kerrcat.analytic_q import (
     z_factor,
 )
 from kerrcat.errors import GridTooSmall, SeriesNotConverged
+
+import oracles
 
 
 def make_sys(alpha0=2.0, mu=1.0, gamma=0.01, detuning=0.0):
@@ -138,16 +142,40 @@ class TestQValue:
     def test_monotone_truncation(self):
         # raising the order beyond the rule moves Q less than the tail bound
         sys_ = make_sys()
-        alpha = np.array([2.5 + 1.0j])
-        base_order = analytic_q.series_order(abs(alpha[0]), sys_)
-        vals = {}
-        for extra in (0, 10, 25):
-            rows = analytic_q._coeff_rows(alpha, sys_, base_order + extra)
-            zmat = analytic_q._z_matrix(base_order + extra, 0.7, sys_)
-            vals[extra] = float(np.einsum("gp,gp->g", rows @ zmat, rows.conj()).real[0])
-        bound = analytic_q._tail_bound(abs(alpha[0]), 0.7, sys_, base_order)
+        alpha = 2.5 + 1.0j
+        order = analytic_q.series_order(sys_) - 1
+        vals = {extra: oracles.q_series(alpha, 0.7, sys_, order + extra) for extra in (0, 10, 25)}
+        bound = 2.0 * math.sqrt(pdtrc(order, abs(sys_.alpha0) ** 2))
+        assert bound <= analytic_q.TAIL_TOL
         assert abs(vals[10] - vals[0]) <= bound
         assert abs(vals[25] - vals[0]) <= bound
+
+    @pytest.mark.parametrize(
+        "alpha0, gamma, delta, t",
+        [(2.0, 0.01, 0.0, 0.7), (1.5 + 0.5j, 0.3, 0.8, 1.9), (-1.0 + 2.0j, 0.0, -0.5, 3.0),
+         (2.5j, 0.1, 0.0, math.pi / 2), (0.7, 0.02, 1.3, 12.0)],
+    )
+    def test_matches_series_oracle(self, alpha0, gamma, delta, t):
+        sys_ = make_sys(alpha0=alpha0, gamma=gamma, detuning=delta)
+        for a in (0.0, 1.2 - 0.7j, alpha0, -alpha0, 3.0 + 1.0j):
+            want = oracles.q_series(a, t, sys_, 60)
+            assert abs(q_value(a, t, sys_) - want) < 1e-10
+
+    @pytest.mark.parametrize("alpha0", [0.5, 2.0, 1.0 - 3.0j, 6.0])
+    def test_series_order_is_smallest_poisson_cut(self, alpha0):
+        sys_ = make_sys(alpha0=alpha0)
+        n = analytic_q.series_order(sys_)
+        mean = abs(alpha0) ** 2
+        assert 2.0 * math.sqrt(pdtrc(n - 1, mean)) <= analytic_q.TAIL_TOL
+        assert 2.0 * math.sqrt(pdtrc(n - 2, mean)) > analytic_q.TAIL_TOL
+
+    def test_probe_underflow_not_converged(self):
+        # past |alpha| = 37.6 the weight e^{-|alpha|^2/2} is subnormal and Q
+        # loses its precision (Q(39) = 0 instead of e^{-1} for alpha0 = 38)
+        with pytest.raises(SeriesNotConverged):
+            q_value(39.0, 0.0, make_sys(alpha0=38.0))
+        with pytest.raises(SeriesNotConverged):
+            q_value(39.0, 0.0, make_sys(alpha0=2.0))
 
 
 class TestQSurface:
@@ -187,6 +215,18 @@ class TestQSurface:
         surf = q_surface(PhaseGrid(center=2.0 + 0j, half_extent=1.0, resolution=1), 0.0, make_sys())
         assert surf.values.shape == (1, 1)
         assert abs(surf.values[0, 0] - 1.0) < 1e-10
+
+    def test_memory_bounded_by_chunk(self):
+        # probes are built PROBE_CHUNK points at a time, so a 301^2 grid
+        # never holds a (points x N) array
+        grid = PhaseGrid(center=0j, half_extent=7.0, resolution=301)
+        tracemalloc.start()
+        try:
+            q_surface(grid, 0.9, make_sys())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_surface_range_validated(self):
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=11)

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,24 +213,51 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "fields, argv",
         [
-            ({"gamma_over_mu": math.nan}, ["qsurface", "--time", "1.0"]),
-            ({"alpha0": [math.inf, 0.0]}, ["qsurface", "--time", "1.0"]),
+            ({"dimensionless.gamma_over_mu": math.nan}, ["qsurface", "--time", "1.0"]),
+            ({"dimensionless.alpha0": [math.inf, 0.0]}, ["qsurface", "--time", "1.0"]),
             ({}, ["qsurface", "--time", "-1"]),
             ({}, ["evolve", "--t-final", "-1"]),
             ({}, ["qsurface", "--time", "-1", "--backend", "numeric"]),
             ({}, ["evolve", "--t-final", "nan"]),
+            ({"dimensionless.gamma_over_mu": "x"}, ["params"]),
+            ({"dimensionless.detuning_over_mu": "x"}, ["params"]),
+            ({"cutoff": "abc"}, ["params"]),
+            ({"grid.resolution": "x"}, ["params"]),
+            ({"seed": "x"}, ["params"]),
+            ({"physical.b_field": "x"}, ["params"]),
+            ({"grid": "x"}, ["params"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
-             "negative_time_numeric", "nan_t_final"],
+             "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
+             "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
-        doc = dimensionless_doc(res=11)
-        doc["dimensionless"].update(fields)
+        # keys are dotted paths into the config; a physical.* key edits the physical one
+        physical = any(key.startswith("physical.") for key in fields)
+        doc = physical_doc() if physical else dimensionless_doc(res=11)
+        for path, value in fields.items():
+            *parents, key = path.split(".")
+            section = doc
+            for name in parents:
+                section = section[name]
+            section[key] = value
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / f"{argv[0]}.csv").exists()
+        assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_probe_underflow_exits_4(self, tmp_path, capsys, backend):
+        # grid corners at |alpha| = 38 sqrt(2): e^{-|alpha|^2/2} is not a normal double
+        cfg = write_config(tmp_path, dimensionless_doc(extent=38.0, res=3))
+        code = cli.main(
+            ["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "0",
+             "--backend", backend]
+        )
+        assert code == cli.EXIT_CONVERGENCE
+        assert "underflows" in capsys.readouterr().err
+        assert not (tmp_path / "qsurface.csv").exists()
 
     def test_broken_series_symmetry_exits_3(self, tmp_path, capsys, monkeypatch):
         def skewed(order, t, sys):
@@ -286,6 +317,24 @@ class TestSweep:
         assert float(rows[0]["fidelity_at_tcat"]) >= 1.0 - 1e-8
 
 
+    @pytest.mark.parametrize("mode", ["dimensionless", "physical"])
+    def test_detuned_config_rejected(self, tmp_path, capsys, mode):
+        if mode == "dimensionless":
+            doc = dimensionless_doc()
+            doc["dimensionless"]["detuning_over_mu"] = 0.7
+        else:
+            doc = physical_doc()
+            doc["physical"]["detuning"] = 5.0
+        cfg = write_config(tmp_path, doc)
+        code = cli.main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", "1",
+             "--gamma", "0.01"]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "resonance" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestDeterminism:
     def test_qsurface_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, dimensionless_doc(res=11))
@@ -313,3 +362,14 @@ class TestDeterminism:
 
         assert first.startswith(f"# kerrcat {__version__} config=")
         assert len(first.split("config=")[1]) == 16
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs most of the CLI start-up; nothing in kerrcat needs it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import kerrcat.cli, sys; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

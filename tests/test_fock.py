@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import poisson
 
 from kerrcat import fock
-from kerrcat.errors import CutoffTooSmall, DimensionMismatch
+from kerrcat.errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 
 import oracles
 
@@ -164,6 +164,51 @@ class TestHusimi:
         rho = fock.density_from_pure(fock.basis_state(0, 4))
         with pytest.raises(CutoffTooSmall):
             fock.husimi_q(rho, 60.0)
+
+
+CHUNK_EDGES = [1, fock.PROBE_CHUNK - 1, fock.PROBE_CHUNK, fock.PROBE_CHUNK + 1]
+
+
+class TestCoherentForm:
+    @pytest.mark.parametrize("count", CHUNK_EDGES)
+    def test_diagonal_matches_brute_force(self, count):
+        rng = np.random.default_rng(count)
+        rho = oracles.random_density(rng, 9)
+        pts = rng.uniform(-3.0, 3.0, count) + 1j * rng.uniform(-3.0, 3.0, count)
+        got = fock.coherent_form(rho, pts)
+        want = np.array([oracles.husimi_brute(rho, a) for a in pts])
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("count", CHUNK_EDGES)
+    def test_cross_element_matches_brute_force(self, count):
+        rng = np.random.default_rng(100 + count)
+        n = 7
+        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kets = rng.uniform(-2.5, 2.5, count) + 1j * rng.uniform(-2.5, 2.5, count)
+        bras = rng.uniform(-2.5, 2.5, count) + 1j * rng.uniform(-2.5, 2.5, count)
+        got = fock.coherent_form(mat, kets, bras)
+        want = np.array([
+            np.vdot(oracles.coherent_amplitudes_factorial(b, n),
+                    mat @ oracles.coherent_amplitudes_factorial(a, n))
+            for a, b in zip(kets, bras)
+        ])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_empty_points(self):
+        assert fock.coherent_form(np.eye(3), np.array([], dtype=complex)).shape == (0,)
+
+    def test_mismatched_sides(self):
+        with pytest.raises(DimensionMismatch):
+            fock.coherent_form(np.eye(3), np.zeros(4), np.zeros(5))
+
+    def test_probe_underflow_not_converged(self):
+        # e^{-|alpha|^2/2} is subnormal for |alpha| > 37.6, where Q would be wrong
+        inside, beyond = np.array([37.6]), np.array([38.0])
+        assert fock.coherent_form(np.eye(3), inside, inside).shape == (1,)
+        for ket, bra in ((beyond, inside), (inside, beyond)):
+            with pytest.raises(SeriesNotConverged):
+                fock.coherent_form(np.eye(3), ket, bra)
 
 
 class TestWigner:
