@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import pdtrc
 
 from . import fock
 from .errors import GridTooSmall, InvariantViolation
@@ -143,13 +142,19 @@ def series_order(sys: KerrSystem) -> int:
 
     For a positive rho, Cauchy-Schwarz bounds the change in any
     <beta|rho|alpha> from dropping the levels n >= N by 2 sqrt(Tr rho_{n>=N}).
-    That trace is the Poisson tail of |a0>, and damping only lowers it.
+    That trace is the Poisson tail of |a0>, and damping only lowers it. It is
+    summed downward from 40 standard deviations past the mean, where the pmf
+    underflows, so only positive terms are added.
     """
     mean = abs(sys.alpha0) ** 2
-    n = max(1, math.floor(mean))
-    while 2.0 * math.sqrt(pdtrc(n - 1, mean)) > TAIL_TOL:
-        n += 1
-    return n
+    if mean == 0:
+        return 1
+    log_mean, tail = math.log(mean), 0.0
+    for k in range(math.ceil(mean + 40.0 * math.sqrt(mean) + 60.0), 0, -1):
+        tail += math.exp(k * log_mean - mean - math.lgamma(k + 1.0))
+        if 2.0 * math.sqrt(tail) > TAIL_TOL:
+            return k + 1
+    return 1
 
 
 def _lam_integral(lam: np.ndarray, t: float) -> np.ndarray:

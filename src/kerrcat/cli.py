@@ -5,8 +5,8 @@ embeds the artifact version and a digest of the resolved configuration so
 repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
 error (including wrong-typed or non-finite numbers), 3 numerical failure
 (cutoff leak, failed check, broken invariant), 4 convergence failure (a
-grid point, or the analytic backend's alpha0, beyond |alpha| = 37.6, where
-e^{-|alpha|^2/2} underflows).
+grid point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2}
+underflows).
 
 Config schema (schema_version 1)::
 
@@ -82,12 +82,19 @@ class RunConfig:
     gamma_over_mu: float
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)``; a value of the wrong type is a ConfigError."""
+def _number(value, name: str) -> float:
+    """``float(value)``; a value of the wrong type is a ConfigError."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}") from exc
+        raise ConfigError(f"{name} must be of type float, got {value!r}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number (3 or 3.0); 3.9, booleans and text are a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_complex_field(value, name: str) -> complex:
@@ -191,7 +198,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if not isinstance(gsec, dict):
         raise ConfigError(f"grid must be an object, got {gsec!r}")
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
-    resolution = _number(gsec.get("resolution", 101), "grid.resolution", int)
+    resolution = _integer(gsec.get("resolution", 101), "grid.resolution")
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
     if overrides is not None:
         if getattr(overrides, "grid_extent", None) is not None:
@@ -207,7 +214,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if overrides is not None and getattr(overrides, "cutoff", None) is not None:
         cutoff = overrides.cutoff
     if cutoff is not None:
-        cutoff = _number(cutoff, "cutoff", int)
+        cutoff = _integer(cutoff, "cutoff")
     else:
         # ten levels of headroom over the state-validity rule so far grid
         # probes reach machine precision, not just the 1e-12 state tolerance
@@ -218,7 +225,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     out = raw.get("output_dir") or "."
     if overrides is not None and getattr(overrides, "out", None) is not None:
         out = overrides.out
-    seed = _number(raw.get("seed", 0), "seed", int)
+    seed = _integer(raw.get("seed", 0), "seed")
 
     digest_src = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:16]
@@ -264,12 +271,14 @@ def _csv_header(config: RunConfig) -> str:
     return f"# kerrcat {__version__} config={config.digest}\n"
 
 
-def _initial_density(config: RunConfig) -> fock.DensityOperator:
-    return fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
+def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
+    """|alpha0><alpha0|; an alpha0 whose vacuum weight underflows is SeriesNotConverged."""
+    fock.check_probe_range(abs(alpha0) ** 2)
+    return fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
 
 
 def _evolved(config: RunConfig, sample_times: tuple) -> list[lindblad.EvolutionRecord]:
-    rho0 = _initial_density(config)
+    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
     spec = lindblad.EvolutionSpec(
         sys=config.sys,
         cutoff=config.cutoff,
@@ -327,7 +336,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
         if t > 0:
             rho = _evolved(config, (t,))[-1].rho
         else:
-            rho = _initial_density(config)
+            rho = _coherent_density(config.sys.alpha0, config.cutoff)
         surface = lindblad.q_from_rho(rho, config.grid, t)
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
@@ -381,7 +390,7 @@ def cmd_validate(config: RunConfig) -> dict:
 
     surf0 = q_surface(config.grid, 0.0, sys_)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
-    rho0 = _initial_density(config)
+    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
     surf0n = lindblad.q_from_rho(rho0, config.grid, 0.0)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
@@ -480,7 +489,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
         lindblad.EvolutionSpec(
             sys=sys_kerr, cutoff=cutoff, t_final=t_cat, sample_times=(t_cat,)
         ),
-        fock.density_from_pure(fock.coherent_state(a0, cutoff)),
+        _coherent_density(a0, cutoff),
     )[-1]
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf

@@ -10,15 +10,17 @@ behind every Q surface. Phase-space functions use the conventions
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
 
 so that Q of a coherent state |beta> is exactly exp(-|alpha - beta|^2).
+W uses the analytic displacement matrix, its Laguerre factors built by their
+three-term recurrence in the degree (NumPy and the standard library only).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 
@@ -237,28 +239,62 @@ def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = Non
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _displacement_layout(n: int):
+    """Alpha-free, read-only parts of displacement_matrix at cutoff n.
+
+    Per entry, with lo = min(m, n') and k = |m - n'|: k, the log prefactor
+    0.5 log((lo+k)!/lo!) - log k!, the flat index lo n + k into the Laguerre
+    table, the phase index (k on or below the diagonal, n + k above); then the
+    recurrence weights j / (j+k+1) and 1 / (j+k+1) at row j, column k.
+    """
+    mm, nn = np.indices((n, n))
+    lo, k = np.minimum(mm, nn), np.abs(mm - nn)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n)])
+    log_prefactor = 0.5 * (log_fact[lo + k] - log_fact[lo]) - log_fact[k]
+    phase_index = np.where(mm >= nn, k, n + k)
+    parts = (k, log_prefactor, (lo * n + k).ravel(), phase_index,
+             mm / (mm + nn + 1.0), 1.0 / (mm + nn + 1.0))
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
+
+
+def _laguerre_table(n: int, x: float) -> np.ndarray:
+    """p_j = L_j^(k)(x) / C(j+k, j) at row j, column k, for every order k at once.
+
+    The degree recurrence in difference form, accurate as x -> 0:
+    d_{j+1} = (j d_j - x p_j) / (j+k+1), p_{j+1} = p_j + d_{j+1}, p_0 = 1.
+    """
+    *_, weight, inverse = _displacement_layout(n)
+    x_inverse = x * inverse
+    out = np.ones((n, n))
+    d = np.zeros(n)
+    for j in range(n - 1):
+        d = weight[j] * d - x_inverse[j] * out[j]
+        np.add(out[j], d, out=out[j + 1])
+    return out
+
+
 def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
     """Matrix elements <m| D(alpha) |n> via associated Laguerre polynomials.
 
-    Prefactors sqrt(min!/max!) |alpha|^{|m-n|} e^{-|alpha|^2/2} are assembled
-    in log space so the entries stay finite well beyond n = 80.
+    sqrt(lo!/(lo+k)!) |alpha|^k e^{-|alpha|^2/2} L_lo^(k)(|alpha|^2) with
+    lo = min(m, n), k = |m - n|, times (alpha/|alpha|)^k on and below the
+    diagonal and (-alpha*/|alpha|)^k above it. L comes from _laguerre_table's
+    recurrence; the prefactor, times its binomial, is assembled in log space
+    so the entries stay finite well beyond n = 80.
     """
     a = _as_complex(alpha)
     n = int(cutoff)
     if a == 0:
         return np.eye(n, dtype=complex)
-    mm, nn = np.indices((n, n))
-    lo = np.minimum(mm, nn)
-    k = np.abs(mm - nn)
+    k, log_prefactor, gather, phase_index, _, _ = _displacement_layout(n)
     x = abs(a) ** 2
-    log_mag = (
-        0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1))
-        + k * math.log(abs(a))
-        - 0.5 * x
-    )
-    base = np.where(mm >= nn, a / abs(a), -np.conj(a) / abs(a))
-    dmat = np.exp(log_mag) * base**k * eval_genlaguerre(lo, k, x)
-    return dmat
+    magnitude = np.exp(log_prefactor + k * math.log(abs(a)) - 0.5 * x)
+    ks = np.arange(n)
+    phase = np.concatenate(((a / abs(a)) ** ks, (-np.conj(a) / abs(a)) ** ks))[phase_index]
+    return magnitude * phase * _laguerre_table(n, x).ravel()[gather].reshape(n, n)
 
 
 def wigner(rho: DensityOperator, alpha) -> float:

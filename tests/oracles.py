@@ -1,11 +1,11 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here deliberately avoids the package's own evaluation paths:
-factorials instead of recurrences, matrix exponentials instead of Laguerre
-forms, closed-form damping solutions instead of integrators, and a
-fixed-step Runge-Kutta integrator instead of the exact propagator, and the
-closed-form Q as a log-space double series instead of the Fock-matrix
-quadratic form.
+factorials instead of recurrences, matrix exponentials and SciPy's Laguerre
+polynomials instead of the Laguerre recurrence, closed-form damping solutions
+instead of integrators, and a fixed-step Runge-Kutta integrator instead of
+the exact propagator, and the closed-form Q as a log-space double series
+instead of the Fock-matrix quadratic form.
 """
 
 import cmath
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 
 def coherent_amplitudes_factorial(alpha, cutoff):
@@ -35,6 +35,25 @@ def displacement_expm(alpha, cutoff, pad=40):
     a_op = np.diag(np.sqrt(np.arange(1, m)), 1)
     d = expm(alpha * a_op.conj().T - np.conj(alpha) * a_op)
     return d[:cutoff, :cutoff]
+
+
+def displacement_laguerre(alpha, cutoff):
+    """<m| D(alpha) |n> from SciPy's associated Laguerre polynomials and log-gamma.
+
+    sqrt(lo!/(lo+k)!) |alpha|^k e^{-|alpha|^2/2} L_lo^(k)(|alpha|^2) times
+    (alpha/|alpha|)^k below the diagonal and (-alpha*/|alpha|)^k above it,
+    with lo = min(m, n) and k = |m - n|, every entry evaluated directly.
+    """
+    a = complex(alpha)
+    if a == 0:
+        return np.eye(cutoff, dtype=complex)
+    mm, nn = np.indices((cutoff, cutoff))
+    lo = np.minimum(mm, nn)
+    k = np.abs(mm - nn)
+    x = abs(a) ** 2
+    log_mag = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) + k * math.log(abs(a)) - 0.5 * x
+    base = np.where(mm >= nn, a / abs(a), -np.conj(a) / abs(a))
+    return np.exp(log_mag) * base**k * eval_genlaguerre(lo, k, x)
 
 
 def wigner_dense(rho_matrix, alpha, pad=60):

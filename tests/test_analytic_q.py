@@ -169,6 +169,16 @@ class TestQValue:
         assert 2.0 * math.sqrt(pdtrc(n - 1, mean)) <= analytic_q.TAIL_TOL
         assert 2.0 * math.sqrt(pdtrc(n - 2, mean)) > analytic_q.TAIL_TOL
 
+    def test_series_order_matches_pdtrc_cut(self):
+        # the pure-math tail sum against SciPy's Poisson tail, every 0.01 up to |alpha0| = 37.6
+        amplitudes = np.arange(1, 3761) * 0.01
+        n = np.array([analytic_q.series_order(make_sys(alpha0=a)) for a in amplitudes])
+        mean = amplitudes**2
+        assert np.all(2.0 * np.sqrt(pdtrc(n - 1, mean)) <= analytic_q.TAIL_TOL)
+        # n - 1 breaks the bound, so n is the first level the old pdtrc loop accepts
+        assert np.all((n == 1) | (2.0 * np.sqrt(pdtrc(n - 2, mean)) > analytic_q.TAIL_TOL))
+        assert analytic_q.series_order(make_sys(alpha0=0.0)) == 1
+
     def test_probe_underflow_not_converged(self):
         # past |alpha| = 37.6 the weight e^{-|alpha|^2/2} is subnormal and Q
         # loses its precision (Q(39) = 0 instead of e^{-1} for alpha0 = 38)

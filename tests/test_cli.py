@@ -226,10 +226,18 @@ class TestBadInput:
             ({"seed": "x"}, ["params"]),
             ({"physical.b_field": "x"}, ["params"]),
             ({"grid": "x"}, ["params"]),
+            ({"grid.resolution": 3.9, "cutoff": 40}, ["qsurface", "--time", "0"]),
+            ({"cutoff": 40.7}, ["qsurface", "--time", "0"]),
+            ({"seed": 2.5}, ["params"]),
+            ({"grid.resolution": True}, ["params"]),
+            ({"cutoff": True}, ["params"]),
+            ({"seed": False}, ["params"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
-             "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid"],
+             "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid",
+             "fractional_resolution", "fractional_cutoff", "fractional_seed",
+             "bool_resolution", "bool_cutoff", "bool_seed"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -258,6 +266,25 @@ class TestBadInput:
         assert code == cli.EXIT_CONVERGENCE
         assert "underflows" in capsys.readouterr().err
         assert not (tmp_path / "qsurface.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsurface", "--time", "0"], ["qsurface", "--time", "0", "--backend", "numeric"],
+         ["evolve", "--t-final", "1", "--samples", "2"]],
+        ids=["analytic", "numeric", "evolve"],
+    )
+    def test_alpha0_underflow_exits_4(self, tmp_path, capsys, argv):
+        # e^{-38^2/2} is subnormal: no backend can build |alpha0>, so all exit alike
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(38.0, 0.0), res=3, cutoff=40))
+        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONVERGENCE
+        assert "underflows" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, dimensionless_doc(res=3.0, cutoff=30.0, seed=1.0))
+        config = cli.load_config(cfg)
+        assert (config.grid.resolution, config.cutoff, config.seed) == (3, 30, 1)
 
     def test_broken_series_symmetry_exits_3(self, tmp_path, capsys, monkeypatch):
         def skewed(order, t, sys):
@@ -364,12 +391,41 @@ class TestDeterminism:
         assert len(first.split("config=")[1]) == 16
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats costs most of the CLI start-up; nothing in kerrcat needs it
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import kerrcat.cli, sys; print([m for m in sys.modules if m.startswith('scipy.stats')])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is a test-only oracle; importing it would more than double the CLI start-up
+    code = (
+        "import kerrcat.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes any import of scipy, however late, raise ImportError
+    cfg = write_config(tmp_path, dimensionless_doc(res=5, extent=4.0))
+    runs = [
+        ["params"],
+        ["qsurface", "--time", "0.5"],
+        ["qsurface", "--time", "0.5", "--backend", "numeric"],
+        ["evolve", "--t-final", "1", "--samples", "3"],
+        ["validate"],
+        ["sweep", "--alpha0", "1", "--gamma", "0.05"],
+    ]
+    code = (
+        "import json, sys; sys.modules['scipy'] = None\n"
+        "from kerrcat import cli\n"
+        "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))"
+    )
+    argvs = [argv + ["--config", cfg, "--out", str(tmp_path / argv[0])] for argv in runs]
+    out = _run_python(code, json.dumps(argvs))
+    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(runs)
+    for argv in runs:
+        assert list((tmp_path / argv[0]).iterdir())

@@ -294,6 +294,13 @@ class TestDisplacementMatrix:
             ref = oracles.displacement_expm(alpha, 25)
             assert np.max(np.abs(mine - ref)) < 1e-12
 
+    @pytest.mark.parametrize("cutoff", [25, 40, 80, 160])
+    @pytest.mark.parametrize("alpha", [0.01, 0.7 - 1.3j, 2.0, 3.0 + 1.0j, 10j])
+    def test_matches_scipy_laguerre(self, alpha, cutoff):
+        mine = fock.displacement_matrix(alpha, cutoff)
+        ref = oracles.displacement_laguerre(alpha, cutoff)
+        assert np.max(np.abs(mine - ref)) <= 1e-12
+
     def test_zero_displacement_is_identity(self):
         assert np.array_equal(fock.displacement_matrix(0.0, 9), np.eye(9))
 
