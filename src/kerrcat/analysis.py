@@ -71,7 +71,7 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     """Normalized coherence between the two damped branch amplitudes."""
     a_t = complex(alpha0) * math.exp(-0.5 * gamma * t)
     plus = fock.coherent_amplitudes(a_t, rho.cutoff)
-    minus = fock.coherent_amplitudes(-a_t, rho.cutoff)
+    minus = fock.mirror_amplitudes(plus)
     mat = np.asarray(rho.elements)
     num = abs(np.vdot(plus, mat @ minus))
     d_plus = float(np.vdot(plus, mat @ plus).real)

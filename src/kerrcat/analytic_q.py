@@ -157,13 +157,18 @@ def series_order(sys: KerrSystem) -> int:
     return 1
 
 
-def _lam_integral(lam: np.ndarray, t: float) -> np.ndarray:
-    """(1 - e^{-lam t}) / lam, with the lam -> 0 limit by Taylor series."""
+def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """(1 - e^{-lam t}) / lam, with the lam -> 0 limit by Taylor series.
+
+    ``lam`` and ``t`` broadcast against each other, so a column of times
+    gives one row of values per time.
+    """
+    lam, t = np.broadcast_arrays(lam, t)
     x = lam * t
-    out = np.empty_like(lam)
+    out = np.empty_like(x)
     small = np.abs(x) < 1e-6
     # three Taylor terms reach full double precision for |x| < 1e-6
-    out[small] = t * (1.0 - x[small] / 2.0 + x[small] ** 2 / 6.0)
+    out[small] = t[small] * (1.0 - x[small] / 2.0 + x[small] ** 2 / 6.0)
     ns = ~small
     out[ns] = (1.0 - np.exp(-x[ns])) / lam[ns]
     return out

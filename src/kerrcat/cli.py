@@ -31,7 +31,11 @@ Config schema (schema_version 1)::
 
 In dimensionless mode mu = 1 and all times are in units of 1/mu. ``sweep``
 always works in those units at resonance, in either mode, and rejects a
-detuned config.
+detuned config. Its ``--alpha0`` and ``--gamma`` lists must hold finite
+numbers and every gamma must be non-negative. A row with gamma > 0 also
+needs a finite decoherence window 2 * 0.02 / (alpha0^2 gamma), so alpha0 = 0
+(no branches, no decoherence time to fit) is rejected when any gamma is
+positive. Each of these is a configuration error.
 """
 
 from __future__ import annotations
@@ -457,12 +461,17 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
     """Cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
 
     Rows run at resonance in units of mu (mu = 1) in either mode, so a detuned
-    config, whose cat target and branch probes differ, is rejected.
+    config, whose cat target and branch probes differ, is rejected. So is a
+    damped row without a finite decoherence window (_damping_window).
     """
     if config.sys.detuning != 0:
         raise ConfigError(
             f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
         )
+    for a0 in alpha0_values:
+        for g in gamma_values:
+            if g > 0:
+                _damping_window(a0, g)
     lines = [
         _csv_header(config),
         "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
@@ -480,11 +489,29 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
     return "".join(lines)
 
 
+def _damping_window(a0: float, gamma: float) -> float:
+    """End 2 WINDOW_DEPTH / (alpha0^2 gamma) of the damping-only run behind the fit.
+
+    alpha0 = 0 has no branches and so no decoherence time; an alpha0^2 gamma
+    that underflows or overflows leaves no finite window either.
+    """
+    rate = a0**2 * gamma
+    t_fin = 2.0 * analysis.WINDOW_DEPTH / rate if rate > 0 else math.inf
+    if not 0 < t_fin < math.inf:
+        raise ConfigError(
+            f"alpha0 = {a0!r}, gamma = {gamma!r}: no finite decoherence window to fit"
+        )
+    return t_fin
+
+
 def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
     """Kerr run to t_cat plus a damping-only decoherence fit (mu = 1 units)."""
     cutoff = fock.default_cutoff(a0)
     t_cat = math.pi / 2.0
-    sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
+    try:
+        sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rec = lindblad.evolve(
         lindblad.EvolutionSpec(
             sys=sys_kerr, cutoff=cutoff, t_final=t_cat, sample_times=(t_cat,)
@@ -497,7 +524,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # mu = 0 on purpose: damping only
             sys_damp = KerrSystem(alpha0=a0, mu=0.0, gamma=gamma)
-        t_fin = 2.0 * analysis.WINDOW_DEPTH / (a0**2 * gamma)
+        t_fin = _damping_window(a0, gamma)
         times = tuple(float(t) for t in np.linspace(0.0, t_fin, 161))
         damp_records = lindblad.evolve(
             lindblad.EvolutionSpec(
@@ -561,9 +588,12 @@ def _parse_float_list(text: str) -> list[float]:
     if text.strip() == "":
         return []
     try:
-        return [float(x) for x in text.split(",")]
+        values = [float(x) for x in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"list values must be finite, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

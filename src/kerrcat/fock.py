@@ -128,6 +128,17 @@ def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     return amp
 
 
+def mirror_amplitudes(amp: np.ndarray) -> np.ndarray:
+    """(-1)^n amp_n: the amplitudes of |-alpha> from those of |alpha>.
+
+    Each step of the recurrence only flips the sign of alpha, so this equals
+    coherent_amplitudes(-alpha, n) bit for bit without a second recurrence.
+    """
+    out = np.array(amp, dtype=complex)
+    out[1::2] = -out[1::2]
+    return out
+
+
 def coherent_state(alpha, cutoff: int | None = None) -> FockVector:
     """Coherent state |alpha> truncated to ``cutoff`` levels and renormalized.
 
@@ -158,7 +169,7 @@ def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
     if n < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
     plus = coherent_amplitudes(a0, n)
-    minus = coherent_amplitudes(-a0, n)
+    minus = mirror_amplitudes(plus)
     # branch truncation check, same criterion as coherent_state
     kept = float(np.sum(np.abs(plus) ** 2))
     if kept < 1.0 - TRUNCATION_TOL:
@@ -189,13 +200,12 @@ def density_from_pure(psi: FockVector) -> DensityOperator:
 def husimi_q(rho: DensityOperator, alpha) -> float:
     """Q(alpha) = <alpha| rho |alpha>, exact for the truncated operator held.
 
-    The probe amplitudes <n|alpha> are exact (never renormalized), so the
-    value is correct wherever rho itself represents the physical state.
+    One point of coherent_form, so a |alpha| beyond check_probe_range raises
+    SeriesNotConverged as on every Q surface. The probe amplitudes <n|alpha>
+    are exact (never renormalized), so the value is correct wherever rho
+    itself represents the physical state.
     """
-    a = _as_complex(alpha)
-    probe = coherent_amplitudes(a, rho.cutoff)
-    q = np.vdot(probe, rho.elements @ probe)
-    return float(q.real)
+    return float(coherent_form(rho.elements, np.array([_as_complex(alpha)])).real[0])
 
 
 def check_probe_range(max_abs_sq: float) -> None:

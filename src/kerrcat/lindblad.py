@@ -15,6 +15,11 @@ PRL 56, 2237 (1986)). It is exact for any initial matrix and any time,
 needs no step size, and never mixes bands. The truncation boundary is
 absorbing: trace lost through the top level is reported, never
 redistributed.
+
+Every sample time is propagated from rho(0) on its own, so integrate_matrix
+takes a scalar time or a 1-d array of times, carried on a leading axis
+through the same sum, and evolve passes its sample times in blocks of
+EVOLVE_BLOCK matrix elements before validating each state.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ LEAK_TOL = 1e-8
 
 #: sampled states must conserve trace at least this well
 TRACE_TOL = 1e-8
+
+#: matrix elements per block of sample times in evolve, whose (times x N x N)
+#: propagator temporaries stay this small (5 times at N = 40)
+EVOLVE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,7 @@ def rhs(rho: fock.DensityOperator, sys: KerrSystem) -> np.ndarray:
     return _rhs(np.asarray(rho.elements), coef, gain)
 
 
-def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float) -> np.ndarray:
+def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
     """Exact propagation of an arbitrary matrix to time ``t``, no state validation.
 
     rho(t) = e^{coef t} o sum_j (gamma x_k)^j S^j rho(0) / j!, where S is the
@@ -111,19 +120,27 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float) -> np.ndarray:
     x_k = (1 - e^{-lam_k t}) / lam_k with lam_k = gamma - 2 i mu k on the band
     k = m - n. S^j leaves only the leading (N-j) x (N-j) block, so the sum
     ends after N terms and each term is built from the previous one.
+
+    A scalar ``t`` gives the (N, N) matrix; a 1-d array of S times gives the
+    (S, N, N) stack, every time carried on a leading axis through the same
+    sum. Each slice equals the scalar call bit for bit. The stack holds a few
+    (S, N, N) temporaries, so callers with many times pass them in blocks of
+    EVOLVE_BLOCK matrix elements (see evolve).
     """
+    times = np.asarray(t, dtype=float)
     n = mat.shape[0]
     coef, gain = _coefficients(sys, n)
     k = np.arange(1 - n, n)
-    x = _lam_integral(sys.gamma - 2j * sys.mu * k, t)
+    x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
     idx = np.arange(n)
-    weight = gain * x[idx[:, np.newaxis] - idx[np.newaxis, :] + n - 1]
-    total = np.array(mat, dtype=complex)
+    weight = gain * x[:, idx[:, np.newaxis] - idx[np.newaxis, :] + n - 1]
+    total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)
     term = total
     for j in range(1, n):
-        term = weight[: n - j, : n - j] * term[1:, 1:] / j
-        total[: n - j, : n - j] += term
-    return np.exp(coef * t) * total
+        term = weight[:, : n - j, : n - j] * term[:, 1:, 1:] / j
+        total[:, : n - j, : n - j] += term
+    phase = np.exp(coef * times.reshape(-1, 1, 1))
+    return np.multiply(phase, total, out=total).reshape(times.shape + (n, n))
 
 
 def _make_record(
@@ -159,10 +176,14 @@ def evolve(spec: EvolutionSpec, initial: fock.DensityOperator) -> list[Evolution
         )
     mat0 = np.asarray(initial.elements)
     cat_target = fock.cat_state(spec.sys.alpha0, spec.cutoff)
-    return [
-        _make_record(t, integrate_matrix(mat0, spec.sys, t), spec.sys, cat_target)
-        for t in spec.sample_times
-    ]
+    times = spec.sample_times
+    block = max(1, EVOLVE_BLOCK // spec.cutoff**2)
+    records = []
+    for start in range(0, len(times), block):
+        chunk = times[start : start + block]
+        for t, mat in zip(chunk, integrate_matrix(mat0, spec.sys, np.array(chunk))):
+            records.append(_make_record(t, mat, spec.sys, cat_target))
+    return records
 
 
 def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid, time: float = 0.0) -> QSurface:

@@ -343,6 +343,22 @@ class TestSweep:
         assert rows[0]["fit_status"] == "no_damping"
         assert float(rows[0]["fidelity_at_tcat"]) >= 1.0 - 1e-8
 
+    @pytest.mark.parametrize(
+        "alpha0,gamma",
+        [("0", "0.01"), ("1", "-0.1"), ("1", "inf"), ("nan", "0.01"),
+         ("1e-200", "0.01"), ("1", "1e-320")],
+        ids=["zero_alpha0_damped", "negative_gamma", "infinite_gamma", "nan_alpha0",
+             "window_underflow_alpha0", "window_underflow_gamma"],
+    )
+    def test_bad_list_exits_2(self, tmp_path, capsys, alpha0, gamma):
+        cfg = write_config(tmp_path, dimensionless_doc())
+        code = cli.main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", alpha0,
+             "--gamma", gamma]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("mode", ["dimensionless", "physical"])
     def test_detuned_config_rejected(self, tmp_path, capsys, mode):

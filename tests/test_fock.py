@@ -84,6 +84,12 @@ class TestCatState:
         ref = np.abs(brute) ** 2
         assert abs(pops[::2].sum() / pops[1::2].sum() - ref[::2].sum() / ref[1::2].sum()) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.5, 1.3 - 0.7j, 0.4j, 37.0, 26.0 + 26.0j])
+    def test_mirror_is_exact_sign_flip(self, alpha):
+        n = 60
+        plus = fock.coherent_amplitudes(alpha, n)
+        assert np.array_equal(fock.mirror_amplitudes(plus), fock.coherent_amplitudes(-alpha, n))
+
     def test_unit_norm_for_any_alpha0(self):
         for a0 in (0.3, 1.0, 2.5 + 1.0j):
             cat = fock.cat_state(a0)
@@ -161,9 +167,12 @@ class TestHusimi:
         assert abs(total - 1.0) < 1e-3
 
     def test_probe_underflow_raises(self):
+        # the same underflow, and so the same error, as coherent_form
         rho = fock.density_from_pure(fock.basis_state(0, 4))
-        with pytest.raises(CutoffTooSmall):
+        with pytest.raises(SeriesNotConverged):
             fock.husimi_q(rho, 60.0)
+        with pytest.raises(SeriesNotConverged):
+            fock.coherent_form(rho.elements, np.array([60.0 + 0j]))
 
 
 CHUNK_EDGES = [1, fock.PROBE_CHUNK - 1, fock.PROBE_CHUNK, fock.PROBE_CHUNK + 1]

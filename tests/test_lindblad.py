@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -185,6 +186,75 @@ class TestBandStructure:
             out = lindblad._rhs(mat, coef, gain)
             off = np.where(np.eye(n, k=band, dtype=bool), 0.0, out)
             assert np.max(np.abs(off)) == 0.0
+
+
+BATCH_SYSTEMS = [
+    (1.0, 0.0, 0.0),
+    (1.0, 0.01, 0.0),
+    (1.0, 0.3, 0.0),
+    (0.7, 0.2, 0.3),  # detuned
+    (1e-9, 1e-9, 0.0),  # lam_k -> 0: the Taylor branch on most bands at every time
+]
+
+
+class TestBatchedTimes:
+    @pytest.mark.parametrize("mu,gamma,delta", BATCH_SYSTEMS)
+    @pytest.mark.parametrize("n", (1, 2, 12, 40))
+    def test_stack_equals_scalar_calls(self, mu, gamma, delta, n):
+        rng = np.random.default_rng(n)
+        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sys_ = KerrSystem(alpha0=0.0, mu=mu, gamma=gamma, detuning=delta)
+        # t = 0 and 1e-9 put every band in the Taylor branch
+        times = np.array([0.0, 1e-9, 0.3, 1.7, 40.0])
+        stack = lindblad.integrate_matrix(mat, sys_, times)
+        assert stack.shape == (times.size, n, n)
+        for t, out in zip(times, stack):
+            assert np.array_equal(out, lindblad.integrate_matrix(mat, sys_, float(t)))
+
+    def test_scalar_time_gives_matrix(self):
+        mat = np.eye(6, dtype=complex) / 6.0
+        sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.1)
+        assert lindblad.integrate_matrix(mat, sys_, 0.5).shape == (6, 6)
+        assert lindblad.integrate_matrix(mat, sys_, np.float64(0.5)).shape == (6, 6)
+        assert lindblad.integrate_matrix(mat, sys_, np.array([0.5])).shape == (1, 6, 6)
+
+    def test_evolve_equals_single_time_runs(self):
+        # 23 times at N = 30 span three blocks of EVOLVE_BLOCK elements
+        n = 30
+        sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.05)
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        times = tuple(float(t) for t in np.linspace(0.0, 2.0, 23))
+        assert len(times) > lindblad.EVOLVE_BLOCK // n**2
+        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=2.0, sample_times=times)
+        batched = lindblad.evolve(spec, rho0)
+        assert [r.time for r in batched] == list(times)
+        for rec in batched:
+            one = lindblad.evolve(
+                lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=2.0, sample_times=(rec.time,)),
+                rho0,
+            )[0]
+            assert np.array_equal(rec.rho.elements, one.rho.elements)
+            for name in ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence"):
+                assert getattr(rec, name) == getattr(one, name)
+
+    def test_block_memory_bounded(self):
+        # the transient above what the records keep stays at a few blocks,
+        # whatever the number of samples
+        n = 40
+        sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        times = tuple(float(t) for t in np.linspace(0.0, math.pi / 2.0, 2001))
+        spec = lindblad.EvolutionSpec(
+            sys=sys_, cutoff=n, t_final=math.pi / 2.0, sample_times=times
+        )
+        tracemalloc.start()
+        try:
+            records = lindblad.evolve(spec, rho0)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 2001
+        assert peak - retained <= 2 * 2**20
 
 
 class TestSpecValidation:
