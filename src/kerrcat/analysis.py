@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import DegenerateBranches, DimensionMismatch, InsufficientDecay
+from .errors import DegenerateBranches, InsufficientDecay
 
 #: fit window ends once ln C has dropped by this much (or C < 1e-4);
 #: shallow enough that the exponential approximation holds for the
@@ -54,17 +54,6 @@ class FitResult:
     residual: float
     n_points: int
     window_end: float
-
-
-def cat_fidelity(rho: fock.DensityOperator, alpha0) -> float:
-    """Overlap <cat| rho |cat> with the two-branch target for alpha0.
-
-    Global-phase insensitive by construction (rho is a quadratic form).
-    """
-    target = fock.cat_state(alpha0, rho.cutoff)
-    if target.cutoff != rho.cutoff:
-        raise DimensionMismatch("cat target and rho cutoffs differ")
-    return fock.fidelity(rho, target)
 
 
 def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) -> float:

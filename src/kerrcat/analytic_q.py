@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .errors import GridTooSmall, InvariantViolation
+from .errors import InvariantViolation
 
 #: largest truncation error allowed in any Q value, and the largest
 #: |rho - rho^dag| the Hermitian p <-> q symmetry of the series may leave
@@ -174,22 +174,6 @@ def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def z_factor(p: int, q: int, t: float, sys: KerrSystem) -> complex:
-    """One coefficient Z_pq(t) of the double series."""
-    if p < 0 or q < 0:
-        raise ValueError("series indices must be non-negative")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    lam = np.array([sys.gamma + 2j * sys.mu * (p - q)])
-    g2 = abs(sys.alpha0) ** 2
-    z = np.exp(-0.5 * (p + q) * lam * t + sys.gamma * g2 * _lam_integral(lam, t))[0]
-    if not abs(z) <= math.exp(sys.gamma * g2 * t) * (1.0 + 1e-12):
-        raise InvariantViolation(
-            f"|Z_{p}{q}| = {abs(z)} violates the exp(gamma |a0|^2 t) bound"
-        )
-    return complex(z)
-
-
 def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
     """Z_pq for all 0 <= p, q <= order, times the detuning phase per band.
 
@@ -213,7 +197,7 @@ def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("time must be non-negative")
-    fock.check_probe_range(abs(sys.alpha0) ** 2)
+    fock.check_probe_range(abs(sys.alpha0))
     n = series_order(sys)
     c = fock.coherent_amplitudes(sys.alpha0, n)
     rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
@@ -221,14 +205,6 @@ def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
     if not residue <= IMAG_TOL:
         raise InvariantViolation(f"max |rho - rho^dag| = {residue} breaks p<->q Hermiticity")
     return rho
-
-
-def q_value(alpha, t: float, sys: KerrSystem) -> float:
-    """Q(alpha, t) at a single phase-space point."""
-    q = float(fock.coherent_form(_fock_matrix(t, sys), np.array([complex(alpha)])).real[0])
-    if not _Q_FLOOR <= q <= _Q_CEIL:
-        raise InvariantViolation(f"Q = {q} outside [0, 1] beyond slack")
-    return q
 
 
 def q_surface(grid: PhaseGrid, t: float, sys: KerrSystem) -> QSurface:
@@ -242,22 +218,6 @@ def grid_normalization(surface: QSurface) -> float:
     """(1/pi) Riemann sum of Q over the grid; 1 when the grid covers the state."""
     w = surface.grid.spacing ** 2
     return float(np.sum(surface.values)) * w / math.pi
-
-
-def mean_n_from_q(surface: QSurface) -> float:
-    """Mean occupation from the antinormally ordered moment of Q.
-
-    (1/pi) int |alpha|^2 Q d^2alpha = <a a^dag> = <n> + 1; requires the
-    grid to hold the full distribution (normalization within 1e-3).
-    """
-    norm = grid_normalization(surface)
-    if abs(norm - 1.0) > 1e-3:
-        raise GridTooSmall(
-            f"(1/pi) integral of Q is {norm!r}; enlarge the grid before taking moments"
-        )
-    w = surface.grid.spacing ** 2
-    moment = float(np.sum(np.abs(surface.grid.points()) ** 2 * surface.values)) * w / math.pi
-    return moment - 1.0
 
 
 def coherent_matrix_element(beta, alpha, t: float, sys: KerrSystem) -> complex:

@@ -197,6 +197,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         sys_ = KerrSystem(**rates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # before anything squares |alpha0|: a Python float overflows past 1.3e154
+    fock.check_probe_range(abs(sys_.alpha0))
 
     gsec = raw.get("grid") or {}
     if not isinstance(gsec, dict):
@@ -277,7 +279,6 @@ def _csv_header(config: RunConfig) -> str:
 
 def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
     """|alpha0><alpha0|; an alpha0 whose vacuum weight underflows is SeriesNotConverged."""
-    fock.check_probe_range(abs(alpha0) ** 2)
     return fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
 
 
@@ -389,10 +390,9 @@ def cmd_validate(config: RunConfig) -> dict:
     sys_ = config.sys
     checks = []
     t_cat = math.pi / (2.0 * sys_.mu) if sys_.mu > 0 else 1.0
-    pts = config.grid.points()
-    gaussian = np.exp(-np.abs(pts - sys_.alpha0) ** 2)
-
+    # the surface checks the grid's probe range before the Gaussian squares it
     surf0 = q_surface(config.grid, 0.0, sys_)
+    gaussian = np.exp(-np.abs(config.grid.points() - sys_.alpha0) ** 2)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
     rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
     surf0n = lindblad.q_from_rho(rho0, config.grid, 0.0)
@@ -469,6 +469,7 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
             f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
         )
     for a0 in alpha0_values:
+        fock.check_probe_range(abs(a0))
         for g in gamma_values:
             if g > 0:
                 _damping_window(a0, g)
@@ -628,12 +629,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, overrides=args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-
-    out = config.output_dir
-    try:
+        out = config.output_dir
         if args.command == "params":
             doc = cmd_params(config)
             text = json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n"

@@ -21,10 +21,6 @@ class SeriesNotConverged(KerrcatError):
     """A phase-space value cannot be computed to tolerance (probe weight underflow)."""
 
 
-class GridTooSmall(KerrcatError):
-    """A phase-space grid fails its normalization check."""
-
-
 class InvariantViolation(KerrcatError):
     """A computed value broke a bound that the closed form guarantees."""
 

@@ -10,8 +10,8 @@ behind every Q surface. Phase-space functions use the conventions
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
 
 so that Q of a coherent state |beta> is exactly exp(-|alpha - beta|^2).
-W uses the analytic displacement matrix, its Laguerre factors built by their
-three-term recurrence in the degree (NumPy and the standard library only).
+W uses the analytic displacement matrix, its Laguerre factors built by the
+degree recurrence in difference form (NumPy and the standard library only).
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 #: truncated coherent-state weight allowed to fall beyond the cutoff
 TRUNCATION_TOL = 1e-12
 
-#: largest |alpha|^2 / 2 for which e^{-|alpha|^2/2} is a normal double (|alpha| <= 37.6)
-PROBE_EXPONENT_MAX = -math.log(np.finfo(float).tiny)
+#: largest |alpha| for which e^{-|alpha|^2/2} is a normal double (about 37.6)
+PROBE_ABS_MAX = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 
 #: points per block of coherent_form, whose (N x points) probe arrays stay this narrow
 PROBE_CHUNK = 2048
@@ -46,25 +46,6 @@ def default_cutoff(alpha: complex) -> int:
     """
     a = abs(complex(alpha))
     return math.ceil(a * a + 8.0 * a + 10.0)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point alpha of the complex phase plane."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ValueError("phase point must have finite real and imaginary parts")
-        object.__setattr__(self, "alpha", a)
-
-
-def _as_complex(alpha) -> complex:
-    if isinstance(alpha, PhasePoint):
-        return alpha.alpha
-    return complex(alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +96,13 @@ class DensityOperator:
 
 
 def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
-    """Exact number-basis amplitudes <n|alpha> for n < cutoff, not renormalized."""
-    a = _as_complex(alpha)
-    if 0.5 * abs(a) ** 2 > PROBE_EXPONENT_MAX:
-        raise CutoffTooSmall(
-            f"coherent amplitude |alpha| = {abs(a)} underflows the vacuum weight"
-        )
+    """Exact number-basis amplitudes <n|alpha> for n < cutoff, not renormalized.
+
+    A |alpha| beyond check_probe_range, whose vacuum weight underflows, raises
+    SeriesNotConverged.
+    """
+    a = complex(alpha)
+    check_probe_range(abs(a))
     amp = np.empty(cutoff, dtype=complex)
     amp[0] = math.exp(-0.5 * abs(a) ** 2)
     for n in range(cutoff - 1):
@@ -144,7 +126,7 @@ def coherent_state(alpha, cutoff: int | None = None) -> FockVector:
 
     Raises CutoffTooSmall when the weight lost to truncation exceeds 1e-12.
     """
-    a = _as_complex(alpha)
+    a = complex(alpha)
     n = default_cutoff(a) if cutoff is None else int(cutoff)
     if n < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
@@ -164,7 +146,7 @@ def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
     The combination has unit norm for every alpha0 because the branch cross
     terms cancel; after truncation the vector is renormalized exactly.
     """
-    a0 = _as_complex(alpha0)
+    a0 = complex(alpha0)
     n = default_cutoff(a0) if cutoff is None else int(cutoff)
     if n < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
@@ -183,37 +165,19 @@ def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
     return FockVector(amp)
 
 
-def basis_state(n: int, cutoff: int) -> FockVector:
-    """Number state |n> in a space of ``cutoff`` levels."""
-    if not 0 <= n < cutoff:
-        raise ValueError(f"level {n} outside cutoff {cutoff}")
-    amp = np.zeros(cutoff, dtype=complex)
-    amp[n] = 1.0
-    return FockVector(amp)
-
-
 def density_from_pure(psi: FockVector) -> DensityOperator:
     """Rank-one projector |psi><psi|."""
     return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def husimi_q(rho: DensityOperator, alpha) -> float:
-    """Q(alpha) = <alpha| rho |alpha>, exact for the truncated operator held.
+def check_probe_range(max_abs: float) -> None:
+    """SeriesNotConverged unless e^{-|alpha|^2/2} is a normal double for |alpha| = max_abs.
 
-    One point of coherent_form, so a |alpha| beyond check_probe_range raises
-    SeriesNotConverged as on every Q surface. The probe amplitudes <n|alpha>
-    are exact (never renormalized), so the value is correct wherever rho
-    itself represents the physical state.
+    Compares |alpha| itself, so no magnitude is squared and none can overflow.
     """
-    return float(coherent_form(rho.elements, np.array([_as_complex(alpha)])).real[0])
-
-
-def check_probe_range(max_abs_sq: float) -> None:
-    """SeriesNotConverged unless e^{-|alpha|^2/2} is a normal double for max |alpha|^2."""
-    if not 0.5 * max_abs_sq <= PROBE_EXPONENT_MAX:
-        limit = math.sqrt(2.0 * PROBE_EXPONENT_MAX)
+    if not max_abs <= PROBE_ABS_MAX:
         raise SeriesNotConverged(
-            f"|alpha| = {math.sqrt(max_abs_sq)!r} underflows e^(-|alpha|^2/2) (limit {limit:.4g})"
+            f"|alpha| = {max_abs!r} underflows e^(-|alpha|^2/2) (limit {PROBE_ABS_MAX:.4g})"
         )
 
 
@@ -239,7 +203,7 @@ def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = Non
         raise DimensionMismatch(f"{bra.size} bra points for {ket.size} ket points")
     if ket.size:
         sides = (ket,) if bra is ket else (ket, bra)
-        check_probe_range(max(float(np.max(np.abs(p))) for p in sides) ** 2)
+        check_probe_range(max(float(np.max(np.abs(p))) for p in sides))
     out = np.empty(ket.size, dtype=complex)
     for start in range(0, ket.size, PROBE_CHUNK):
         block = slice(start, start + PROBE_CHUNK)
@@ -295,7 +259,7 @@ def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
     recurrence; the prefactor, times its binomial, is assembled in log space
     so the entries stay finite well beyond n = 80.
     """
-    a = _as_complex(alpha)
+    a = complex(alpha)
     n = int(cutoff)
     if a == 0:
         return np.eye(n, dtype=complex)
@@ -315,7 +279,7 @@ def wigner(rho: DensityOperator, alpha) -> float:
     exact for states supported inside the cutoff. Summing the parity over
     the truncated basis instead would drop the population D pushes past N.
     """
-    a = _as_complex(alpha)
+    a = complex(alpha)
     n = rho.cutoff
     d2 = displacement_matrix(2.0 * a, n)
     parity = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)

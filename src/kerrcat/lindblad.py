@@ -96,22 +96,6 @@ def _coefficients(sys: KerrSystem, n: int):
     return coef, gain
 
 
-def _rhs(mat: np.ndarray, coef: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    out = coef * mat
-    out[:-1, :-1] += gain[:-1, :-1] * mat[1:, 1:]
-    return out
-
-
-def rhs(rho: fock.DensityOperator, sys: KerrSystem) -> np.ndarray:
-    """Elementwise time derivative of rho.
-
-    Returned as a plain matrix: a derivative has zero trace, so it cannot
-    satisfy the DensityOperator invariants.
-    """
-    coef, gain = _coefficients(sys, rho.cutoff)
-    return _rhs(np.asarray(rho.elements), coef, gain)
-
-
 def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
     """Exact propagation of an arbitrary matrix to time ``t``, no state validation.
 

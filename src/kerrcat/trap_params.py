@@ -154,12 +154,6 @@ def _kick(config: TrapConfig, omega_z: float, k: float) -> complex:
     return complex(k * config.drive_amplitude * config.drive_duration)
 
 
-def kick_amplitude(config: TrapConfig) -> complex:
-    """Kick amplitude alpha0 = k * eps * tau, or the override verbatim."""
-    params = derive(config)
-    return params.alpha0
-
-
 def b_field_for_cyclotron(frequency_hz: float) -> float:
     """Magnetic field giving cyclotron frequency omega_c/2pi = frequency_hz."""
     omega_c = 2.0 * math.pi * frequency_hz

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own evaluation paths:
 factorials instead of recurrences, matrix exponentials and SciPy's Laguerre
 polynomials instead of the Laguerre recurrence, closed-form damping solutions
-instead of integrators, and a fixed-step Runge-Kutta integrator instead of
-the exact propagator, and the closed-form Q as a log-space double series
-instead of the Fock-matrix quadratic form.
+instead of integrators, a dense generator and a fixed-step Runge-Kutta
+integrator instead of the exact propagator, the closed-form Q as a log-space
+double series instead of the Fock-matrix quadratic form, and <n> from the
+second moment of Q instead of the number-basis diagonal.
 """
 
 import cmath
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 
 def coherent_amplitudes_factorial(alpha, cutoff):
@@ -69,10 +70,26 @@ def wigner_dense(rho_matrix, alpha, pad=60):
     return float(2.0 / np.pi * np.dot(parity, diag))
 
 
+def poisson_pmf(k, mean):
+    """Poisson probabilities e^{-mean} mean^k / k!, in log space (scipy.stats' own formula)."""
+    return np.exp(xlogy(k, mean) - gammaln(k + 1) - mean)
+
+
 def husimi_brute(rho_matrix, alpha):
     """<alpha| rho |alpha> with factorial-formula probe amplitudes."""
     probe = coherent_amplitudes_factorial(alpha, rho_matrix.shape[0])
     return float(np.vdot(probe, rho_matrix @ probe).real)
+
+
+def q_moment_mean_n(points, values, spacing):
+    """Mean occupation from the antinormally ordered moment of a Q surface.
+
+    (1/pi) int |alpha|^2 Q d^2alpha = <a a^dag> = <n> + 1, as a Riemann sum
+    over grid ``points`` with the given ``spacing``; exact only when the grid
+    holds the whole distribution.
+    """
+    moment = float(np.sum(np.abs(points) ** 2 * values)) * spacing**2 / math.pi
+    return moment - 1.0
 
 
 def kerr_amplitudes(alpha0, mu, t, cutoff):
@@ -129,19 +146,16 @@ def random_density(rng, cutoff):
     return rho / np.trace(rho).real
 
 
-def rk4_integrate(mat, sys, t, dt):
-    """Classical fourth-order Runge-Kutta for the damped Kerr master equation.
+def master_generator(sys, n):
+    """Dense generator of the damped Kerr master equation on flattened n x n matrices.
 
-    The generator is built entry by entry from the elementwise equation
+    Built entry by entry from the elementwise equation
 
         d rho_mn / dt = [i mu (m^2 - n^2) - i delta (m - n) - (gamma/2)(m + n)] rho_mn
-                        + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1}
+                        + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1},
 
-    as a dense operator on the flattened matrix. The four RK4 stages are
-    applied to the identity, which gives the one-step map; steps of ``dt``
-    are composed by matrix powers, and a last shorter step lands on ``t``.
+    so ``(gen @ rho.ravel()).reshape(n, n)`` is the time derivative of rho.
     """
-    n = mat.shape[0]
     size = n * n
     gen = np.zeros((size, size), dtype=complex)
     for m in range(n):
@@ -154,6 +168,19 @@ def rk4_integrate(mat, sys, t, dt):
             )
             if m + 1 < n and k + 1 < n:
                 gen[row, (m + 1) * n + k + 1] = sys.gamma * math.sqrt((m + 1) * (k + 1))
+    return gen
+
+
+def rk4_integrate(mat, sys, t, dt):
+    """Classical fourth-order Runge-Kutta for the damped Kerr master equation.
+
+    The four RK4 stages of master_generator are applied to the identity,
+    which gives the one-step map; steps of ``dt`` are composed by matrix
+    powers, and a last shorter step lands on ``t``.
+    """
+    n = mat.shape[0]
+    size = n * n
+    gen = master_generator(sys, n)
     eye = np.eye(size, dtype=complex)
 
     def step(h):

@@ -189,7 +189,7 @@ def test_criterion_8_invariant_suite(report):
         rho = fock.DensityOperator(mat, trace_tol=1e-8)
         for _ in range(3):
             a = complex(*rng.uniform(-3.0, 3.0, 2))
-            q = fock.husimi_q(rho, a)
+            q = float(fock.coherent_form(rho.elements, np.array([a])).real[0])
             worst["q_low"] = max(worst["q_low"], -q)
             worst["q_high"] = max(worst["q_high"], q - 1.0)
             worst["wigner"] = max(worst["wigner"], abs(fock.wigner(rho, a)) - 2.0 / math.pi)

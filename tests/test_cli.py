@@ -255,30 +255,47 @@ class TestBadInput:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
-    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
-    def test_probe_underflow_exits_4(self, tmp_path, capsys, backend):
-        # grid corners at |alpha| = 38 sqrt(2): e^{-|alpha|^2/2} is not a normal double
-        cfg = write_config(tmp_path, dimensionless_doc(extent=38.0, res=3))
-        code = cli.main(
-            ["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "0",
-             "--backend", backend]
-        )
-        assert code == cli.EXIT_CONVERGENCE
-        assert "underflows" in capsys.readouterr().err
-        assert not (tmp_path / "qsurface.csv").exists()
-
     @pytest.mark.parametrize(
-        "argv",
-        [["qsurface", "--time", "0"], ["qsurface", "--time", "0", "--backend", "numeric"],
-         ["evolve", "--t-final", "1", "--samples", "2"]],
-        ids=["analytic", "numeric", "evolve"],
+        "extent, argv",
+        [(38.0, ["qsurface", "--time", "0"]),
+         (38.0, ["qsurface", "--time", "0", "--backend", "numeric"]),
+         (1e200, ["qsurface", "--time", "0.5"]),
+         (1e200, ["qsurface", "--time", "0.5", "--backend", "numeric"]),
+         (1e200, ["validate"])],
+        ids=["analytic", "numeric", "analytic_huge_extent", "numeric_huge_extent",
+             "validate_huge_extent"],
     )
-    def test_alpha0_underflow_exits_4(self, tmp_path, capsys, argv):
-        # e^{-38^2/2} is subnormal: no backend can build |alpha0>, so all exit alike
-        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(38.0, 0.0), res=3, cutoff=40))
+    def test_probe_underflow_exits_4(self, tmp_path, capsys, extent, argv):
+        # grid corners at |alpha| = extent sqrt(2): e^{-|alpha|^2/2} is not a
+        # normal double, and from 1.3e154 up |alpha|^2 overflows a Python float
+        cfg = write_config(tmp_path, dimensionless_doc(extent=extent, res=3))
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONVERGENCE
-        assert "underflows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure:") and "underflows" in err
+        assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize(
+        "alpha0, argv",
+        [(38.0, ["qsurface", "--time", "0"]),
+         (38.0, ["qsurface", "--time", "0", "--backend", "numeric"]),
+         (38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
+         (40.0, ["params"]),
+         (1e200, ["params"]),
+         (1e200, ["evolve", "--cutoff", "50", "--t-final", "1"]),
+         (2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0.01"]),
+         (2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0"])],
+        ids=["analytic", "numeric", "evolve", "params", "params_huge", "evolve_huge_cutoff",
+             "sweep_huge_damped", "sweep_huge_undamped"],
+    )
+    def test_alpha0_underflow_exits_4(self, tmp_path, capsys, alpha0, argv):
+        # e^{-38^2/2} is subnormal: no command can build |alpha0>, so all exit
+        # alike, also where |alpha0|^2 would overflow a Python float
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(alpha0, 0.0), res=3, cutoff=40))
+        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure:") and "underflows" in err
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
     def test_integral_float_accepted(self, tmp_path):
@@ -293,7 +310,7 @@ class TestBadInput:
         monkeypatch.setattr(analytic_q, "_z_matrix", skewed)
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
         with pytest.raises(InvariantViolation):
-            analytic_q.q_value(0.5, 1.0, sys_)
+            analytic_q.q_surface(analytic_q.PhaseGrid(resolution=1), 1.0, sys_)
         cfg = write_config(tmp_path, dimensionless_doc(res=11))
         code = cli.main(["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "1.0"])
         assert code == cli.EXIT_NUMERICAL

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
 
 from kerrcat import fock
 from kerrcat.errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 
 import oracles
+
+
+def number_state(n, cutoff):
+    return fock.FockVector(np.eye(cutoff)[n])
+
+
+def husimi(rho, points):
+    """Q = <alpha| rho |alpha> at each point, by the probe kernel."""
+    return fock.coherent_form(rho.elements, np.atleast_1d(points)).real
 
 
 class TestCoherentState:
@@ -23,7 +31,7 @@ class TestCoherentState:
     def test_poisson_weights(self):
         v = fock.coherent_state(2.0, 40)
         pops = np.abs(v.amplitudes) ** 2
-        assert np.max(np.abs(pops - poisson.pmf(np.arange(40), 4.0))) < 1e-12
+        assert np.max(np.abs(pops - oracles.poisson_pmf(np.arange(40), 4.0))) < 1e-12
 
     def test_matches_factorial_formula(self):
         alpha = 1.3 - 0.7j
@@ -40,20 +48,6 @@ class TestCoherentState:
         # rule keeps truncation below tolerance for the worst advertised case
         v = fock.coherent_state(6.0, fock.default_cutoff(6.0))
         assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-12
-
-    def test_accepts_phase_point(self):
-        point = fock.PhasePoint(1.0 + 0.5j)
-        direct = fock.coherent_state(1.0 + 0.5j, 30)
-        via_point = fock.coherent_state(point, 30)
-        assert np.array_equal(direct.amplitudes, via_point.amplitudes)
-        rho = fock.density_from_pure(direct)
-        assert fock.husimi_q(rho, point) == fock.husimi_q(rho, 1.0 + 0.5j)
-
-    def test_phase_point_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            fock.PhasePoint(complex("inf"))
-        with pytest.raises(ValueError):
-            fock.PhasePoint(complex(0.0, math.nan))
 
 
 class TestCatState:
@@ -98,7 +92,7 @@ class TestCatState:
 
 class TestDensityOperator:
     def test_vacuum_projector(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 8))
+        rho = fock.density_from_pure(number_state(0, 8))
         assert rho.elements[0, 0] == 1.0
         assert np.count_nonzero(rho.elements) == 1
 
@@ -133,16 +127,16 @@ class TestDensityOperator:
 
 class TestHusimi:
     def test_vacuum_origin(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 10))
-        assert abs(fock.husimi_q(rho, 0.0) - 1.0) < 1e-14
+        rho = fock.density_from_pure(number_state(0, 10))
+        assert abs(husimi(rho, 0.0)[0] - 1.0) < 1e-14
 
     def test_coherent_projector_on_peak(self):
         rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
-        assert abs(fock.husimi_q(rho, 2.0) - 1.0) < 1e-10
+        assert abs(husimi(rho, 2.0)[0] - 1.0) < 1e-10
 
     def test_coherent_projector_off_peak(self):
         rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
-        assert abs(fock.husimi_q(rho, 3.0) - math.exp(-1.0)) < 1e-10
+        assert abs(husimi(rho, 3.0)[0] - math.exp(-1.0)) < 1e-10
 
     def test_gaussian_law_random_points(self):
         # Q(|b><b|, a) = exp(-|a - b|^2) for |a|, |b| <= 3 at N = 60
@@ -151,26 +145,24 @@ class TestHusimi:
             b = complex(*rng.uniform(-3 / 1.5, 3 / 1.5, 2))
             a = complex(*rng.uniform(-3 / 1.5, 3 / 1.5, 2))
             rho = fock.density_from_pure(fock.coherent_state(b, 60))
-            assert abs(fock.husimi_q(rho, a) - math.exp(-abs(a - b) ** 2)) < 1e-8
+            assert abs(husimi(rho, a)[0] - math.exp(-abs(a - b) ** 2)) < 1e-8
 
     def test_matches_brute_force_on_mixed_state(self):
         rng = np.random.default_rng(5)
         rho = fock.DensityOperator(oracles.random_density(rng, 12))
         for a in (0.0, 0.8 - 0.3j, 2.5):
-            assert abs(fock.husimi_q(rho, a) - oracles.husimi_brute(rho.elements, a)) < 1e-12
+            assert abs(husimi(rho, a)[0] - oracles.husimi_brute(rho.elements, a)) < 1e-12
 
     def test_grid_normalization(self):
         rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
         xs = np.linspace(-7.0, 7.0, 141)
         w = (xs[1] - xs[0]) ** 2
-        total = sum(fock.husimi_q(rho, x + 1j * y) for x in xs for y in xs) * w / math.pi
+        grid = xs[np.newaxis, :] + 1j * xs[:, np.newaxis]
+        total = float(np.sum(husimi(rho, grid.ravel()))) * w / math.pi
         assert abs(total - 1.0) < 1e-3
 
     def test_probe_underflow_raises(self):
-        # the same underflow, and so the same error, as coherent_form
-        rho = fock.density_from_pure(fock.basis_state(0, 4))
-        with pytest.raises(SeriesNotConverged):
-            fock.husimi_q(rho, 60.0)
+        rho = fock.density_from_pure(number_state(0, 4))
         with pytest.raises(SeriesNotConverged):
             fock.coherent_form(rho.elements, np.array([60.0 + 0j]))
 
@@ -222,11 +214,11 @@ class TestCoherentForm:
 
 class TestWigner:
     def test_vacuum_parity(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 20))
+        rho = fock.density_from_pure(number_state(0, 20))
         assert abs(fock.wigner(rho, 0.0) - 2.0 / math.pi) < 1e-14
 
     def test_single_photon_parity(self):
-        rho = fock.density_from_pure(fock.basis_state(1, 20))
+        rho = fock.density_from_pure(number_state(1, 20))
         assert abs(fock.wigner(rho, 0.0) + 2.0 / math.pi) < 1e-14
 
     def test_cat_against_dense_oracle(self):
@@ -256,14 +248,14 @@ class TestFidelityAndMoments:
         assert abs(fock.fidelity(fock.density_from_pure(psi), psi) - 1.0) < 1e-12
 
     def test_orthogonal_states(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 6))
-        assert fock.fidelity(rho, fock.basis_state(1, 6)) == 0.0
+        rho = fock.density_from_pure(number_state(0, 6))
+        assert fock.fidelity(rho, number_state(1, 6)) == 0.0
 
     def test_maximally_mixed(self):
         n = 7
         rho = fock.DensityOperator(np.eye(n) / n)
         for k in range(n):
-            assert abs(fock.fidelity(rho, fock.basis_state(k, n)) - 1.0 / n) < 1e-12
+            assert abs(fock.fidelity(rho, number_state(k, n)) - 1.0 / n) < 1e-12
 
     def test_matches_inner_product(self):
         rng = np.random.default_rng(3)
@@ -277,12 +269,12 @@ class TestFidelityAndMoments:
             assert abs(got - want) < 1e-12
 
     def test_dimension_mismatch(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 6))
+        rho = fock.density_from_pure(number_state(0, 6))
         with pytest.raises(DimensionMismatch):
-            fock.fidelity(rho, fock.basis_state(0, 7))
+            fock.fidelity(rho, number_state(0, 7))
 
     def test_vacuum_moments(self):
-        rho = fock.density_from_pure(fock.basis_state(0, 6))
+        rho = fock.density_from_pure(number_state(0, 6))
         assert fock.expectation_n(rho) == 0.0
         assert abs(fock.purity(rho) - 1.0) < 1e-14
 

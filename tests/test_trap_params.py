@@ -110,29 +110,29 @@ class TestScaling:
 class TestKick:
     def test_zero_drive(self):
         cfg = paper_config(alpha0_override=None, drive_amplitude=0.0, drive_duration=1e-9)
-        assert trap_params.kick_amplitude(cfg) == 0.0
+        assert trap_params.derive(cfg).alpha0 == 0.0
 
     def test_override_wins(self):
         cfg = paper_config(alpha0_override=3.0, drive_amplitude=100.0, drive_duration=1e-9)
-        assert trap_params.kick_amplitude(cfg) == 3.0 + 0.0j
+        assert trap_params.derive(cfg).alpha0 == 3.0 + 0.0j
 
     def test_linear_in_drive(self):
         c1 = paper_config(alpha0_override=None, drive_amplitude=50.0, drive_duration=1e-9)
         c2 = paper_config(alpha0_override=None, drive_amplitude=100.0, drive_duration=1e-9)
-        a1 = trap_params.kick_amplitude(c1)
-        a2 = trap_params.kick_amplitude(c2)
+        a1 = trap_params.derive(c1).alpha0
+        a2 = trap_params.derive(c2).alpha0
         assert abs(a2 / a1 - 2.0) < 1e-12
         assert abs(a1) > 0
 
     def test_dimensionless_magnitude(self):
         # ~170 V/m for a nanosecond should kick |alpha0| to order one
         cfg = paper_config(alpha0_override=None, drive_amplitude=173.0, drive_duration=1e-9)
-        assert 0.5 < abs(trap_params.kick_amplitude(cfg)) < 5.0
+        assert 0.5 < abs(trap_params.derive(cfg).alpha0) < 5.0
 
     def test_slow_kick_warns(self):
         cfg = paper_config(alpha0_override=None, drive_amplitude=10.0, drive_duration=1e-7)
         with pytest.warns(UserWarning):
-            trap_params.kick_amplitude(cfg)
+            trap_params.derive(cfg)
 
     def test_fast_kick_quiet(self):
         import warnings
@@ -140,7 +140,7 @@ class TestKick:
         cfg = paper_config(alpha0_override=None, drive_amplitude=10.0, drive_duration=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trap_params.kick_amplitude(cfg)
+            trap_params.derive(cfg)
 
 
 class TestValidation:
