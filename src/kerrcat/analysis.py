@@ -72,28 +72,17 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     return float(num / math.sqrt(d_plus * d_minus))
 
 
-def _times_and_coherences(records) -> tuple[np.ndarray, np.ndarray]:
-    times, cs = [], []
-    for rec in records:
-        try:
-            times.append(float(rec.time))
-            cs.append(float(rec.coherence))
-        except AttributeError:
-            t, c = rec
-            times.append(float(t))
-            cs.append(float(c))
-    return np.asarray(times), np.asarray(cs)
-
-
-def decoherence_fit(records, window_depth: float = WINDOW_DEPTH) -> FitResult:
+def decoherence_fit(times, coherences, window_depth: float = WINDOW_DEPTH) -> FitResult:
     """Least-squares slope of ln C over the initial decay window.
 
-    The window runs from the first record until C drops below
+    ``coherences`` holds C at each of the ascending ``times``. The window
+    runs from the first sample until C drops below
     max(exp(-window_depth), 1e-4). Raises InsufficientDecay (carrying a
-    lower bound on the decay time) when the records never reach the window
+    lower bound on the decay time) when the samples never reach the window
     threshold, i.e. when no decay rate can be certified.
     """
-    times, cs = _times_and_coherences(records)
+    times = np.asarray(times, dtype=float)
+    cs = np.asarray(coherences, dtype=float)
     threshold = max(math.exp(-window_depth), WINDOW_FLOOR)
     below = np.nonzero(cs < threshold)[0]
     if below.size == 0:
@@ -103,14 +92,14 @@ def decoherence_fit(records, window_depth: float = WINDOW_DEPTH) -> FitResult:
             f"decay time exceeds {bound!r}",
             lower_bound=bound,
         )
-    end = int(below[0])  # first record past the window closes it
+    end = int(below[0])  # first sample past the window closes it
     t_win = times[: end + 1]
     c_win = cs[: end + 1]
     usable = c_win > 1e-6
     t_win, c_win = t_win[usable], c_win[usable]
     if t_win.size < 5:
         raise InsufficientDecay(
-            f"only {t_win.size} usable records inside the fit window; "
+            f"only {t_win.size} usable samples inside the fit window; "
             "sample the evolution more densely",
             lower_bound=float(times[-1]),
         )
@@ -133,9 +122,9 @@ def decoherence_fit(records, window_depth: float = WINDOW_DEPTH) -> FitResult:
     )
 
 
-def fit_decoherence_time(records, window_depth: float = WINDOW_DEPTH) -> float:
+def fit_decoherence_time(times, coherences, window_depth: float = WINDOW_DEPTH) -> float:
     """1/e time of the coherence metric from the initial-window fit."""
-    return decoherence_fit(records, window_depth).time
+    return decoherence_fit(times, coherences, window_depth).time
 
 
 def wigner_slice(

@@ -21,7 +21,6 @@ degenerate lam -> 0 denominator is evaluated by its Taylor series.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +62,6 @@ class KerrSystem:
             raise ValueError(f"damping rate must be non-negative, got {self.gamma}")
         if self.mu == 0 and self.gamma == 0:
             raise ValueError("mu and gamma cannot both vanish")
-        if self.mu == 0:
-            warnings.warn(
-                "mu = 0: pure damping, no cat formation and t_cat undefined",
-                stacklevel=3,
-            )
 
 
 @dataclass(frozen=True)
@@ -109,7 +103,12 @@ class PhaseGrid:
         return self.center.imag + np.linspace(-self.half_extent, self.half_extent, self.resolution)
 
     def points(self) -> np.ndarray:
-        """Complex grid points, shape (resolution, resolution), [im, re]."""
+        """Complex grid points, shape (resolution, resolution), [im, re].
+
+        The farthest corner is range-checked first, so no axis overflows.
+        """
+        c, h = self.center, self.half_extent if self.resolution > 1 else 0.0
+        fock.check_probe_range(math.hypot(abs(c.real) + h, abs(c.imag) + h))
         re = self.re_axis()
         im = self.im_axis()
         return re[np.newaxis, :] + 1j * im[:, np.newaxis]
@@ -120,7 +119,6 @@ class QSurface:
     """Samples of Q over a grid at one instant."""
 
     grid: PhaseGrid
-    time: float
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -211,7 +209,7 @@ def q_surface(grid: PhaseGrid, t: float, sys: KerrSystem) -> QSurface:
     """Q over every node of ``grid`` at time ``t``, in chunks of fock.PROBE_CHUNK nodes."""
     pts = grid.points()
     vals = fock.coherent_form(_fock_matrix(t, sys), pts.ravel()).real
-    return QSurface(grid=grid, time=float(t), values=vals.reshape(pts.shape))
+    return QSurface(grid=grid, values=vals.reshape(pts.shape))
 
 
 def grid_normalization(surface: QSurface) -> float:

@@ -3,10 +3,11 @@
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of the resolved configuration so
 repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
-error (including wrong-typed or non-finite numbers), 3 numerical failure
-(cutoff leak, failed check, broken invariant), 4 convergence failure (a
-grid point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2}
-underflows).
+error (including wrong-typed or non-finite numbers, and physical inputs
+whose derived rates overflow or underflow), 3 numerical failure (cutoff
+below the default_cutoff rule, cutoff leak, failed check, broken
+invariant), 4 convergence failure (a grid point or alpha0 beyond
+|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
 Config schema (schema_version 1)::
 
@@ -45,7 +46,6 @@ import hashlib
 import json
 import math
 import sys as _sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,7 +83,6 @@ class RunConfig:
     output_dir: Path
     seed: int
     digest: str
-    gamma_over_mu: float
 
 
 def _number(value, name: str) -> float:
@@ -145,11 +144,10 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         sec = raw.get("dimensionless")
         if not isinstance(sec, dict):
             raise ConfigError("dimensionless mode requires a 'dimensionless' section")
-        gamma_over_mu = _number(sec.get("gamma_over_mu", 0.0), "gamma_over_mu")
         rates = {
             "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
             "mu": 1.0,
-            "gamma": gamma_over_mu,
+            "gamma": _number(sec.get("gamma_over_mu", 0.0), "gamma_over_mu"),
             "detuning": _number(sec.get("detuning_over_mu", 0.0), "detuning_over_mu"),
         }
     else:
@@ -185,20 +183,26 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             raise ConfigError(f"physical section missing field {exc}") from exc
         except KerrcatError as exc:
             raise ConfigError(str(exc)) from exc
-        derived = trap_params.derive(trap)
+        if trap.alpha0_override is not None:  # before derive squares it
+            z = trap.alpha0_override
+            fock.check_probe_range(math.hypot(z.real, z.imag))
+        try:
+            derived = trap_params.derive(trap)
+        except (OverflowError, ZeroDivisionError) as exc:  # e.g. omega_c^2 overflows, mu is 0
+            raise ConfigError(f"physical inputs out of range: {exc}") from exc
         rates = {
             "alpha0": derived.alpha0,
             "mu": derived.mu,
             "gamma": trap.gamma,
             "detuning": derived.detuning,
         }
-        gamma_over_mu = trap.gamma / derived.mu
     try:
         sys_ = KerrSystem(**rates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # before anything squares |alpha0|: a Python float overflows past 1.3e154
-    fock.check_probe_range(abs(sys_.alpha0))
+    # before anything squares |alpha0|: a Python float overflows past 1.3e154,
+    # and abs() of a complex raises where hypot() gives inf
+    fock.check_probe_range(math.hypot(sys_.alpha0.real, sys_.alpha0.imag))
 
     gsec = raw.get("grid") or {}
     if not isinstance(gsec, dict):
@@ -244,7 +248,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         output_dir=Path(out),
         seed=seed,
         digest=digest,
-        gamma_over_mu=gamma_over_mu,
     )
 
 
@@ -282,23 +285,12 @@ def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
     return fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
 
 
-def _evolved(config: RunConfig, sample_times: tuple) -> list[lindblad.EvolutionRecord]:
-    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
-    spec = lindblad.EvolutionSpec(
-        sys=config.sys,
-        cutoff=config.cutoff,
-        t_final=sample_times[-1] if sample_times else 0.0,
-        sample_times=sample_times,
-    )
-    return lindblad.evolve(spec, rho0)
-
-
 def cmd_params(config: RunConfig) -> dict:
     """DerivedParams (physical) or the dimensionless parameter set, as a dict."""
     if config.mode == "dimensionless":
         params = {
             "alpha0": config.sys.alpha0,
-            "gamma_over_mu": config.gamma_over_mu,
+            "gamma_over_mu": config.sys.gamma / config.sys.mu,
             "t_cat_mu": math.pi / 2.0,
         }
     else:
@@ -338,11 +330,10 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
     if backend == "analytic":
         surface = q_surface(config.grid, t, config.sys)
     elif backend == "numeric":
+        rho = _coherent_density(config.sys.alpha0, config.cutoff)
         if t > 0:
-            rho = _evolved(config, (t,))[-1].rho
-        else:
-            rho = _coherent_density(config.sys.alpha0, config.cutoff)
-        surface = lindblad.q_from_rho(rho, config.grid, t)
+            rho = lindblad.evolve(config.sys, rho, (t,))[-1].rho
+        surface = lindblad.q_from_rho(rho, config.grid)
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     lines = [_csv_header(config), "re_alpha,im_alpha,q\n"]
@@ -358,11 +349,9 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> str:
     _check_time(t_final, "--t-final")
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
-    if t_final == 0.0:
-        times = (0.0,)
-    else:
-        times = tuple(float(t) for t in np.linspace(0.0, t_final, samples))
-    records = _evolved(config, times)
+    times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
+    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
+    records = lindblad.evolve(config.sys, rho0, times)
     lines = [_csv_header(config), "t,mean_n,purity,trace_err,cat_fidelity,coherence\n"]
     for r in records:
         lines.append(
@@ -395,14 +384,14 @@ def cmd_validate(config: RunConfig) -> dict:
     gaussian = np.exp(-np.abs(config.grid.points() - sys_.alpha0) ** 2)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
     rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
-    surf0n = lindblad.q_from_rho(rho0, config.grid, 0.0)
+    surf0n = lindblad.q_from_rho(rho0, config.grid)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
     sample_times = (0.5 * t_cat, t_cat)
-    records = _evolved(config, sample_times)
+    records = lindblad.evolve(sys_, rho0, sample_times)
     for label, rec in zip(("t_cat_half", "t_cat"), records):
         ana = q_surface(config.grid, rec.time, sys_)
-        num = lindblad.q_from_rho(rec.rho, config.grid, rec.time)
+        num = lindblad.q_from_rho(rec.rho, config.grid)
         checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
 
     decay_err = max(
@@ -513,28 +502,19 @@ def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
         sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rec = lindblad.evolve(
-        lindblad.EvolutionSpec(
-            sys=sys_kerr, cutoff=cutoff, t_final=t_cat, sample_times=(t_cat,)
-        ),
-        _coherent_density(a0, cutoff),
-    )[-1]
+    rec = lindblad.evolve(sys_kerr, _coherent_density(a0, cutoff), (t_cat,))[-1]
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf
     if gamma > 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # mu = 0 on purpose: damping only
-            sys_damp = KerrSystem(alpha0=a0, mu=0.0, gamma=gamma)
-        t_fin = _damping_window(a0, gamma)
-        times = tuple(float(t) for t in np.linspace(0.0, t_fin, 161))
+        sys_damp = KerrSystem(alpha0=a0, mu=0.0, gamma=gamma)  # damping only
+        times = np.linspace(0.0, _damping_window(a0, gamma), 161)
         damp_records = lindblad.evolve(
-            lindblad.EvolutionSpec(
-                sys=sys_damp, cutoff=cutoff, t_final=t_fin, sample_times=times
-            ),
-            fock.density_from_pure(fock.cat_state(a0, cutoff)),
+            sys_damp, fock.density_from_pure(fock.cat_state(a0, cutoff)), times
         )
         try:
-            t_dec_fitted = analysis.fit_decoherence_time(damp_records)
+            t_dec_fitted = analysis.fit_decoherence_time(
+                times, [r.coherence for r in damp_records]
+            )
             status = "ok"
         except InsufficientDecay as exc:
             t_dec_fitted = exc.lower_bound if exc.lower_bound is not None else math.inf

@@ -37,7 +37,7 @@ class InsufficientDecay(KerrcatError):
     """Coherence never dropped below 1/e; only a lower bound is known.
 
     The ``lower_bound`` attribute carries the largest time for which the
-    supplied records still show coherence above 1/e.
+    supplied samples still show coherence above 1/e.
     """
 
     def __init__(self, message, lower_bound=None):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import analysis, fock
 from .analytic_q import KerrSystem, PhaseGrid, QSurface, _lam_integral
-from .errors import CutoffLeak, DegenerateBranches
+from .errors import CutoffLeak, CutoffTooSmall, DegenerateBranches
 
 #: boundary population above which the truncated basis is declared too small
 LEAK_TOL = 1e-8
@@ -42,32 +42,6 @@ TRACE_TOL = 1e-8
 #: matrix elements per block of sample times in evolve, whose (times x N x N)
 #: propagator temporaries stay this small (5 times at N = 40)
 EVOLVE_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class EvolutionSpec:
-    """What to propagate, for how long, and where to sample."""
-
-    sys: KerrSystem
-    cutoff: int
-    t_final: float
-    sample_times: tuple = ()
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.sample_times)
-        if list(times) != sorted(times):
-            raise ValueError("sample_times must be sorted ascending")
-        if not 0 <= self.t_final < math.inf:
-            raise ValueError("t_final must be finite and non-negative")
-        if not all(0 <= t <= self.t_final + 1e-15 for t in times):
-            raise ValueError("sample_times must lie in [0, t_final]")
-        needed = fock.default_cutoff(self.sys.alpha0)
-        if self.cutoff < needed:
-            raise ValueError(
-                f"cutoff {self.cutoff} below the rule value {needed} "
-                f"for |alpha0| = {abs(self.sys.alpha0)}"
-            )
-        object.__setattr__(self, "sample_times", times)
 
 
 @dataclass(frozen=True)
@@ -152,25 +126,31 @@ def _make_record(
     )
 
 
-def evolve(spec: EvolutionSpec, initial: fock.DensityOperator) -> list[EvolutionRecord]:
-    """Propagate ``initial`` to each of ``spec.sample_times`` and validate the states."""
-    if initial.cutoff != spec.cutoff:
-        raise ValueError(
-            f"initial state cutoff {initial.cutoff} != spec cutoff {spec.cutoff}"
+def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[EvolutionRecord]:
+    """Propagate ``rho0`` to each of the ascending ``times`` and validate the states.
+
+    The cutoff is ``rho0``'s and must meet fock.default_cutoff(sys.alpha0).
+    """
+    times = tuple(float(t) for t in times)
+    if not all(0 <= t < math.inf for t in times) or list(times) != sorted(times):
+        raise ValueError(f"times must be finite, non-negative and ascending, got {times}")
+    n, needed = rho0.cutoff, fock.default_cutoff(sys.alpha0)
+    if n < needed:
+        raise CutoffTooSmall(
+            f"cutoff {n} below the rule value {needed} for |alpha0| = {abs(sys.alpha0)}"
         )
-    mat0 = np.asarray(initial.elements)
-    cat_target = fock.cat_state(spec.sys.alpha0, spec.cutoff)
-    times = spec.sample_times
-    block = max(1, EVOLVE_BLOCK // spec.cutoff**2)
+    mat0 = np.asarray(rho0.elements)
+    cat_target = fock.cat_state(sys.alpha0, n)
+    block = max(1, EVOLVE_BLOCK // n**2)
     records = []
     for start in range(0, len(times), block):
         chunk = times[start : start + block]
-        for t, mat in zip(chunk, integrate_matrix(mat0, spec.sys, np.array(chunk))):
-            records.append(_make_record(t, mat, spec.sys, cat_target))
+        for t, mat in zip(chunk, integrate_matrix(mat0, sys, np.array(chunk))):
+            records.append(_make_record(t, mat, sys, cat_target))
     return records
 
 
-def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid, time: float = 0.0) -> QSurface:
+def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid) -> QSurface:
     """Husimi surface <alpha| rho |alpha> over all grid nodes (fock.coherent_form)."""
     q = fock.coherent_form(rho.elements, grid.points().ravel()).real
-    return QSurface(grid=grid, time=float(time), values=q.reshape((grid.resolution, grid.resolution)))
+    return QSurface(grid=grid, values=q.reshape((grid.resolution, grid.resolution)))

@@ -6,7 +6,6 @@ always visible. Every tolerance is asserted exactly as specified.
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +25,6 @@ def report(capsys):
         assert ok, line
 
     return _report
-
-
-def quiet_sys(alpha0, mu, gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma)
 
 
 def coherent_density(alpha0, cutoff):
@@ -68,7 +61,7 @@ def test_criterion_2_initial_condition(report):
     grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
     gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
     err_a = float(np.max(np.abs(q_surface(grid, 0.0, sys_).values - gauss)))
-    num = lindblad.q_from_rho(coherent_density(2.0, 40), grid, 0.0)
+    num = lindblad.q_from_rho(coherent_density(2.0, 40), grid)
     err_n = float(np.max(np.abs(num.values - gauss)))
     ok = err_a <= 1e-10 and err_n <= 1e-10
     report(2, "initial_condition", ok, f"analytic err={err_a:.2e}, numeric err={err_n:.2e}")
@@ -79,13 +72,12 @@ def test_criterion_3_dual_path_agreement(report):
     cutoff = 40
     t_cat = math.pi / 2.0
     times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
-    spec = lindblad.EvolutionSpec(sys=sys_, cutoff=cutoff, t_final=t_cat, sample_times=times)
-    records = lindblad.evolve(spec, coherent_density(2.0, cutoff))
+    records = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     worst = 0.0
     for rec in records:
         ana = q_surface(grid, rec.time, sys_)
-        num = lindblad.q_from_rho(rec.rho, grid, rec.time)
+        num = lindblad.q_from_rho(rec.rho, grid)
         worst = max(worst, float(np.max(np.abs(ana.values - num.values))))
     ok = worst <= 1e-6
     report(3, "dual_path_agreement", ok, f"max node-wise |dQ|={worst:.2e} over t/t_cat in 1/4,1/2,1")
@@ -95,15 +87,12 @@ def test_criterion_4_cat_formation(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
     cutoff = 40
     t_cat = math.pi / 2.0
-    spec = lindblad.EvolutionSpec(sys=sys_, cutoff=cutoff, t_final=t_cat, sample_times=(t_cat,))
-    rec = lindblad.evolve(spec, coherent_density(2.0, cutoff))[-1]
+    rec = lindblad.evolve(sys_, coherent_density(2.0, cutoff), (t_cat,))[-1]
     fidelity_gap = 1.0 - rec.cat_fidelity
 
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     ana = q_surface(grid, t_cat, sys_)
-    cat_surface = lindblad.q_from_rho(
-        fock.density_from_pure(fock.cat_state(2.0, cutoff)), grid, t_cat
-    )
+    cat_surface = lindblad.q_from_rho(fock.density_from_pure(fock.cat_state(2.0, cutoff)), grid)
     surf_err = float(np.max(np.abs(ana.values - cat_surface.values)))
     ok = fidelity_gap <= 1e-8 and surf_err <= 1e-8
     report(4, "cat_formation", ok, f"1-F={fidelity_gap:.2e}, surface err={surf_err:.2e}")
@@ -127,11 +116,8 @@ def test_criterion_6_energy_decay(report):
     times = tuple(float(t) for t in np.linspace(0.0, 3.0 / gamma, 16))
     worst = 0.0
     for mu in (0.0, 1.0):
-        sys_ = quiet_sys(2.0, mu, gamma)
-        spec = lindblad.EvolutionSpec(
-            sys=sys_, cutoff=cutoff, t_final=times[-1], sample_times=times
-        )
-        for rec in lindblad.evolve(spec, coherent_density(2.0, cutoff)):
+        sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=gamma)
+        for rec in lindblad.evolve(sys_, coherent_density(2.0, cutoff), times):
             law = 4.0 * math.exp(-gamma * rec.time)
             worst = max(worst, abs(rec.mean_n - law))
     ok = worst <= 1e-8
@@ -145,15 +131,15 @@ def test_criterion_7_decoherence_scaling(report):
     for a0 in alphas:
         cutoff = fock.default_cutoff(a0)
         t_final = 2.0 * analysis.WINDOW_DEPTH / (a0**2 * gamma)
-        sample_times = tuple(float(t) for t in np.linspace(0.0, t_final, 161))
-        spec = lindblad.EvolutionSpec(
-            sys=quiet_sys(a0, 0.0, gamma),
-            cutoff=cutoff,
-            t_final=t_final,
-            sample_times=sample_times,
+        sample_times = np.linspace(0.0, t_final, 161)
+        records = lindblad.evolve(
+            KerrSystem(alpha0=a0, mu=0.0, gamma=gamma),
+            fock.density_from_pure(fock.cat_state(a0, cutoff)),
+            sample_times,
         )
-        records = lindblad.evolve(spec, fock.density_from_pure(fock.cat_state(a0, cutoff)))
-        taus.append(analysis.fit_decoherence_time(records))
+        taus.append(
+            analysis.fit_decoherence_time(sample_times, [r.coherence for r in records])
+        )
 
     scale = math.exp(np.mean([math.log(t * a * a) for t, a in zip(taus, alphas)]))
     deviations = [abs(t * a * a / scale - 1.0) for t, a in zip(taus, alphas)]
@@ -177,7 +163,9 @@ def test_criterion_8_invariant_suite(report):
              "wigner": 0.0, "band": 0.0, "norm": 0.0}
     for _ in range(100):
         n = int(rng.integers(3, 13))
-        sys_ = quiet_sys(0.0, float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.01, 0.5)))
+        sys_ = KerrSystem(
+            alpha0=0.0, mu=float(rng.uniform(0.0, 1.0)), gamma=float(rng.uniform(0.01, 0.5))
+        )
         rho0 = oracles.random_density(rng, n)
         t = float(rng.uniform(0.1, 1.0))
         mat = lindblad.integrate_matrix(rho0, sys_, t)

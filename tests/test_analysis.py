@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,22 +10,20 @@ from kerrcat.errors import DegenerateBranches, InsufficientDecay
 import oracles
 
 
-def damping_sys(alpha0, gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma)
-
-
 def damped_cat_records(alpha0, gamma, t_final=None, samples=161):
     n = fock.default_cutoff(alpha0)
     if t_final is None:
         t_final = 2.0 * analysis.WINDOW_DEPTH / (alpha0**2 * gamma)
-    times = tuple(float(t) for t in np.linspace(0.0, t_final, samples))
-    spec = lindblad.EvolutionSpec(
-        sys=damping_sys(alpha0, gamma), cutoff=n, t_final=t_final, sample_times=times
-    )
+    times = np.linspace(0.0, t_final, samples)
     rho0 = fock.density_from_pure(fock.cat_state(alpha0, n))
-    return lindblad.evolve(spec, rho0)
+    return lindblad.evolve(KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma), rho0, times)
+
+
+def fitted_time(records, **kwargs):
+    """fit_decoherence_time over the (time, coherence) pairs of evolve records."""
+    return analysis.fit_decoherence_time(
+        [r.time for r in records], [r.coherence for r in records], **kwargs
+    )
 
 
 def cat_fidelity(rho, alpha0):
@@ -44,8 +41,7 @@ class TestCatFidelity:
         n = 30
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=t_cat, sample_times=(t_cat,))
-        rec = lindblad.evolve(spec, rho0)[-1]
+        rec = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
         assert cat_fidelity(rec.rho, 2.0) >= 1.0 - 1e-10
 
     def test_single_branch_fidelity(self):
@@ -114,14 +110,12 @@ class TestFit:
     def test_exact_exponential(self):
         tau0 = 7.3
         times = np.linspace(0.0, 0.5, 400)
-        pairs = [(t, math.exp(-t / tau0)) for t in times]
-        fitted = analysis.fit_decoherence_time(pairs)
+        fitted = analysis.fit_decoherence_time(times, np.exp(-times / tau0))
         assert abs(fitted - tau0) / tau0 < 1e-6
 
     def test_fit_reports_residual(self):
         times = np.linspace(0.0, 0.2, 200)
-        pairs = [(t, math.exp(-t / 3.0)) for t in times]
-        result = analysis.decoherence_fit(pairs)
+        result = analysis.decoherence_fit(times, np.exp(-times / 3.0))
         assert result.residual < 1e-12
         assert result.n_points >= 5
         assert result.slope < 0
@@ -129,38 +123,37 @@ class TestFit:
     def test_damped_cat_alpha2(self):
         # 1/e time 1/(2 gamma |a0|^2) = 12.5 for a0 = 2, gamma = 0.01
         records = damped_cat_records(2.0, 0.01)
-        fitted = analysis.fit_decoherence_time(records)
+        fitted = fitted_time(records)
         assert abs(fitted - 12.5) / 12.5 < 0.05
 
     def test_amplitude_scaling_ratio(self):
         taus = {}
         for a0 in (1.0, 2.0):
-            taus[a0] = analysis.fit_decoherence_time(damped_cat_records(a0, 0.01))
+            taus[a0] = fitted_time(damped_cat_records(a0, 0.01))
         assert abs(taus[1.0] / taus[2.0] - 4.0) / 4.0 < 0.10
 
     def test_gamma_scaling_ratio(self):
         g = 0.01
-        t1 = analysis.fit_decoherence_time(damped_cat_records(1.5, g))
-        t2 = analysis.fit_decoherence_time(damped_cat_records(1.5, 2 * g))
+        t1 = fitted_time(damped_cat_records(1.5, g))
+        t2 = fitted_time(damped_cat_records(1.5, 2 * g))
         assert abs(t1 / t2 - 2.0) / 2.0 < 0.10
 
     def test_insufficient_decay(self):
-        pairs = [(t, 1.0) for t in np.linspace(0.0, 5.0, 50)]
+        times = np.linspace(0.0, 5.0, 50)
         with pytest.raises(InsufficientDecay) as err:
-            analysis.fit_decoherence_time(pairs)
+            analysis.fit_decoherence_time(times, np.ones_like(times))
         assert err.value.lower_bound == 5.0
 
     def test_too_few_points(self):
-        pairs = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.25)]
         with pytest.raises(InsufficientDecay):
-            analysis.fit_decoherence_time(pairs)
+            analysis.fit_decoherence_time((0.0, 1.0, 2.0), (1.0, 0.5, 0.25))
 
     def test_rate_linear_in_alpha0_squared(self):
         gamma = 0.01
         alphas = (1.0, 1.5, 2.0, 3.0)
         rates = []
         for a0 in alphas:
-            rates.append(1.0 / analysis.fit_decoherence_time(damped_cat_records(a0, gamma)))
+            rates.append(1.0 / fitted_time(damped_cat_records(a0, gamma)))
         xs = np.array([a * a for a in alphas])
         ys = np.array(rates)
         design = np.vstack([np.ones_like(xs), xs]).T
@@ -185,23 +178,18 @@ class TestFit:
             d_m = coherent_matrix_element(-a_t, -a_t, t, sys_).real
             return num / math.sqrt(d_p * d_m)
 
-        pairs_analytic = [(t, analytic_c(t)) for t in times]
+        c_analytic = [analytic_c(t) for t in times]
 
         n = fock.default_cutoff(a0)
-        spec = lindblad.EvolutionSpec(
-            sys=sys_, cutoff=n, t_final=times[-1], sample_times=times
-        )
         rho0 = fock.density_from_pure(fock.coherent_state(a0, n))
-        records = lindblad.evolve(spec, rho0)
+        records = lindblad.evolve(sys_, rho0, times)
 
-        for (t_a, c_a), rec in zip(pairs_analytic, records):
+        for c_a, rec in zip(c_analytic, records):
             assert abs(c_a - rec.coherence) < 1e-6
 
         depth = 0.3  # the odd-cat-time grid is too coarse for the default window
-        tau_analytic = analysis.fit_decoherence_time(pairs_analytic, window_depth=depth)
-        tau_numeric = analysis.fit_decoherence_time(
-            [(r.time, r.coherence) for r in records], window_depth=depth
-        )
+        tau_analytic = analysis.fit_decoherence_time(times, c_analytic, window_depth=depth)
+        tau_numeric = fitted_time(records, window_depth=depth)
         assert abs(tau_analytic - tau_numeric) / tau_numeric < 0.02
 
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -33,10 +32,6 @@ class TestKerrSystem:
     def test_rejects_both_rates_zero(self):
         with pytest.raises(ValueError):
             KerrSystem(alpha0=1.0, mu=0.0, gamma=0.0)
-
-    def test_mu_zero_warns(self):
-        with pytest.warns(UserWarning):
-            KerrSystem(alpha0=1.0, mu=0.0, gamma=0.1)
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
@@ -243,7 +238,7 @@ class TestQSurface:
     def test_surface_range_validated(self):
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=11)
         with pytest.raises(ValueError):
-            analytic_q.QSurface(grid=grid, time=0.0, values=np.full((11, 11), 1.5))
+            analytic_q.QSurface(grid=grid, values=np.full((11, 11), 1.5))
 
 
 def mean_n(surf):
@@ -254,9 +249,7 @@ def mean_n(surf):
 
 class TestMeanN:
     def test_vacuum(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sys_ = KerrSystem(alpha0=0.0, mu=0.0, gamma=0.1)
+        sys_ = KerrSystem(alpha0=0.0, mu=0.0, gamma=0.1)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=201)
         surf = q_surface(grid, 0.0, sys_)
         assert abs(mean_n(surf)) < 1e-3

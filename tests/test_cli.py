@@ -188,6 +188,20 @@ class TestValidate:
         assert code == cli.EXIT_NUMERICAL
         assert "Cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve", "--t-final", "1"],
+         ["qsurface", "--time", "1", "--backend", "numeric"],
+         ["validate"]],
+        ids=["evolve", "qsurface_numeric", "validate"],
+    )
+    def test_cutoff_below_rule_exits_3(self, tmp_path, capsys, argv):
+        # 27 levels hold |2> to 1e-12, but the rule asks for 30
+        cfg = write_config(tmp_path, dimensionless_doc(res=11))
+        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path), "--cutoff", "27"])
+        assert code == cli.EXIT_NUMERICAL
+        assert "CutoffTooSmall" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -232,12 +246,16 @@ class TestBadInput:
             ({"grid.resolution": True}, ["params"]),
             ({"cutoff": True}, ["params"]),
             ({"seed": False}, ["params"]),
+            ({"physical.b_field": 1e160}, ["params"]),
+            ({"physical.b_field": 1e-170}, ["params"]),
+            ({"physical.b_field": 1e-300}, ["evolve", "--t-final", "1"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
              "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid",
              "fractional_resolution", "fractional_cutoff", "fractional_seed",
-             "bool_resolution", "bool_cutoff", "bool_seed"],
+             "bool_resolution", "bool_cutoff", "bool_seed", "overflowing_b_field",
+             "mu_underflow_b_field", "underflowing_b_field"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -261,37 +279,66 @@ class TestBadInput:
          (38.0, ["qsurface", "--time", "0", "--backend", "numeric"]),
          (1e200, ["qsurface", "--time", "0.5"]),
          (1e200, ["qsurface", "--time", "0.5", "--backend", "numeric"]),
-         (1e200, ["validate"])],
+         (1e200, ["validate"]),
+         (1e308, ["qsurface", "--time", "0.5"]),
+         (1e308, ["qsurface", "--time", "0", "--backend", "numeric"]),
+         (1e308, ["validate"])],
         ids=["analytic", "numeric", "analytic_huge_extent", "numeric_huge_extent",
-             "validate_huge_extent"],
+             "validate_huge_extent", "analytic_overflowing_extent",
+             "numeric_overflowing_extent", "validate_overflowing_extent"],
     )
     def test_probe_underflow_exits_4(self, tmp_path, capsys, extent, argv):
         # grid corners at |alpha| = extent sqrt(2): e^{-|alpha|^2/2} is not a
-        # normal double, and from 1.3e154 up |alpha|^2 overflows a Python float
+        # normal double, from 1.3e154 up |alpha|^2 overflows a Python float,
+        # and at 1e308 the axis spacing 2 extent would overflow
         cfg = write_config(tmp_path, dimensionless_doc(extent=extent, res=3))
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith("convergence failure:") and "underflows" in err
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
     @pytest.mark.parametrize(
-        "alpha0, argv",
-        [(38.0, ["qsurface", "--time", "0"]),
-         (38.0, ["qsurface", "--time", "0", "--backend", "numeric"]),
-         (38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
-         (40.0, ["params"]),
-         (1e200, ["params"]),
-         (1e200, ["evolve", "--cutoff", "50", "--t-final", "1"]),
-         (2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0.01"]),
-         (2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0"])],
-        ids=["analytic", "numeric", "evolve", "params", "params_huge", "evolve_huge_cutoff",
-             "sweep_huge_damped", "sweep_huge_undamped"],
+        "argv",
+        [["params"], ["evolve", "--t-final", "1", "--samples", "3"],
+         ["sweep", "--alpha0", "1", "--gamma", "0"]],
+        ids=["params", "evolve", "sweep"],
     )
-    def test_alpha0_underflow_exits_4(self, tmp_path, capsys, alpha0, argv):
+    def test_overflowing_extent_unused_without_grid(self, tmp_path, argv):
+        cfg = write_config(tmp_path, dimensionless_doc(extent=1e308, res=3))
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize(
+        "mode, alpha0, argv",
+        [("dimensionless", 38.0, ["qsurface", "--time", "0"]),
+         ("dimensionless", 38.0, ["qsurface", "--time", "0", "--backend", "numeric"]),
+         ("dimensionless", 38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
+         ("dimensionless", 40.0, ["params"]),
+         ("dimensionless", 1e200, ["params"]),
+         ("dimensionless", 1e200, ["evolve", "--cutoff", "50", "--t-final", "1"]),
+         ("dimensionless", 2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0.01"]),
+         ("dimensionless", 2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0"]),
+         ("dimensionless", 1.7e308 + 1.7e308j, ["params"]),
+         ("physical", 1e200, ["params"]),
+         ("physical", 1.7e308 + 1.7e308j, ["params"]),
+         ("physical", 38.0, ["evolve", "--t-final", "1", "--samples", "2"])],
+        ids=["analytic", "numeric", "evolve", "params", "params_huge", "evolve_huge_cutoff",
+             "sweep_huge_damped", "sweep_huge_undamped", "params_modulus_overflow",
+             "physical_params_huge", "physical_modulus_overflow", "physical_evolve"],
+    )
+    def test_alpha0_underflow_exits_4(self, tmp_path, capsys, mode, alpha0, argv):
         # e^{-38^2/2} is subnormal: no command can build |alpha0>, so all exit
-        # alike, also where |alpha0|^2 would overflow a Python float
-        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(alpha0, 0.0), res=3, cutoff=40))
+        # alike, also where |alpha0|^2 or even |alpha0| would overflow a Python
+        # float (in physical mode, alpha0_override is checked before derive
+        # squares it)
+        pair = [complex(alpha0).real, complex(alpha0).imag]
+        if mode == "physical":
+            doc = physical_doc()
+            doc["physical"]["alpha0_override"] = pair
+        else:
+            doc = dimensionless_doc(alpha0=pair, res=3, cutoff=40)
+        cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONVERGENCE
         err = capsys.readouterr().err

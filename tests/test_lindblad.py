@@ -1,21 +1,18 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from kerrcat import fock, lindblad
 from kerrcat.analytic_q import KerrSystem, PhaseGrid, q_surface
-from kerrcat.errors import CutoffLeak
+from kerrcat.errors import CutoffLeak, CutoffTooSmall
 
 import oracles
 
 
 def damping_sys(alpha0=2.0, gamma=0.1):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma)
+    return KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma)
 
 
 def rhs(mat, sys_):
@@ -67,8 +64,7 @@ class TestEvolve:
     def test_vacuum_constant(self):
         sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.3)
         rho0 = fock.density_from_pure(fock.FockVector(np.eye(12)[0]))
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=12, t_final=2.0, sample_times=(1.0, 2.0))
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, (1.0, 2.0)):
             assert abs(rec.rho.elements[0, 0] - 1.0) < 1e-12
             assert rec.mean_n < 1e-12
 
@@ -76,8 +72,7 @@ class TestEvolve:
         sys_ = damping_sys(alpha0=2.0, gamma=0.1)
         n = 30
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=4.0, sample_times=(1.5, 4.0))
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, (1.5, 4.0)):
             mean = 4.0 * math.exp(-0.1 * rec.time)
             pops = np.diag(rec.rho.elements).real
             assert np.max(np.abs(pops - oracles.poisson_pmf(np.arange(n), mean))) < 1e-8
@@ -87,8 +82,7 @@ class TestEvolve:
         n = 30
         sys_ = damping_sys(alpha0=2.0, gamma=gamma)
         rho0 = fock.density_from_pure(fock.cat_state(2.0, n))
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=3.0, sample_times=(1.0, 3.0))
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, (1.0, 3.0)):
             exact = oracles.damped_cat_density(2.0, gamma, rec.time, n)
             assert np.max(np.abs(rec.rho.elements - exact)) < 1e-8
 
@@ -97,8 +91,7 @@ class TestEvolve:
         n = 30
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=t_cat, sample_times=(t_cat,))
-        rec = lindblad.evolve(spec, rho0)[-1]
+        rec = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
         assert rec.cat_fidelity >= 1.0 - 1e-10
         assert abs(rec.purity - 1.0) < 1e-10
 
@@ -107,8 +100,7 @@ class TestEvolve:
         n = 25
         rho0 = fock.density_from_pure(fock.coherent_state(1.5, n))
         t = 0.9
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=t, sample_times=(t,))
-        rec = lindblad.evolve(spec, rho0)[-1]
+        rec = lindblad.evolve(sys_, rho0, (t,))[-1]
         psi = oracles.kerr_amplitudes(1.5, 1.0, t, n)
         exact = np.outer(psi, psi.conj())
         assert np.max(np.abs(rec.rho.elements - exact)) < 1e-10
@@ -119,11 +111,8 @@ class TestEvolve:
         times = (0.5, 1.5)
         means = {}
         for mu in (0.0, 1.0):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=0.1)
-            spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=1.5, sample_times=times)
-            means[mu] = [r.mean_n for r in lindblad.evolve(spec, rho0)]
+            sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=0.1)
+            means[mu] = [r.mean_n for r in lindblad.evolve(sys_, rho0, times)]
         for t, m0, m1 in zip(times, means[0.0], means[1.0]):
             law = 4.0 * math.exp(-0.1 * t)
             assert abs(m0 - law) < 1e-8
@@ -133,10 +122,7 @@ class TestEvolve:
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.02)
         n = 30
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
-        spec = lindblad.EvolutionSpec(
-            sys=sys_, cutoff=n, t_final=1.0, sample_times=tuple(np.linspace(0.1, 1.0, 5))
-        )
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, np.linspace(0.1, 1.0, 5)):
             assert rec.trace_error <= 1e-8
 
     def test_fourth_order_convergence(self):
@@ -163,9 +149,8 @@ class TestEvolve:
         n = 12
         sys_ = damping_sys(alpha0=0.0, gamma=0.5)
         rho0 = fock.density_from_pure(fock.FockVector(np.eye(n)[n - 1]))
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=1.0, sample_times=(0.5,))
         with pytest.raises(CutoffLeak):
-            lindblad.evolve(spec, rho0)
+            lindblad.evolve(sys_, rho0, (0.5,))
 
 
 class TestBandStructure:
@@ -229,14 +214,10 @@ class TestBatchedTimes:
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         times = tuple(float(t) for t in np.linspace(0.0, 2.0, 23))
         assert len(times) > lindblad.EVOLVE_BLOCK // n**2
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=2.0, sample_times=times)
-        batched = lindblad.evolve(spec, rho0)
+        batched = lindblad.evolve(sys_, rho0, times)
         assert [r.time for r in batched] == list(times)
         for rec in batched:
-            one = lindblad.evolve(
-                lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=2.0, sample_times=(rec.time,)),
-                rho0,
-            )[0]
+            one = lindblad.evolve(sys_, rho0, (rec.time,))[0]
             assert np.array_equal(rec.rho.elements, one.rho.elements)
             for name in ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence"):
                 assert getattr(rec, name) == getattr(one, name)
@@ -247,35 +228,38 @@ class TestBatchedTimes:
         n = 40
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
-        times = tuple(float(t) for t in np.linspace(0.0, math.pi / 2.0, 2001))
-        spec = lindblad.EvolutionSpec(
-            sys=sys_, cutoff=n, t_final=math.pi / 2.0, sample_times=times
-        )
+        times = np.linspace(0.0, math.pi / 2.0, 201)
         tracemalloc.start()
         try:
-            records = lindblad.evolve(spec, rho0)
+            records = lindblad.evolve(sys_, rho0, times)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(records) == 2001
+        assert len(records) == 201
         assert peak - retained <= 2 * 2**20
 
 
 class TestSpecValidation:
     def test_unsorted_sample_times(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
         with pytest.raises(ValueError):
-            lindblad.EvolutionSpec(sys=sys_, cutoff=20, t_final=1.0, sample_times=(0.5, 0.2))
+            lindblad.evolve(sys_, rho0, (0.5, 0.2))
 
     def test_sample_time_out_of_range(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            lindblad.EvolutionSpec(sys=sys_, cutoff=20, t_final=1.0, sample_times=(1.5,))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
+        for t in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                lindblad.evolve(sys_, rho0, (0.0, t))
 
     def test_cutoff_below_rule(self):
+        # the rule asks for 30 levels at |alpha0| = 2; 20 still hold |alpha0>
+        # to 1e-12 when |alpha0| = 1, so only the rule rejects the run
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            lindblad.EvolutionSpec(sys=sys_, cutoff=20, t_final=1.0, sample_times=(1.0,))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
+        with pytest.raises(CutoffTooSmall):
+            lindblad.evolve(sys_, rho0, (1.0,))
 
 
 class TestQFromRho:
@@ -308,11 +292,10 @@ class TestQFromRho:
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
         times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=t_cat, sample_times=times)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, times):
             ana = q_surface(grid, rec.time, sys_)
-            num = lindblad.q_from_rho(rec.rho, grid, rec.time)
+            num = lindblad.q_from_rho(rec.rho, grid)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6
 
     @pytest.mark.parametrize("gamma", (0.0, 0.01, 0.3))
@@ -323,9 +306,8 @@ class TestQFromRho:
         n = fock.default_cutoff(alpha0) + 10
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0, n))
         times = (0.7, 1.9, 3.0)
-        spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=3.0, sample_times=times)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)
-        for rec in lindblad.evolve(spec, rho0):
+        for rec in lindblad.evolve(sys_, rho0, times):
             ana = q_surface(grid, rec.time, sys_)
-            num = lindblad.q_from_rho(rec.rho, grid, rec.time)
+            num = lindblad.q_from_rho(rec.rho, grid)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6

@@ -52,9 +52,8 @@ def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
 def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
     n = fock.default_cutoff(alpha0) + 10
-    spec = lindblad.EvolutionSpec(sys=sys_, cutoff=n, t_final=t, sample_times=(t,))
-    rec = lindblad.evolve(spec, fock.density_from_pure(fock.coherent_state(alpha0, n)))[-1]
+    rec = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
     ana = q_surface(grid, t, sys_)
-    num = lindblad.q_from_rho(rec.rho, grid, t)
+    num = lindblad.q_from_rho(rec.rho, grid)
     assert np.max(np.abs(ana.values - num.values)) <= 1e-6
