@@ -6,8 +6,9 @@ repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
 error (including wrong-typed or non-finite numbers, and physical inputs
 whose derived rates overflow or underflow), 3 numerical failure (cutoff
 below the default_cutoff rule, cutoff leak, failed check, broken
-invariant), 4 convergence failure (a grid point or alpha0 beyond
-|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
+invariant, a propagated state that is not finite or not positive), 4
+convergence failure (a grid point or alpha0 beyond |alpha| = 37.6, where
+e^{-|alpha|^2/2} underflows).
 
 Config schema (schema_version 1)::
 

@@ -19,7 +19,8 @@ redistributed.
 Every sample time is propagated from rho(0) on its own, so integrate_matrix
 takes a scalar time or a 1-d array of times, carried on a leading axis
 through the same sum, and evolve passes its sample times in blocks of
-EVOLVE_BLOCK matrix elements before validating each state.
+EVOLVE_BLOCK matrix elements before validating each state. At gamma = 0
+every term of the sum vanishes and none is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import analysis, fock
 from .analytic_q import KerrSystem, PhaseGrid, QSurface, _lam_integral
-from .errors import CutoffLeak, CutoffTooSmall, DegenerateBranches
+from .errors import CutoffLeak, CutoffTooSmall, DegenerateBranches, InvariantViolation
 
 #: boundary population above which the truncated basis is declared too small
 LEAK_TOL = 1e-8
@@ -77,7 +78,9 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     weighted shift rho_mn -> sqrt((m+1)(n+1)) rho_{m+1,n+1} and
     x_k = (1 - e^{-lam_k t}) / lam_k with lam_k = gamma - 2 i mu k on the band
     k = m - n. S^j leaves only the leading (N-j) x (N-j) block, so the sum
-    ends after N terms and each term is built from the previous one.
+    ends after N terms and each term is built from the previous one. At
+    gamma = 0 every weight, and so every term, is exactly zero: no term is
+    built and the result is e^{coef t} o mat.
 
     A scalar ``t`` gives the (N, N) matrix; a 1-d array of S times gives the
     (S, N, N) stack, every time carried on a leading axis through the same
@@ -88,6 +91,8 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     times = np.asarray(t, dtype=float)
     n = mat.shape[0]
     coef, gain = _coefficients(sys, n)
+    if sys.gamma == 0:
+        return (np.exp(coef * times.reshape(-1, 1, 1)) * mat).reshape(times.shape + (n, n))
     k = np.arange(1 - n, n)
     x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
     idx = np.arange(n)
@@ -104,13 +109,18 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
 def _make_record(
     t: float, mat: np.ndarray, sys: KerrSystem, cat_target: fock.FockVector
 ) -> EvolutionRecord:
+    if not np.isfinite(mat).all():
+        raise InvariantViolation(f"propagated state at t = {t} is not finite")
     boundary = float(mat[-1, -1].real)
     if boundary > LEAK_TOL:
         raise CutoffLeak(
             f"boundary population {boundary!r} at t = {t}; raise the cutoff"
         )
     trace_err = abs(float(np.trace(mat).real) - 1.0)
-    rho = fock.DensityOperator(mat, trace_tol=TRACE_TOL)
+    try:
+        rho = fock.DensityOperator(mat, trace_tol=TRACE_TOL)
+    except ValueError as exc:
+        raise InvariantViolation(f"propagated state at t = {t}: {exc}") from exc
     try:
         coherence = analysis.coherence_metric(rho, sys.alpha0, t, sys.gamma)
     except DegenerateBranches:
@@ -145,7 +155,11 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[Evolution
     records = []
     for start in range(0, len(times), block):
         chunk = times[start : start + block]
-        for t, mat in zip(chunk, integrate_matrix(mat0, sys, np.array(chunk))):
+        # rates that overflow the sum leave a non-finite state, which
+        # _make_record reports, so the overflow itself is not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = integrate_matrix(mat0, sys, np.array(chunk))
+        for t, mat in zip(chunk, stack):
             records.append(_make_record(t, mat, sys, cat_target))
     return records
 

@@ -121,7 +121,10 @@ def derive(config: TrapConfig) -> DerivedParams:
     t_cat = math.pi / (2.0 * mu)
     t_revival = 2.0 * math.pi / mu
     if config.gamma > 0 and abs(alpha0) > 0:
-        t_dec = 1.0 / (config.gamma * abs(alpha0) ** 2)
+        try:
+            t_dec = 1.0 / (config.gamma * abs(alpha0) ** 2)
+        except OverflowError:  # an oversized kick, reported by the probe-range check
+            t_dec = 0.0
     else:
         t_dec = math.inf  # no damping (or no excitation): nothing to decohere
     ratio = mu / config.gamma if config.gamma > 0 else math.inf

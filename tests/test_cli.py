@@ -47,6 +47,17 @@ def physical_doc(gamma=1.0):
     }
 
 
+def set_fields(doc, fields):
+    """``doc`` with each dotted path in ``fields`` set to its value."""
+    for path, value in fields.items():
+        *parents, key = path.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+    return doc
+
+
 def read_csv(path):
     with open(path) as fh:
         comment = fh.readline()
@@ -260,17 +271,38 @@ class TestBadInput:
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
         physical = any(key.startswith("physical.") for key in fields)
-        doc = physical_doc() if physical else dimensionless_doc(res=11)
-        for path, value in fields.items():
-            *parents, key = path.split(".")
-            section = doc
-            for name in parents:
-                section = section[name]
-            section[key] = value
+        doc = set_fields(physical_doc() if physical else dimensionless_doc(res=11), fields)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize(
+        "fields, argv",
+        [
+            ({"dimensionless.gamma_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
+            ({"dimensionless.gamma_over_mu": 1e308}, ["qsurface", "--time", "1",
+                                                       "--backend", "numeric"]),
+            ({"dimensionless.detuning_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
+            ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "1",
+                                                         "--backend", "numeric"]),
+            ({"dimensionless.detuning_over_mu": 1e18}, ["validate"]),
+        ],
+        ids=["gamma_evolve", "gamma_qsurface", "detuning_evolve", "detuning_qsurface",
+             "detuning_validate"],
+    )
+    def test_extreme_rates_exit_3(self, tmp_path, capsys, fields, argv):
+        # rates of 1e308 overflow the propagator's sum to a non-finite state;
+        # at 1e18 mu (m^2 - n^2) is lost next to delta (m - n) and the state
+        # is not positive: both are numerical failures, without a traceback
+        doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11), fields)
+        cfg = write_config(tmp_path, doc)
+        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: InvariantViolation:")
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
     @pytest.mark.parametrize(
@@ -322,20 +354,28 @@ class TestBadInput:
          ("dimensionless", 1.7e308 + 1.7e308j, ["params"]),
          ("physical", 1e200, ["params"]),
          ("physical", 1.7e308 + 1.7e308j, ["params"]),
-         ("physical", 38.0, ["evolve", "--t-final", "1", "--samples", "2"])],
+         ("physical", 38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
+         ("kick", 1e150, ["params"]),
+         ("kick", 1e300, ["params"])],
         ids=["analytic", "numeric", "evolve", "params", "params_huge", "evolve_huge_cutoff",
              "sweep_huge_damped", "sweep_huge_undamped", "params_modulus_overflow",
-             "physical_params_huge", "physical_modulus_overflow", "physical_evolve"],
+             "physical_params_huge", "physical_modulus_overflow", "physical_evolve",
+             "kick_huge", "kick_squares_past_float"],
     )
     def test_alpha0_underflow_exits_4(self, tmp_path, capsys, mode, alpha0, argv):
         # e^{-38^2/2} is subnormal: no command can build |alpha0>, so all exit
         # alike, also where |alpha0|^2 or even |alpha0| would overflow a Python
         # float (in physical mode, alpha0_override is checked before derive
-        # squares it)
+        # squares it; a kick, here drive_amplitude in V/m for 1 ps, gives
+        # |alpha0| ~ 1e145 and 1e295, and derive never squares it)
         pair = [complex(alpha0).real, complex(alpha0).imag]
         if mode == "physical":
             doc = physical_doc()
             doc["physical"]["alpha0_override"] = pair
+        elif mode == "kick":
+            doc = physical_doc()
+            del doc["physical"]["alpha0_override"]
+            doc["physical"].update(drive_amplitude=alpha0, drive_duration=1e-12)
         else:
             doc = dimensionless_doc(alpha0=pair, res=3, cutoff=40)
         cfg = write_config(tmp_path, doc)

@@ -206,6 +206,7 @@ class TestBatchedTimes:
         assert lindblad.integrate_matrix(mat, sys_, 0.5).shape == (6, 6)
         assert lindblad.integrate_matrix(mat, sys_, np.float64(0.5)).shape == (6, 6)
         assert lindblad.integrate_matrix(mat, sys_, np.array([0.5])).shape == (1, 6, 6)
+        assert lindblad.integrate_matrix(mat, sys_, np.array([])).shape == (0, 6, 6)
 
     def test_evolve_equals_single_time_runs(self):
         # 23 times at N = 30 span three blocks of EVOLVE_BLOCK elements
@@ -221,6 +222,39 @@ class TestBatchedTimes:
             assert np.array_equal(rec.rho.elements, one.rho.elements)
             for name in ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence"):
                 assert getattr(rec, name) == getattr(one, name)
+
+    def test_gamma_zero_builds_no_term(self):
+        # every weight is zero, so the result is the phase alone
+        n = 25
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0, detuning=0.3)
+        coef, _ = lindblad._coefficients(sys_, n)
+        times = np.array([0.0, 0.7, 40.0])
+        out = lindblad.integrate_matrix(mat, sys_, times)
+        # phase first, as integrate_matrix multiplies: NumPy's complex
+        # product does not commute bit for bit
+        assert np.array_equal(out, np.exp(coef * times[:, None, None]) * mat)
+
+    def test_blocking_cannot_change_a_record(self, monkeypatch):
+        # one time per call, the default blocks and one call for all must
+        # agree bit for bit on a damped random mixed state
+        n = 30
+        sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.01)
+        mat = np.zeros((n, n), dtype=complex)
+        mat[:20, :20] = oracles.random_density(np.random.default_rng(2), 20)
+        rho0 = fock.DensityOperator(mat)
+        times = tuple(float(t) for t in np.geomspace(1e-9, 1.5, 23))
+        runs = []
+        for block in (1, lindblad.EVOLVE_BLOCK, 10**9):
+            monkeypatch.setattr(lindblad, "EVOLVE_BLOCK", block)
+            runs.append(lindblad.evolve(sys_, rho0, times))
+        fields = ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence")
+        for recs in zip(*runs):
+            for rec in recs[1:]:
+                assert np.array_equal(rec.rho.elements, recs[0].rho.elements)
+                for name in fields:
+                    assert getattr(rec, name) == getattr(recs[0], name)
 
     def test_block_memory_bounded(self):
         # the transient above what the records keep stays at a few blocks,
