@@ -126,7 +126,9 @@ class QSurface:
         n = self.grid.resolution
         if vals.shape != (n, n):
             raise ValueError(f"values shape {vals.shape} does not match grid {n}x{n}")
-        if vals.min() < _Q_FLOOR or vals.max() > _Q_CEIL:
+        if not np.isfinite(vals).all():
+            raise ValueError("Q values must be finite")
+        if not (_Q_FLOOR <= vals.min() and vals.max() <= _Q_CEIL):
             raise ValueError(
                 f"Q values outside [{_Q_FLOOR}, {_Q_CEIL}]: "
                 f"min {vals.min()!r}, max {vals.max()!r}"
@@ -198,7 +200,12 @@ def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
     fock.check_probe_range(abs(sys.alpha0))
     n = series_order(sys)
     c = fock.coherent_amplitudes(sys.alpha0, n)
-    rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
+    # rates near the float limit overflow Z's exponent; a non-finite rho is
+    # reported below, and a finite one (e^{-inf} = 0) is the exact limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
+    if not np.isfinite(rho).all():
+        raise InvariantViolation(f"closed-form rho at t = {t} is not finite")
     residue = float(np.max(np.abs(rho - rho.conj().T)))
     if not residue <= IMAG_TOL:
         raise InvariantViolation(f"max |rho - rho^dag| = {residue} breaks p<->q Hermiticity")

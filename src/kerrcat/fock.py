@@ -59,8 +59,10 @@ class FockVector:
         amp = np.asarray(self.amplitudes, dtype=complex).copy()
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |c_n|^2 = {norm_sq!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -69,7 +71,24 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, unit-trace, positive N x N operator in the number basis."""
+    """Hermitian, unit-trace, positive N x N operator in the number basis.
+
+    Positive means lambda_min >= _EIGENVALUE_FLOOR (-1e-9). A Cholesky
+    factorization of A = rho + s I, s = -floor / 2, accepts every state with
+    lambda_min clearly above -s; only when it fails does eigvalsh decide, as
+    it always did, and name the smallest eigenvalue in the rejection.
+
+    A completed factorization R^H R = A + dA proves lambda_min(rho) >
+    -s - |dA|_2. Higham (Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 10.3) gives |dA| <= g |R^H| |R| elementwise, g = g_{n+1},
+    g_k = k u / (1 - k u); a complex product rounds with up to sqrt(2) g_2
+    < g_3 (ibid. Sec. 3.6), so g = g_{n+3} here. Then |dA|_2 <= |dA|_F <=
+    g |R|_F^2 = g tr(A + dA), and with the rounded shift |dA|_2 <=
+    2 (n + 4) u tr A. The factorization runs only while that is at most
+    s/2: at unit trace, every cutoff up to about 1.1 million (N = 590 gives
+    1.3e-13). So it accepts only lambda_min > -1.5 s, and the other s/2
+    covers eigvalsh's own O(n u |rho|_2) rounding: eigvalsh accepts it too.
+    """
 
     elements: np.ndarray
     cutoff: int = field(init=False)
@@ -81,18 +100,40 @@ class DensityOperator:
         mat = np.asarray(self.elements, dtype=complex).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("elements must be a square matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix elements must be finite")
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > _HERMITICITY_TOL:
+        if not herm <= _HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm!r}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > self.trace_tol:
+        if not abs(tr - 1.0) <= self.trace_tol:
             raise ValueError(f"trace {tr!r} differs from 1 beyond {self.trace_tol}")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < _EIGENVALUE_FLOOR:
-            raise ValueError(f"matrix not positive: smallest eigenvalue {lo!r}")
+        if not _factors_above_floor(mat, tr.real):
+            lo = float(np.linalg.eigvalsh(mat).min())
+            if not lo >= _EIGENVALUE_FLOOR:
+                raise ValueError(f"matrix not positive: smallest eigenvalue {lo!r}")
         mat.flags.writeable = False
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "cutoff", mat.shape[0])
+
+
+def _factors_above_floor(mat: np.ndarray, trace: float) -> bool:
+    """True when Cholesky factors mat + s I, s = -_EIGENVALUE_FLOOR / 2 (see DensityOperator).
+
+    False, so eigvalsh decides, when it does not, or when the rounding bound
+    2 (n + 4) u (trace + n s) of a completed factorization exceeds s/2.
+    """
+    n = mat.shape[0]
+    shift = -_EIGENVALUE_FLOOR / 2
+    if not 2 * (n + 4) * (math.ulp(1.0) / 2) * (trace + n * shift) <= shift / 2:
+        return False
+    shifted = mat.copy()
+    shifted.flat[:: n + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:

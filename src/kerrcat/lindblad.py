@@ -67,8 +67,7 @@ def _coefficients(sys: KerrSystem, n: int):
         - 1j * sys.detuning * (mm - nn).astype(float)
         - 0.5 * sys.gamma * (mm + nn).astype(float)
     )
-    gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
-    return coef, gain
+    return coef
 
 
 def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
@@ -90,13 +89,14 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     """
     times = np.asarray(t, dtype=float)
     n = mat.shape[0]
-    coef, gain = _coefficients(sys, n)
+    coef = _coefficients(sys, n)
     if sys.gamma == 0:
         return (np.exp(coef * times.reshape(-1, 1, 1)) * mat).reshape(times.shape + (n, n))
     k = np.arange(1 - n, n)
     x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
-    idx = np.arange(n)
-    weight = gain * x[:, idx[:, np.newaxis] - idx[np.newaxis, :] + n - 1]
+    mm, nn = np.indices((n, n))
+    gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
+    weight = gain * x[:, mm - nn + n - 1]
     total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)
     term = total
     for j in range(1, n):

@@ -146,6 +146,11 @@ def random_density(rng, cutoff):
     return rho / np.trace(rho).real
 
 
+def eigvalsh_accepts(mat):
+    """The positivity gate as a full eigendecomposition: smallest eigenvalue >= -1e-9."""
+    return float(np.linalg.eigvalsh(mat).min()) >= -1e-9
+
+
 def master_generator(sys, n):
     """Dense generator of the damped Kerr master equation on flattened n x n matrices.
 

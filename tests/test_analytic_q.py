@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,14 @@ class TestQSurface:
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=11)
         with pytest.raises(ValueError):
             analytic_q.QSurface(grid=grid, values=np.full((11, 11), 1.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        grid = PhaseGrid(center=0j, half_extent=3.0, resolution=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                analytic_q.QSurface(grid=grid, values=[[bad]])
 
 
 def mean_n(surf):

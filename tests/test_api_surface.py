@@ -4,7 +4,8 @@ A function that only tests call is a second copy of a kernel that the
 commands already run, and it drifts from that kernel unnoticed. So each
 public ``def``/``class`` in ``src/kerrcat`` must be referenced by package
 code outside its own definition; tests reach the physics through the
-kernels the commands use, or through ``tests/oracles.py``.
+kernels the commands use, or through ``tests/oracles.py``. Nor does the
+package hold an ``assert``, which ``python -O`` strips.
 """
 
 import ast
@@ -20,10 +21,8 @@ ALLOWED_UNUSED = {
     "b_field_for_cyclotron": "the README's physical-mode example field was computed with it",
 }
 
-TREES = [
-    ast.parse(path.read_text(), filename=str(path))
-    for path in sorted(Path(kerrcat.__file__).resolve().parent.glob("*.py"))
-]
+PATHS = sorted(Path(kerrcat.__file__).resolve().parent.glob("*.py"))
+TREES = [ast.parse(path.read_text(), filename=str(path)) for path in PATHS]
 
 
 def _public_definitions():
@@ -48,6 +47,18 @@ def _unreferenced() -> set[str]:
 
 def test_every_public_name_has_a_package_caller():
     assert _unreferenced() - set(ALLOWED_UNUSED) == set()
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so an invariant written as one is no check
+    # at all; the package raises InvariantViolation or ValueError instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in zip(PATHS, TREES)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_allowlist_is_current():

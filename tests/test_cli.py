@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,14 +289,17 @@ class TestBadInput:
             ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "1",
                                                          "--backend", "numeric"]),
             ({"dimensionless.detuning_over_mu": 1e18}, ["validate"]),
+            ({"dimensionless.gamma_over_mu": 1e308}, ["validate"]),
+            ({"dimensionless.detuning_over_mu": 1e308}, ["validate"]),
         ],
         ids=["gamma_evolve", "gamma_qsurface", "detuning_evolve", "detuning_qsurface",
-             "detuning_validate"],
+             "detuning_validate", "gamma_validate", "detuning_overflow_validate"],
     )
     def test_extreme_rates_exit_3(self, tmp_path, capsys, fields, argv):
-        # rates of 1e308 overflow the propagator's sum to a non-finite state;
-        # at 1e18 mu (m^2 - n^2) is lost next to delta (m - n) and the state
-        # is not positive: both are numerical failures, without a traceback
+        # rates of 1e308 overflow the propagator's sum, or the closed form's
+        # exponent, to a non-finite state; at 1e18 mu (m^2 - n^2) is lost
+        # next to delta (m - n) and the state is not positive: all are
+        # numerical failures, without a warning or a traceback
         doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11), fields)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
@@ -304,6 +308,20 @@ class TestBadInput:
         assert err.startswith("numerical failure: InvariantViolation:")
         assert err.count("\n") == 1
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    def test_overflowing_damping_decays_to_vacuum(self, tmp_path):
+        # at gamma = 1e308 the closed form's exponent overflows to -inf, whose
+        # e^{-inf} = 0 is the exact limit: the state has decayed to |0>
+        doc = dimensionless_doc(alpha0=(1.0, 0.0), gamma=1e308, res=11)
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["qsurface", "--time", "1", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        rows = read_csv(tmp_path / "qsurface.csv")
+        alpha = np.array([complex(float(r["re_alpha"]), float(r["im_alpha"])) for r in rows])
+        q = np.array([float(r["q"]) for r in rows])
+        assert np.max(np.abs(q - np.exp(-np.abs(alpha) ** 2))) < 1e-10
 
     @pytest.mark.parametrize(
         "extent, argv",

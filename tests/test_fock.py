@@ -1,7 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerrcat import fock
 from kerrcat.errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
@@ -11,6 +14,29 @@ import oracles
 
 def number_state(n, cutoff):
     return fock.FockVector(np.eye(cutoff)[n])
+
+
+def density_with_smallest(rng, n, lowest):
+    """V diag(lowest, rest) V^H, V a random unitary, unit trace, Hermitian to the bit."""
+    rest = rng.uniform(0.1, 1.0, n - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    mat = (v * np.concatenate(([lowest], rest))) @ v.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the eigvalsh calls the gate makes."""
+    calls = []
+    full = np.linalg.eigvalsh
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return full(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
 
 
 def husimi(rho, points):
@@ -123,6 +149,60 @@ class TestDensityOperator:
     def test_fockvector_requires_normalization(self):
         with pytest.raises(ValueError):
             fock.FockVector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_rejected_without_warning(self, bad):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                fock.FockVector(np.array([bad, 0.0]))
+            with pytest.raises(ValueError, match="finite"):
+                fock.DensityOperator(np.full((2, 2), bad))
+            with pytest.raises(ValueError, match="finite"):
+                fock.DensityOperator(mat)
+
+
+class TestPositivityGate:
+    """Cholesky of rho + s I, s = 5e-10, with eigvalsh only when it fails."""
+
+    def test_factorization_accepts_without_eigvalsh(self, eigvalsh_calls):
+        mat = density_with_smallest(np.random.default_rng(1), 8, -0.4e-9)
+        assert oracles.eigvalsh_accepts(mat)
+        eigvalsh_calls.clear()
+        fock.DensityOperator(mat)
+        assert eigvalsh_calls == []
+
+    def test_failed_factorization_falls_back_and_accepts(self, eigvalsh_calls):
+        mat = density_with_smallest(np.random.default_rng(2), 8, -0.9e-9)
+        fock.DensityOperator(mat)
+        assert eigvalsh_calls == [(8, 8)]
+
+    def test_below_floor_rejected_with_exact_eigenvalue(self):
+        mat = density_with_smallest(np.random.default_rng(3), 8, -1.1e-9)
+        with pytest.raises(ValueError, match="not positive") as info:
+            fock.DensityOperator(mat)
+        lo = float(re.search(r"smallest eigenvalue (\S+)", str(info.value)).group(1))
+        assert abs(lo - -1.1e-9) < 1e-15
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        lowest=st.one_of(
+            st.floats(min_value=-2e-9, max_value=1e-3),
+            st.floats(min_value=-2e-9, max_value=0.0),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_accepts_exactly_when_eigvalsh_does(self, n, lowest, seed):
+        mat = density_with_smallest(np.random.default_rng(seed), n, lowest)
+        try:
+            fock.DensityOperator(mat)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == oracles.eigvalsh_accepts(mat)
 
 
 class TestHusimi:
