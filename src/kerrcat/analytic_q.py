@@ -178,8 +178,11 @@ def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
     """Z_pq for all 0 <= p, q <= order, times the detuning phase per band.
 
     The phase e^{+i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
-    the rotation that H = hbar delta n gives the master equation.
+    the rotation that H = hbar delta n gives the master equation. Z_pq(0) = 1
+    exactly, where an overflowing (p + q) lam would give inf * 0 = NaN.
     """
+    if t == 0:
+        return np.ones((order + 1, order + 1), dtype=complex)
     d = np.arange(-order, order + 1)
     lam = sys.gamma + 2j * sys.mu * d
     g2 = abs(sys.alpha0) ** 2

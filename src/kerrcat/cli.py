@@ -2,7 +2,10 @@
 
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of the resolved configuration so
-repeated runs are byte-identical. Exit codes: 0 success, 2 configuration
+repeated runs are byte-identical. A CSV is opened only once every value in
+it is computed, and is then written one row (for qsurface, one grid row) at
+a time, so its whole text is never in memory and a failed run leaves no
+file. Exit codes: 0 success, 2 configuration
 error (including wrong-typed or non-finite numbers, and physical inputs
 whose derived rates overflow or underflow), 3 numerical failure (cutoff
 below the default_cutoff rule, cutoff leak, failed check, broken
@@ -277,8 +280,17 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _csv_header(config: RunConfig) -> str:
-    return f"# kerrcat {__version__} config={config.digest}\n"
+def _write_csv(config: RunConfig, kind: str, columns: str, rows) -> None:
+    """Write ``<kind>.csv``: the version/digest header, ``columns``, then one write per row text.
+
+    Callers compute every value before the call, so a run that fails leaves no file.
+    """
+    path = config.output_dir / f"{kind}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        fh.write(f"# kerrcat {__version__} config={config.digest}\n{columns}\n")
+        for row in rows:
+            fh.write(row)
 
 
 def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
@@ -325,8 +337,8 @@ def _check_time(t: float, flag: str) -> None:
         raise ConfigError(f"{flag} must be finite and non-negative, got {t!r}")
 
 
-def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
-    """CSV text of Q over the configured grid at time ``t``."""
+def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
+    """Write qsurface.csv, Q over the configured grid at time ``t``, one grid row per write."""
     _check_time(t, "--time")
     if backend == "analytic":
         surface = q_surface(config.grid, t, config.sys)
@@ -337,29 +349,29 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> str:
         surface = lindblad.q_from_rho(rho, config.grid)
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
-    lines = [_csv_header(config), "re_alpha,im_alpha,q\n"]
     re_txt = [_fmt(re) for re in surface.grid.re_axis()]
     im_txt = [_fmt(im) for im in surface.grid.im_axis()]
-    for im, row in zip(im_txt, surface.values.tolist()):
-        lines.extend(f"{re},{im},{q!r}\n" for re, q in zip(re_txt, row))
-    return "".join(lines)
+    rows = (
+        "".join(f"{re},{im},{q!r}\n" for re, q in zip(re_txt, values.tolist()))
+        for im, values in zip(im_txt, surface.values)
+    )
+    _write_csv(config, "qsurface", "re_alpha,im_alpha,q", rows)
 
 
-def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> str:
-    """CSV timeseries of the numeric observables."""
+def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
+    """Write evolve.csv, the timeseries of the numeric observables."""
     _check_time(t_final, "--t-final")
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
     rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
     records = lindblad.evolve(config.sys, rho0, times)
-    lines = [_csv_header(config), "t,mean_n,purity,trace_err,cat_fidelity,coherence\n"]
-    for r in records:
-        lines.append(
-            f"{_fmt(r.time)},{_fmt(r.mean_n)},{_fmt(r.purity)},"
-            f"{_fmt(r.trace_error)},{_fmt(r.cat_fidelity)},{_fmt(r.coherence)}\n"
-        )
-    return "".join(lines)
+    rows = [
+        f"{_fmt(r.time)},{_fmt(r.mean_n)},{_fmt(r.purity)},"
+        f"{_fmt(r.trace_error)},{_fmt(r.cat_fidelity)},{_fmt(r.coherence)}\n"
+        for r in records
+    ]
+    _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence", rows)
 
 
 def _check(name: str, measured: float, tolerance: float) -> dict:
@@ -447,8 +459,8 @@ def cmd_validate(config: RunConfig) -> dict:
     }
 
 
-def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
-    """Cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
+def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
+    """Write sweep.csv, cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
 
     Rows run at resonance in units of mu (mu = 1) in either mode, so a detuned
     config, whose cat target and branch probes differ, is rejected. So is a
@@ -463,21 +475,18 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> str:
         for g in gamma_values:
             if g > 0:
                 _damping_window(a0, g)
-    lines = [
-        _csv_header(config),
-        "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
-        "t_dec_fitted,t_dec_formula,fit_status\n",
-    ]
+    rows = []
     for a0 in alpha0_values:
         for g in gamma_values:
             report, status = _one_cat_report(float(a0), float(g))
-            lines.append(
+            rows.append(
                 f"{_fmt(abs(report.alpha0))},{_fmt(g)},{_fmt(report.t_cat)},"
                 f"{_fmt(report.fidelity_at_tcat)},{_fmt(report.wigner_origin)},"
                 f"{_fmt(report.coherence)},{_fmt(report.t_dec_fitted)},"
                 f"{_fmt(report.t_dec_formula)},{status}\n"
             )
-    return "".join(lines)
+    _write_csv(config, "sweep", "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,"
+               "coherence,t_dec_fitted,t_dec_formula,fit_status", rows)
 
 
 def _damping_window(a0: float, gamma: float) -> float:
@@ -561,11 +570,6 @@ _GNUPLOT_TEMPLATES = {
 }
 
 
-def _emit_gnuplot(kind: str, out_dir: Path, csv_name: str) -> None:
-    script = _GNUPLOT_TEMPLATES[kind].format(csv=csv_name)
-    _write_text(out_dir / f"{kind}.gp", script)
-
-
 def _parse_float_list(text: str) -> list[float]:
     if text.strip() == "":
         return []
@@ -617,15 +621,9 @@ def main(argv=None) -> int:
             _write_text(out / "params.json", text)
             print(text, end="")
         elif args.command == "qsurface":
-            text = cmd_qsurface(config, args.time, args.backend)
-            _write_text(out / "qsurface.csv", text)
-            if args.gnuplot:
-                _emit_gnuplot("qsurface", out, "qsurface.csv")
+            cmd_qsurface(config, args.time, args.backend)
         elif args.command == "evolve":
-            text = cmd_evolve(config, args.t_final, args.samples)
-            _write_text(out / "evolve.csv", text)
-            if args.gnuplot:
-                _emit_gnuplot("evolve", out, "evolve.csv")
+            cmd_evolve(config, args.t_final, args.samples)
         elif args.command == "validate":
             report = cmd_validate(config)
             text = json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
@@ -634,12 +632,10 @@ def main(argv=None) -> int:
             if not report["pass"]:
                 return EXIT_NUMERICAL
         elif args.command == "sweep":
-            text = cmd_sweep(
-                config, _parse_float_list(args.alpha0), _parse_float_list(args.gamma)
-            )
-            _write_text(out / "sweep.csv", text)
-            if args.gnuplot:
-                _emit_gnuplot("sweep", out, "sweep.csv")
+            cmd_sweep(config, _parse_float_list(args.alpha0), _parse_float_list(args.gamma))
+        if args.gnuplot and args.command in _GNUPLOT_TEMPLATES:
+            script = _GNUPLOT_TEMPLATES[args.command].format(csv=f"{args.command}.csv")
+            _write_text(out / f"{args.command}.gp", script)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

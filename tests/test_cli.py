@@ -1,16 +1,18 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kerrcat import analytic_q, cli, trap_params
+from kerrcat import __version__, analytic_q, cli, fock, lindblad, trap_params
 from kerrcat.errors import InvariantViolation
 
 
@@ -323,6 +325,19 @@ class TestBadInput:
         q = np.array([float(r["q"]) for r in rows])
         assert np.max(np.abs(q - np.exp(-np.abs(alpha) ** 2))) < 1e-10
 
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_overflowing_damping_leaves_t0_gaussian(self, tmp_path, backend):
+        # Z_pq(0) = 1 exactly: the overflowing exponent (p + q) lam is never
+        # multiplied by t = 0, which would give NaN
+        doc = dimensionless_doc(alpha0=(1.0, 0.0), gamma=1e308, res=11)
+        cfg = write_config(tmp_path, doc)
+        argv = ["qsurface", "--time", "0", "--backend", backend]
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        rows = read_csv(tmp_path / "qsurface.csv")
+        alpha = np.array([complex(float(r["re_alpha"]), float(r["im_alpha"])) for r in rows])
+        q = np.array([float(r["q"]) for r in rows])
+        assert np.max(np.abs(q - np.exp(-np.abs(alpha - 1.0) ** 2))) < 1e-10
+
     @pytest.mark.parametrize(
         "extent, argv",
         [(38.0, ["qsurface", "--time", "0"]),
@@ -527,6 +542,108 @@ class TestDeterminism:
 
         assert first.startswith(f"# kerrcat {__version__} config=")
         assert len(first.split("config=")[1]) == 16
+
+
+def expected_csv(doc, columns, rows) -> bytes:
+    """The bytes of an export of ``doc``: header line, column line, one line per row."""
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    lines = [f"# kerrcat {__version__} config={digest.hexdigest()[:16]}", columns]
+    lines += [",".join(cells) for cells in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestCsvExport:
+    """The exact bytes of each CSV, and what a run that fails leaves behind.
+
+    The rows are written one at a time, so no single string holds a file's
+    text; these oracles format library values with ``repr`` themselves.
+    """
+
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_qsurface_bytes(self, tmp_path, backend):
+        doc = dimensionless_doc(res=41, cutoff=40)
+        cfg = write_config(tmp_path, doc)
+        argv = ["qsurface", "--time", "0.7", "--backend", backend]
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
+        sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
+        grid = analytic_q.PhaseGrid(center=0j, half_extent=5.0, resolution=41)
+        if backend == "analytic":
+            q = analytic_q.q_surface(grid, 0.7, sys_).values
+        else:
+            rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
+            rho = lindblad.evolve(sys_, rho0, (0.7,))[-1].rho
+            q = lindblad.q_from_rho(rho, grid).values
+        rows = [
+            [repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
+            for i, im in enumerate(grid.im_axis())
+            for j, re in enumerate(grid.re_axis())
+        ]
+        expected = expected_csv(doc, "re_alpha,im_alpha,q", rows)
+        assert (tmp_path / "qsurface.csv").read_bytes() == expected
+
+    def test_evolve_bytes(self, tmp_path):
+        doc = dimensionless_doc(gamma=0.1, cutoff=40)
+        cfg = write_config(tmp_path, doc)
+        argv = ["evolve", "--t-final", "2.0", "--samples", "5"]
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
+        sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.1)
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        records = lindblad.evolve(sys_, rho0, np.linspace(0.0, 2.0, 5))
+        rows = [
+            [repr(float(x)) for x in
+             (r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence)]
+            for r in records
+        ]
+        columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
+        assert (tmp_path / "evolve.csv").read_bytes() == expected_csv(doc, columns, rows)
+
+    def test_sweep_bytes(self, tmp_path):
+        doc = dimensionless_doc()
+        cfg = write_config(tmp_path, doc)
+        argv = ["sweep", "--alpha0", "1,1.5", "--gamma", "0"]
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = []
+        for a0 in (1.0, 1.5):
+            rho0 = fock.density_from_pure(fock.coherent_state(a0, fock.default_cutoff(a0)))
+            sys_ = analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=0.0)
+            rec = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
+            values = (a0, 0.0, math.pi / 2, rec.cat_fidelity, fock.wigner(rec.rho, 0.0),
+                      rec.coherence, math.inf, math.inf)
+            rows.append([repr(float(x)) for x in values] + ["no_damping"])
+        columns = ("alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
+                   "t_dec_fitted,t_dec_formula,fit_status")
+        assert (tmp_path / "sweep.csv").read_bytes() == expected_csv(doc, columns, rows)
+
+    @pytest.mark.parametrize(
+        "doc, argv, code",
+        [(dimensionless_doc(extent=38.0, res=3), ["qsurface", "--time", "0"],
+          cli.EXIT_CONVERGENCE),
+         (dimensionless_doc(res=11), ["evolve", "--t-final", "1", "--cutoff", "27"],
+          cli.EXIT_NUMERICAL),
+         (dimensionless_doc(alpha0=(1.0, 0.0), gamma=1e308, res=11),
+          ["qsurface", "--time", "1", "--backend", "numeric"], cli.EXIT_NUMERICAL)],
+        ids=["probe_underflow", "cutoff_below_rule", "overflowing_damping"],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, doc, argv, code):
+        # the CSV is opened only once every row is computed
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", cfg, "--out", str(out), "--gnuplot"]) == code
+        assert not out.exists()
+
+    def test_qsurface_memory_per_grid_point(self, tmp_path):
+        # the peak is the Q kernel's arrays, about 40 bytes a point; holding
+        # the CSV text (56 bytes a point here) at once took about 180
+        res = 501
+        cfg = write_config(tmp_path, dimensionless_doc(extent=7.0, res=res))
+        tracemalloc.start()
+        try:
+            code = cli.main(["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * res**2
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
