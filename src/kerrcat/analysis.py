@@ -33,27 +33,16 @@ _DENOMINATOR_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
-class CatReport:
-    """Summary of one cat-formation and decoherence experiment."""
-
-    alpha0: complex
-    t_cat: float
-    fidelity_at_tcat: float
-    wigner_origin: float
-    coherence: float
-    t_dec_fitted: float
-    t_dec_formula: float
-
-
-@dataclass(frozen=True)
 class FitResult:
-    """Decoherence-time fit with its residual."""
+    """Decoherence-time fit: the 1/e time, the rms residual of ln C, the samples fitted.
+
+    No command reads residual or n_points yet; they stay so that a run report
+    can give each fit's quality.
+    """
 
     time: float
-    slope: float
     residual: float
     n_points: int
-    window_end: float
 
 
 def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) -> float:
@@ -113,18 +102,7 @@ def decoherence_fit(times, coherences, window_depth: float = WINDOW_DEPTH) -> Fi
             lower_bound=float(times[-1]),
         )
     residual = float(np.sqrt(res[0] / t_win.size)) if res.size else 0.0
-    return FitResult(
-        time=-1.0 / slope,
-        slope=slope,
-        residual=residual,
-        n_points=int(t_win.size),
-        window_end=float(t_win[-1]),
-    )
-
-
-def fit_decoherence_time(times, coherences, window_depth: float = WINDOW_DEPTH) -> float:
-    """1/e time of the coherence metric from the initial-window fit."""
-    return decoherence_fit(times, coherences, window_depth).time
+    return FitResult(time=-1.0 / slope, residual=residual, n_points=int(t_win.size))
 
 
 def wigner_slice(
@@ -133,7 +111,8 @@ def wigner_slice(
     extent: float,
     resolution: int,
 ) -> list[tuple[float, float]]:
-    """Wigner values along one phase-space axis through the origin.
+    """(position, W) at ``resolution`` evenly spaced points along one phase-space
+    axis through the origin, all from one batched fock.wigner call.
 
     ``axis`` is "real" or "imaginary". For a cat with real alpha0 the
     imaginary-axis slice carries the interference fringes.
@@ -142,4 +121,4 @@ def wigner_slice(
         raise ValueError(f"axis must be 'real' or 'imaginary', got {axis!r}")
     positions = np.linspace(-extent, extent, resolution)
     direction = 1.0 if axis == "real" else 1.0j
-    return [(float(x), fock.wigner(rho, direction * x)) for x in positions]
+    return list(zip(positions.tolist(), fock.wigner(rho, direction * positions).tolist()))

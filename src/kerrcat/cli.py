@@ -478,13 +478,8 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
     rows = []
     for a0 in alpha0_values:
         for g in gamma_values:
-            report, status = _one_cat_report(float(a0), float(g))
-            rows.append(
-                f"{_fmt(abs(report.alpha0))},{_fmt(g)},{_fmt(report.t_cat)},"
-                f"{_fmt(report.fidelity_at_tcat)},{_fmt(report.wigner_origin)},"
-                f"{_fmt(report.coherence)},{_fmt(report.t_dec_fitted)},"
-                f"{_fmt(report.t_dec_formula)},{status}\n"
-            )
+            *values, status = _one_cat_report(float(a0), float(g))
+            rows.append(",".join(map(_fmt, values)) + f",{status}\n")
     _write_csv(config, "sweep", "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,"
                "coherence,t_dec_fitted,t_dec_formula,fit_status", rows)
 
@@ -504,8 +499,12 @@ def _damping_window(a0: float, gamma: float) -> float:
     return t_fin
 
 
-def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
-    """Kerr run to t_cat plus a damping-only decoherence fit (mu = 1 units)."""
+def _one_cat_report(a0: float, gamma: float) -> tuple:
+    """One sweep.csv row: a Kerr run to t_cat plus a damping-only decoherence fit (mu = 1 units).
+
+    Returns |alpha0|, gamma, t_cat, the cat fidelity, W at the origin and the
+    coherence at t_cat, the fitted and formula decoherence times, and the fit status.
+    """
     cutoff = fock.default_cutoff(a0)
     t_cat = math.pi / 2.0
     try:
@@ -522,9 +521,9 @@ def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
             sys_damp, fock.density_from_pure(fock.cat_state(a0, cutoff)), times
         )
         try:
-            t_dec_fitted = analysis.fit_decoherence_time(
+            t_dec_fitted = analysis.decoherence_fit(
                 times, [r.coherence for r in damp_records]
-            )
+            ).time
             status = "ok"
         except InsufficientDecay as exc:
             t_dec_fitted = exc.lower_bound if exc.lower_bound is not None else math.inf
@@ -533,16 +532,8 @@ def _one_cat_report(a0: float, gamma: float) -> tuple[analysis.CatReport, str]:
         t_dec_fitted = math.inf
         status = "no_damping"
 
-    report = analysis.CatReport(
-        alpha0=complex(a0),
-        t_cat=t_cat,
-        fidelity_at_tcat=rec.cat_fidelity,
-        wigner_origin=fock.wigner(rec.rho, 0.0),
-        coherence=rec.coherence,
-        t_dec_fitted=t_dec_fitted,
-        t_dec_formula=t_dec_formula,
-    )
-    return report, status
+    return (abs(a0), gamma, t_cat, rec.cat_fidelity, fock.wigner(rec.rho, 0.0), rec.coherence,
+            t_dec_fitted, t_dec_formula, status)
 
 
 _GNUPLOT_TEMPLATES = {

@@ -10,13 +10,13 @@ behind every Q surface. Phase-space functions use the conventions
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
 
 so that Q of a coherent state |beta> is exactly exp(-|alpha - beta|^2).
-W uses the analytic displacement matrix, its Laguerre factors built by the
-degree recurrence in difference form (NumPy and the standard library only).
+W sums rho's diagonals against displacement matrix elements that a
+normalized, rescaled Laguerre recurrence builds for a whole batch of points
+at once, finite at every |alpha| (NumPy and the standard library only).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +32,9 @@ PROBE_ABS_MAX = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 
 #: points per block of coherent_form, whose (N x points) probe arrays stay this narrow
 PROBE_CHUNK = 2048
+
+#: the Wigner recurrence divides a value by this power of two once it grows past it
+_RESCALE = 2.0**300
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -254,78 +257,65 @@ def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = Non
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _displacement_layout(n: int):
-    """Alpha-free, read-only parts of displacement_matrix at cutoff n.
+def wigner(rho: DensityOperator, points) -> np.ndarray:
+    """Displaced-parity Wigner values W(alpha) at every point, in the shape of ``points``.
 
-    Per entry, with lo = min(m, n') and k = |m - n'|: k, the log prefactor
-    0.5 log((lo+k)!/lo!) - log k!, the flat index lo n + k into the Laguerre
-    table, the phase index (k on or below the diagonal, n + k above); then the
-    recurrence weights j / (j+k+1) and 1 / (j+k+1) at row j, column k.
+    W(alpha) = (2/pi) Tr[rho D(2 alpha) Pi], exact for states supported inside
+    the cutoff, so |W| <= 2/pi. The origin is the parity sum
+    (2/pi) sum_n (-1)^n rho_nn; every other point comes from _displaced_parity.
     """
-    mm, nn = np.indices((n, n))
-    lo, k = np.minimum(mm, nn), np.abs(mm - nn)
+    pts = np.asarray(points, dtype=complex)
+    beta = 2.0 * pts.ravel()
+    x = beta.real**2 + beta.imag**2
+    origin = x == 0
+    out = np.empty(beta.size)
+    diag = np.diag(rho.elements).real
+    out[origin] = np.dot(np.where(np.arange(diag.size) % 2 == 0, 1.0, -1.0), diag)
+    if not origin.all():
+        out[~origin] = _displaced_parity(rho.elements, beta[~origin], x[~origin, np.newaxis])
+    return ((2.0 / np.pi) * out).reshape(pts.shape)
+
+
+def _displaced_parity(mat: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tr[mat D(beta) Pi] for each beta, from mat's diagonals alone; x = |beta|^2 > 0, as a column.
+
+    With theta = arg beta and the displacement elements
+    g_j^k = (-1)^j sqrt(j!/(j+k)!) x^{k/2} e^{-x/2} L_j^(k)(x), |g| <= 1,
+
+        Tr[mat D Pi] = sum_k (2 - [k = 0]) Re[e^{ik theta} sum_j mat_{j,j+k} g_j^k]
+
+    for Hermitian mat: one diagonal of mat per k, as in the Wigner sum of
+    Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013). g runs
+    up in j, for every k and point at once, by the normalized Laguerre recurrence
+
+        g_{j+1} = -[(2j+k+1-x) g_j + sqrt(j(j+k)) g_{j-1}] / sqrt((j+1)(j+k+1)).
+
+    It starts at 1 and carries g_0^k = e^{-x/2} x^{k/2} / sqrt(k!) as a log
+    scale, dividing by _RESCALE wherever it grows past it, so no |beta|
+    overflows or underflows it.
+    """
+    n = mat.shape[0]
+    k = np.arange(n)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(n)])
-    log_prefactor = 0.5 * (log_fact[lo + k] - log_fact[lo]) - log_fact[k]
-    phase_index = np.where(mm >= nn, k, n + k)
-    parts = (k, log_prefactor, (lo * n + k).ravel(), phase_index,
-             mm / (mm + nn + 1.0), 1.0 / (mm + nn + 1.0))
-    for arr in parts:
-        arr.flags.writeable = False
-    return parts
-
-
-def _laguerre_table(n: int, x: float) -> np.ndarray:
-    """p_j = L_j^(k)(x) / C(j+k, j) at row j, column k, for every order k at once.
-
-    The degree recurrence in difference form, accurate as x -> 0:
-    d_{j+1} = (j d_j - x p_j) / (j+k+1), p_{j+1} = p_j + d_{j+1}, p_0 = 1.
-    """
-    *_, weight, inverse = _displacement_layout(n)
-    x_inverse = x * inverse
-    out = np.ones((n, n))
-    d = np.zeros(n)
-    for j in range(n - 1):
-        d = weight[j] * d - x_inverse[j] * out[j]
-        np.add(out[j], d, out=out[j + 1])
-    return out
-
-
-def displacement_matrix(alpha, cutoff: int) -> np.ndarray:
-    """Matrix elements <m| D(alpha) |n> via associated Laguerre polynomials.
-
-    sqrt(lo!/(lo+k)!) |alpha|^k e^{-|alpha|^2/2} L_lo^(k)(|alpha|^2) with
-    lo = min(m, n), k = |m - n|, times (alpha/|alpha|)^k on and below the
-    diagonal and (-alpha*/|alpha|)^k above it. L comes from _laguerre_table's
-    recurrence; the prefactor, times its binomial, is assembled in log space
-    so the entries stay finite well beyond n = 80.
-    """
-    a = complex(alpha)
-    n = int(cutoff)
-    if a == 0:
-        return np.eye(n, dtype=complex)
-    k, log_prefactor, gather, phase_index, _, _ = _displacement_layout(n)
-    x = abs(a) ** 2
-    magnitude = np.exp(log_prefactor + k * math.log(abs(a)) - 0.5 * x)
-    ks = np.arange(n)
-    phase = np.concatenate(((a / abs(a)) ** ks, (-np.conj(a) / abs(a)) ** ks))[phase_index]
-    return magnitude * phase * _laguerre_table(n, x).ravel()[gather].reshape(n, n)
-
-
-def wigner(rho: DensityOperator, alpha) -> float:
-    """Displaced-parity Wigner value W(alpha); |W| <= 2/pi.
-
-    Uses D(alpha) Pi D(alpha)^dag = D(2 alpha) Pi, so the trace against rho
-    needs only the N x N corner of the analytic displacement matrix and is
-    exact for states supported inside the cutoff. Summing the parity over
-    the truncated basis instead would drop the population D pushes past N.
-    """
-    a = complex(alpha)
-    n = rho.cutoff
-    d2 = displacement_matrix(2.0 * a, n)
-    parity = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    val = np.einsum("mn,nm,m->", rho.elements, d2, parity)
-    return float((2.0 / np.pi) * val.real)
+    log_scale = 0.5 * (k * np.log(x) - x - log_fact)
+    acc = np.zeros((beta.size, n), dtype=complex)
+    g_prev, g = np.zeros((beta.size, n)), np.ones((beta.size, n))
+    for j in range(n):
+        m = n - j
+        acc[:, :m] += mat[j, j:] * g
+        if m == 1:
+            break
+        kk = k[: m - 1]
+        g_next = (x - (2 * j + 1 + kk)) * g[:, : m - 1] - np.sqrt(j * (j + kk)) * g_prev[:, : m - 1]
+        g_prev, g = g[:, : m - 1], g_next / np.sqrt((j + 1) * (j + 1 + kk))
+        big = np.abs(g) > _RESCALE
+        if big.any():
+            for arr in (g, g_prev, acc[:, : m - 1]):
+                arr[big] /= _RESCALE
+            log_scale[:, : m - 1][big] += math.log(_RESCALE)
+    terms = (np.exp(1j * np.angle(beta)[:, np.newaxis] * k) * acc).real * np.exp(log_scale)
+    terms[:, 1:] *= 2.0
+    return terms.sum(axis=1)
 
 
 def fidelity(rho: DensityOperator, psi: FockVector) -> float:

@@ -138,7 +138,7 @@ def test_criterion_7_decoherence_scaling(report):
             sample_times,
         )
         taus.append(
-            analysis.fit_decoherence_time(sample_times, [r.coherence for r in records])
+            analysis.decoherence_fit(sample_times, [r.coherence for r in records]).time
         )
 
     scale = math.exp(np.mean([math.log(t * a * a) for t, a in zip(taus, alphas)]))

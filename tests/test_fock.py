@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import eval_laguerre
 
 from kerrcat import fock
 from kerrcat.errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
@@ -368,25 +369,63 @@ class TestFidelityAndMoments:
         assert abs(fock.purity(fock.DensityOperator(mix)) - 0.5) < 1e-14
 
 
+def parity_trace(rho_matrix, d):
+    """(2/pi) sum_mn rho_mn (-1)^m D_nm: W at alpha/2 from a displacement matrix D(alpha)."""
+    parity = np.where(np.arange(rho_matrix.shape[0]) % 2 == 0, 1.0, -1.0)
+    return float(2.0 / np.pi * np.einsum("mn,nm,m->", rho_matrix, d, parity).real)
+
+
 class TestDisplacementMatrix:
+    # fock.wigner builds the elements of D(2 alpha) by recurrence; W(alpha/2) =
+    # (2/pi) Tr[rho D(alpha) Pi] on a random rho, whose diagonals are all
+    # non-zero, checks every one of them against an oracle matrix
+
     def test_against_padded_expm(self):
+        rho = oracles.random_density(np.random.default_rng(25), 25)
         for alpha in (0.7 - 1.3j, 2.0, -0.4j):
-            mine = fock.displacement_matrix(alpha, 25)
-            ref = oracles.displacement_expm(alpha, 25)
-            assert np.max(np.abs(mine - ref)) < 1e-12
+            want = parity_trace(rho, oracles.displacement_expm(alpha, 25))
+            assert abs(fock.wigner(fock.DensityOperator(rho), alpha / 2) - want) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [25, 40, 80, 160])
-    @pytest.mark.parametrize("alpha", [0.01, 0.7 - 1.3j, 2.0, 3.0 + 1.0j, 10j])
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.01, 0.7 - 1.3j, 2.0, 3.0 + 1.0j, 10j])
     def test_matches_scipy_laguerre(self, alpha, cutoff):
-        mine = fock.displacement_matrix(alpha, cutoff)
-        ref = oracles.displacement_laguerre(alpha, cutoff)
-        assert np.max(np.abs(mine - ref)) <= 1e-12
+        rho = oracles.random_density(np.random.default_rng(cutoff), cutoff)
+        want = parity_trace(rho, oracles.displacement_laguerre(alpha, cutoff))
+        assert abs(fock.wigner(fock.DensityOperator(rho), alpha / 2) - want) < 1e-12
 
     def test_zero_displacement_is_identity(self):
-        assert np.array_equal(fock.displacement_matrix(0.0, 9), np.eye(9))
+        # D(0) = I: W at the origin is the parity sum
+        rho = oracles.random_density(np.random.default_rng(9), 9)
+        want = parity_trace(rho, np.eye(9))
+        assert abs(fock.wigner(fock.DensityOperator(rho), 0.0) - want) < 1e-15
 
     def test_large_cutoff_no_overflow(self):
-        d = fock.displacement_matrix(3.0 + 1.0j, 130)
-        assert np.all(np.isfinite(d))
-        # columns of a unitary stay unit norm wherever truncation is negligible
-        assert abs(np.linalg.norm(d[:, 0]) - 1.0) < 1e-10
+        # W(|n><n|, alpha) = (2/pi) (-1)^n e^{-x/2} L_n(x), x = |2 alpha|^2 = 10,
+        # up to the top level of a 130-level space
+        for n in (0, 64, 129):
+            rho = fock.density_from_pure(number_state(n, 130))
+            want = 2.0 / np.pi * (-1) ** n * math.exp(-5.0) * eval_laguerre(n, 10.0)
+            assert abs(fock.wigner(rho, (3.0 + 1.0j) / 2) - want) < 1e-12
+
+
+class TestWignerKernel:
+    @pytest.mark.parametrize("a0, margin", [(16.0, 110), (20.0, 130)])
+    def test_large_coherent_state_closed_form(self, a0, margin):
+        # a cutoff with margin holds the state to double precision, so the only
+        # error left is the kernel's, and W = (2/pi) e^{-2|alpha - a0|^2} exactly
+        rho = fock.density_from_pure(fock.coherent_state(a0, fock.default_cutoff(a0) + margin))
+        xs = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
+        pts = np.concatenate([xs, 1j * xs, a0 + np.linspace(-1.5, 1.5, 21) * (1 + 0.5j)])
+        want = 2.0 / np.pi * np.exp(-2.0 * np.abs(pts - a0) ** 2)
+        assert np.max(np.abs(fock.wigner(rho, pts) - want)) < 1e-13
+
+    def test_batch_equals_single_points_bitwise(self):
+        # rescaling takes place at the large points, only in some of the batch's rows
+        rng = np.random.default_rng(4)
+        rho = fock.DensityOperator(oracles.random_density(rng, 120))
+        pts = np.array([[0.0, 0.3 - 0.2j, 1e-9j], [-2.5, 14.0 + 9.0j, 25.0j]])
+        batched = fock.wigner(rho, pts)
+        assert batched.shape == pts.shape
+        singles = np.array([fock.wigner(rho, p) for p in pts.ravel()]).reshape(pts.shape)
+        assert np.array_equal(batched, singles)
+        assert fock.wigner(rho, 0.3 - 0.2j).shape == ()
