@@ -12,10 +12,11 @@ The damped Kerr master equation admits a closed-form Husimi function
 subject to Q(alpha, 0) = exp(-|alpha - a0|^2) (Milburn & Holmes, PRL 56,
 2237 (1986)). The series is the quadratic form <alpha| rho(t) |alpha> of the
 Fock matrix rho_qp(t) = c_q conj(c_p) Z_pq(t), c_n = <n|a0>, so Q is
-evaluated through fock.coherent_form, the same probe kernel that the
-numeric backend uses. The matrix is truncated where the Poisson tail of
-|a0|^2 bounds the error below TAIL_TOL, independently of the grid; the
-degenerate lam -> 0 denominator is evaluated by its Taylor series.
+evaluated through fock.q_grid (coherent_form off the diagonal), the same
+probe kernel that the numeric backend uses. The matrix is truncated where
+the Poisson tail of |a0|^2 bounds the error below TAIL_TOL, independently
+of the grid; the degenerate lam -> 0 denominator is evaluated by its Taylor
+series.
 """
 
 from __future__ import annotations
@@ -102,27 +103,30 @@ class PhaseGrid:
             return np.array([self.center.imag])
         return self.center.imag + np.linspace(-self.half_extent, self.half_extent, self.resolution)
 
-    def points(self) -> np.ndarray:
-        """Complex grid points, shape (resolution, resolution), [im, re].
-
-        The farthest corner is range-checked first, so no axis overflows.
-        """
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(re_axis(), im_axis()), the farthest corner range-checked first so no axis overflows."""
         c, h = self.center, self.half_extent if self.resolution > 1 else 0.0
         fock.check_probe_range(math.hypot(abs(c.real) + h, abs(c.imag) + h))
-        re = self.re_axis()
-        im = self.im_axis()
+        return self.re_axis(), self.im_axis()
+
+    def points(self) -> np.ndarray:
+        """Complex grid points, shape (resolution, resolution), [im, re] (range-checked by axes)."""
+        re, im = self.axes()
         return re[np.newaxis, :] + 1j * im[:, np.newaxis]
 
 
 @dataclass(frozen=True, eq=False)
 class QSurface:
-    """Samples of Q over a grid at one instant."""
+    """Samples of Q over a grid at one instant.
+
+    A float64 ``values`` array is taken without a copy and made read-only.
+    """
 
     grid: PhaseGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
+        vals = np.asarray(self.values, dtype=float)
         n = self.grid.resolution
         if vals.shape != (n, n):
             raise ValueError(f"values shape {vals.shape} does not match grid {n}x{n}")
@@ -216,10 +220,9 @@ def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
 
 
 def q_surface(grid: PhaseGrid, t: float, sys: KerrSystem) -> QSurface:
-    """Q over every node of ``grid`` at time ``t``, in chunks of fock.PROBE_CHUNK nodes."""
-    pts = grid.points()
-    vals = fock.coherent_form(_fock_matrix(t, sys), pts.ravel()).real
-    return QSurface(grid=grid, values=vals.reshape(pts.shape))
+    """Q over every node of ``grid`` at time ``t`` (fock.q_grid)."""
+    re, im = grid.axes()
+    return QSurface(grid=grid, values=fock.q_grid(_fock_matrix(t, sys), re, im))
 
 
 def grid_normalization(surface: QSurface) -> float:

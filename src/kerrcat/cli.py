@@ -2,13 +2,15 @@
 
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of the resolved configuration so
-repeated runs are byte-identical. A CSV is opened only once every value in
-it is computed, and is then written one row (for qsurface, one grid row) at
-a time, so its whole text is never in memory and a failed run leaves no
-file. Exit codes: 0 success, 2 configuration
-error (including wrong-typed or non-finite numbers, and physical inputs
-whose derived rates overflow or underflow), 3 numerical failure (cutoff
-below the default_cutoff rule, cutoff leak, failed check, broken
+repeated runs are byte-identical. Every CSV cell is Python's repr of the
+value, made by the array kernel in csvtext once every value in the file is
+computed; qsurface.csv is formatted a block of grid rows at a time, so its
+whole text is never in memory. Each file is written under a temporary name
+beside it and renamed into place when complete, so a failed run leaves no
+file. Exit codes: 0 success, 2 configuration error (including wrong-typed
+or non-finite numbers, physical inputs whose derived rates overflow or
+underflow, and an output that cannot be written), 3 numerical failure
+(cutoff below the default_cutoff rule, cutoff leak, failed check, broken
 invariant, a propagated state that is not finite or not positive), 4
 convergence failure (a grid point or alpha0 beyond |alpha| = 37.6, where
 e^{-|alpha|^2/2} underflows).
@@ -47,15 +49,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, fock, lindblad, trap_params
+from . import __version__, analysis, csvtext, fock, lindblad, trap_params
 from .analytic_q import KerrSystem, PhaseGrid, q_surface, grid_normalization
 from .errors import (
     ConfigError,
@@ -73,6 +77,9 @@ EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
 
 SCHEMA_VERSION = 1
+
+#: Q values per block of qsurface.csv text, whose arrays (about 400 bytes a value) stay this small
+_CSV_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -255,11 +262,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     )
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal, capped at 17 significant digits."""
-    return repr(float(x))
-
-
 def _json_ready(value):
     """Map floats/complex to JSON-safe values; inf becomes the string 'inf'."""
     if isinstance(value, complex):
@@ -275,22 +277,34 @@ def _json_ready(value):
     return value
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _write_file(path: Path, chunks) -> None:
+    """Write the byte ``chunks`` to a temporary file beside ``path``, then rename it to ``path``.
 
-
-def _write_csv(config: RunConfig, kind: str, columns: str, rows) -> None:
-    """Write ``<kind>.csv``: the version/digest header, ``columns``, then one write per row text.
-
-    Callers compute every value before the call, so a run that fails leaves no file.
+    A run that fails, in computing a chunk or in writing it, leaves neither
+    file; an OSError is a ConfigError that names the path.
     """
-    path = config.output_dir / f"{kind}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write(f"# kerrcat {__version__} config={config.digest}\n{columns}\n")
-        for row in rows:
-            fh.write(row)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_file(path, [text.encode()])
+
+
+def _write_csv(config: RunConfig, kind: str, columns: str, blocks) -> None:
+    """Write ``<kind>.csv``: the version/digest header, ``columns``, then each block of lines."""
+    header = f"# kerrcat {__version__} config={config.digest}\n{columns}\n"
+    _write_file(config.output_dir / f"{kind}.csv", itertools.chain([header.encode()], blocks))
 
 
 def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
@@ -338,7 +352,7 @@ def _check_time(t: float, flag: str) -> None:
 
 
 def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
-    """Write qsurface.csv, Q over the configured grid at time ``t``, one grid row per write."""
+    """Write qsurface.csv, Q over the configured grid at time ``t``, in blocks of grid rows."""
     _check_time(t, "--time")
     if backend == "analytic":
         surface = q_surface(config.grid, t, config.sys)
@@ -349,13 +363,15 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
         surface = lindblad.q_from_rho(rho, config.grid)
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
-    re_txt = [_fmt(re) for re in surface.grid.re_axis()]
-    im_txt = [_fmt(im) for im in surface.grid.im_axis()]
-    rows = (
-        "".join(f"{re},{im},{q!r}\n" for re, q in zip(re_txt, values.tolist()))
-        for im, values in zip(im_txt, surface.values)
+    values = surface.values
+    re_cells = csvtext.packed(csvtext.cells(config.grid.re_axis()))
+    im_cells = csvtext.packed(csvtext.cells(config.grid.im_axis()))[:, np.newaxis]
+    step = max(1, _CSV_BLOCK // values.shape[1])
+    blocks = (
+        csvtext.lines(re_cells, im_cells[i : i + step], csvtext.cells(values[i : i + step]))
+        for i in range(0, len(values), step)
     )
-    _write_csv(config, "qsurface", "re_alpha,im_alpha,q", rows)
+    _write_csv(config, "qsurface", "re_alpha,im_alpha,q", blocks)
 
 
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
@@ -366,12 +382,11 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
     rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
     records = lindblad.evolve(config.sys, rho0, times)
-    rows = [
-        f"{_fmt(r.time)},{_fmt(r.mean_n)},{_fmt(r.purity)},"
-        f"{_fmt(r.trace_error)},{_fmt(r.cat_fidelity)},{_fmt(r.coherence)}\n"
-        for r in records
-    ]
-    _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence", rows)
+    table = np.array(
+        [(r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence) for r in records]
+    )
+    _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence",
+               [csvtext.lines(*csvtext.cells(table.T))])
 
 
 def _check(name: str, measured: float, tolerance: float) -> dict:
@@ -475,13 +490,12 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
         for g in gamma_values:
             if g > 0:
                 _damping_window(a0, g)
-    rows = []
-    for a0 in alpha0_values:
-        for g in gamma_values:
-            *values, status = _one_cat_report(float(a0), float(g))
-            rows.append(",".join(map(_fmt, values)) + f",{status}\n")
+    rows = [_one_cat_report(float(a0), float(g)) for a0 in alpha0_values for g in gamma_values]
+    table = np.array([row[:-1] for row in rows], dtype=float).reshape(-1, 8)
+    status = np.array([row[-1] for row in rows], dtype=bytes)[:, np.newaxis].view(np.uint8)
     _write_csv(config, "sweep", "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,"
-               "coherence,t_dec_fitted,t_dec_formula,fit_status", rows)
+               "coherence,t_dec_fitted,t_dec_formula,fit_status",
+               [csvtext.lines(*csvtext.cells(table.T), status)])
 
 
 def _damping_window(a0: float, gamma: float) -> float:

@@ -3,8 +3,8 @@
 States are stored in the number basis |0>, ..., |N-1>. Coherent amplitudes
 are built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1) starting
 from c_0 = exp(-|alpha|^2 / 2), which avoids explicit factorials; it also
-builds the probes of ``coherent_form``, the quadratic form <beta|M|alpha>
-behind every Q surface. Phase-space functions use the conventions
+builds the probes of ``coherent_form`` and ``q_grid``, the quadratic form
+<beta|M|alpha> behind every Q surface. Phase-space functions use the conventions
 
     Q(alpha) = <alpha| rho |alpha>        (no 1/pi factor)
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
@@ -225,18 +225,36 @@ def check_probe_range(max_abs: float) -> None:
         )
 
 
-def _probes(points: np.ndarray, n: int) -> np.ndarray:
-    """<k|alpha_g> for k < n as an (n, points) array, by the amplitude recurrence."""
-    out = np.empty((n, points.size), dtype=complex)
+def _probes(points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """<k|alpha_g> for k < n into the (n, points) array ``out``, by the amplitude recurrence."""
     out[0] = np.exp(-0.5 * (points.real**2 + points.imag**2))
-    for k in range(n - 1):
+    for k in range(out.shape[0] - 1):
         np.multiply(out[k], points, out=out[k + 1])
         out[k + 1] /= math.sqrt(k + 1)
     return out
 
 
+def _forms(mat: np.ndarray, ket_points, bra_points, out: np.ndarray) -> np.ndarray:
+    """out[g] = <bra_g| mat |ket_g>, PROBE_CHUNK points at a time; a real ``out`` gets real parts.
+
+    ket_points(block) gives the points of a slice of indices, and so does
+    bra_points, or None when the bras are the kets. The probe and product
+    buffers are allocated once, not per chunk.
+    """
+    n = mat.shape[0]
+    bufs = np.empty((2 if bra_points is None else 3, n * min(out.size, PROBE_CHUNK)), dtype=complex)
+    for start in range(0, out.size, PROBE_CHUNK):
+        block = slice(start, min(start + PROBE_CHUNK, out.size))
+        kets, prod, *spare = (buf[: n * (block.stop - start)].reshape(n, -1) for buf in bufs)
+        np.matmul(mat, _probes(ket_points(block), kets), out=prod)
+        bras = _probes(bra_points(block), spare[0]) if spare else kets
+        form = np.einsum("mg,mg->g", np.conjugate(bras, out=bras), prod)
+        out[block] = form.real if np.isrealobj(out) else form
+    return out
+
+
 def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = None) -> np.ndarray:
-    """<bra_g| mat |ket_g> for every index g of two flat point arrays, PROBE_CHUNK at a time.
+    """<bra_g| mat |ket_g> for every index g of two flat point arrays (_forms).
 
     ``bra`` defaults to ``ket``, which gives Q(alpha_g) = <alpha_g| rho |alpha_g>.
     Any point beyond check_probe_range raises SeriesNotConverged.
@@ -249,12 +267,25 @@ def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = Non
         sides = (ket,) if bra is ket else (ket, bra)
         check_probe_range(max(float(np.max(np.abs(p))) for p in sides))
     out = np.empty(ket.size, dtype=complex)
-    for start in range(0, ket.size, PROBE_CHUNK):
-        block = slice(start, start + PROBE_CHUNK)
-        kets = _probes(ket[block], mat.shape[0])
-        bras = kets if bra is ket else _probes(bra[block], mat.shape[0])
-        out[block] = np.einsum("mg,mg->g", bras.conj(), mat @ kets)
-    return out
+    return _forms(mat, ket.__getitem__, None if bra is ket else bra.__getitem__, out)
+
+
+def q_grid(mat: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Q = Re <alpha|mat|alpha> at alpha = re[j] + i im[i], shape (im.size, re.size) (_forms).
+
+    Each chunk's points are built from the axes, so the result, 8 bytes a
+    point, is the only array that grows with the grid. A point beyond
+    check_probe_range raises SeriesNotConverged.
+    """
+    out = np.empty((im.size, re.size))
+    if out.size:  # the largest |alpha| on the grid, rounded as np.abs rounds each point
+        check_probe_range(float(np.abs(np.max(np.abs(re)) + 1j * np.max(np.abs(im)))))
+
+    def points(block: slice) -> np.ndarray:
+        rows, cols = np.divmod(np.arange(block.start, block.stop), re.size)
+        return re[cols] + 1j * im[rows]
+
+    return _forms(mat, points, None, out.reshape(-1)).reshape(out.shape)
 
 
 def wigner(rho: DensityOperator, points) -> np.ndarray:

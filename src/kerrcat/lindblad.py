@@ -165,6 +165,6 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[Evolution
 
 
 def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid) -> QSurface:
-    """Husimi surface <alpha| rho |alpha> over all grid nodes (fock.coherent_form)."""
-    q = fock.coherent_form(rho.elements, grid.points().ravel()).real
-    return QSurface(grid=grid, values=q.reshape((grid.resolution, grid.resolution)))
+    """Husimi surface <alpha| rho |alpha> over all grid nodes (fock.q_grid)."""
+    re, im = grid.axes()
+    return QSurface(grid=grid, values=fock.q_grid(rho.elements, re, im))

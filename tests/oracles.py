@@ -57,10 +57,15 @@ def displacement_laguerre(alpha, cutoff):
     return np.exp(log_mag) * base**k * eval_genlaguerre(lo, k, x)
 
 
-def wigner_dense(rho_matrix, alpha, pad=60):
-    """Displaced-parity Wigner value with a padded matrix-exponential D."""
+def wigner_dense(rho_matrix, alpha):
+    """Displaced-parity Wigner value with a matrix-exponential D on a padded space.
+
+    D(alpha)^dag moves |k> (k < n) out to about (sqrt(n) + |alpha|)^2; the space
+    reaches 6 more in sqrt(level), where the displaced amplitude is below e^{-36},
+    so the truncated generator displaces every level that rho holds exactly.
+    """
     n = rho_matrix.shape[0]
-    m = n + pad
+    m = math.ceil((math.sqrt(n) + abs(alpha) + 6.0) ** 2)
     a_op = np.diag(np.sqrt(np.arange(1, m)), 1)
     d = expm(alpha * a_op.conj().T - np.conj(alpha) * a_op)
     rho_pad = np.zeros((m, m), dtype=complex)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import pdtrc
 
-from kerrcat import fock, analytic_q
+from kerrcat import fock, analytic_q, lindblad
 from kerrcat.analytic_q import (
     KerrSystem,
     PhaseGrid,
@@ -235,6 +235,26 @@ class TestQSurface:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("backend", ["analytic", "numeric"])
+    def test_memory_per_point_at_1001(self, backend):
+        # the float Q array, 8 bytes a point, is the only one that grows with
+        # the grid: each chunk's points come from the axes, and QSurface keeps
+        # the array it is given
+        res = 1001
+        grid = PhaseGrid(center=0j, half_extent=7.0, resolution=res)
+        sys_ = make_sys()
+        rho = fock.density_from_pure(fock.coherent_state(sys_.alpha0, 40))
+        tracemalloc.start()
+        try:
+            if backend == "analytic":
+                q_surface(grid, 0.9, sys_)
+            else:
+                lindblad.q_from_rho(rho, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * res**2
 
     def test_surface_range_validated(self):
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=11)

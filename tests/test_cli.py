@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kerrcat import __version__, analytic_q, cli, fock, lindblad, trap_params
+from kerrcat import __version__, analytic_q, cli, csvtext, fock, lindblad, trap_params
 from kerrcat.errors import InvariantViolation
 
 
@@ -644,6 +645,130 @@ class TestCsvExport:
             tracemalloc.stop()
         assert code == 0
         assert peak < 64 * res**2
+
+    def test_formatter_failure_leaves_old_file(self, tmp_path, monkeypatch):
+        # qsurface.csv at 101^2 is written in two blocks of grid rows; a failure
+        # in the second leaves the file of the run before, and no temporary
+        cfg = write_config(tmp_path, dimensionless_doc(res=101))
+        out = tmp_path / "out"
+        argv = ["qsurface", "--config", cfg, "--out", str(out)]
+        assert cli.main(argv + ["--time", "0"]) == 0
+        before = (out / "qsurface.csv").read_bytes()
+        lines = csvtext.lines
+        calls = []
+
+        def failing(*columns):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("formatter failed")
+            return lines(*columns)
+
+        monkeypatch.setattr(csvtext, "lines", failing)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli.main(argv + ["--time", "0.5"])
+        assert len(calls) == 2
+        assert [p.name for p in out.iterdir()] == ["qsurface.csv"]
+        assert (out / "qsurface.csv").read_bytes() == before
+
+    def test_write_error_midway_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, dimensionless_doc(res=101))
+        out = tmp_path / "out"
+        lines = csvtext.lines
+        calls = []
+
+        def disk_full(*columns):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return lines(*columns)
+
+        monkeypatch.setattr(csvtext, "lines", disk_full)
+        code = cli.main(["qsurface", "--config", cfg, "--out", str(out), "--time", "0"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / 'qsurface.csv'}: ")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["params"], ["qsurface", "--time", "0.3", "--gnuplot"], ["evolve", "--t-final", "1"],
+         ["validate"], ["sweep", "--alpha0", "1", "--gamma", "0"]],
+        ids=["params", "qsurface", "evolve", "validate", "sweep"],
+    )
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, dimensionless_doc(res=11))
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep")
+        assert cli.main(argv + ["--config", cfg, "--out", str(taken)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {taken}/")
+        assert captured.err.count("\n") == 1
+        assert taken.read_bytes() == b"keep"
+
+
+def assert_repr_cells(path: Path, text_columns: int = 0) -> None:
+    """Every number cell s of the CSV's data lines is repr(float(s))."""
+    for line in path.read_text().splitlines()[2:]:
+        cells = line.split(",")
+        for cell in cells[: len(cells) - text_columns]:
+            assert repr(float(cell)) == cell
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=8)
+@given(
+    alpha0=st.complex_numbers(max_magnitude=3.0),
+    gamma=st.floats(0.0, 1.0),
+    res=st.sampled_from([1, 3, 5, 7, 9]),
+    extent=st.floats(0.5, 6.0),
+    t=st.floats(0.0, 3.0),
+    samples=st.integers(1, 6),
+)
+def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, extent, t, samples):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    doc = dimensionless_doc(alpha0=(alpha0.real, alpha0.imag), gamma=gamma, extent=extent, res=res)
+    cfg = write_config(tmp_path, doc)
+    sys_ = analytic_q.KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
+    cutoff = fock.default_cutoff(alpha0) + 10
+    grid = analytic_q.PhaseGrid(center=0j, half_extent=extent, resolution=res)
+    rho0 = fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
+
+    def run(*argv):
+        out = tmp_path / "_".join(argv)
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        return out / f"{argv[0]}.csv"
+
+    for backend in ("analytic", "numeric"):
+        path = run("qsurface", "--time", repr(t), "--backend", backend)
+        if backend == "analytic":
+            q = analytic_q.q_surface(grid, t, sys_).values
+        else:
+            rho = lindblad.evolve(sys_, rho0, (t,))[-1].rho if t > 0 else rho0
+            q = lindblad.q_from_rho(rho, grid).values
+        rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
+                for i, im in enumerate(grid.im_axis()) for j, re in enumerate(grid.re_axis())]
+        assert_repr_cells(path)
+        assert path.read_bytes() == expected_csv(doc, "re_alpha,im_alpha,q", rows)
+
+    path = run("evolve", "--t-final", repr(t), "--samples", str(samples))
+    times = np.linspace(0.0, t, samples) if t > 0 else (0.0,)
+    rows = [[repr(float(x)) for x in
+             (r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence)]
+            for r in lindblad.evolve(sys_, rho0, times)]
+    assert_repr_cells(path)
+    columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
+    assert path.read_bytes() == expected_csv(doc, columns, rows)
+
+    # sweep rows are real |alpha0| at resonance; a damped row needs alpha0 != 0
+    a0 = max(abs(alpha0), 0.1)
+    path = run("sweep", "--alpha0", repr(a0), "--gamma", repr(gamma))
+    *values, status = cli._one_cat_report(a0, gamma)
+    assert_repr_cells(path, text_columns=1)
+    columns = ("alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
+               "t_dec_fitted,t_dec_formula,fit_status")
+    expected = expected_csv(doc, columns, [[repr(float(x)) for x in values] + [status]])
+    assert path.read_bytes() == expected
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

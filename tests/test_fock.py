@@ -307,6 +307,16 @@ class TestWigner:
         for a in (0.0, 0.5j, 1.0 + 0.2j, 2.0):
             assert abs(fock.wigner(rho, a) - oracles.wigner_dense(rho.elements, a)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "x", np.linspace(-13.0, 13.0, 41)[11:14], ids=["-5.85", "-5.2", "-4.55"]
+    )
+    def test_dense_oracle_far_from_origin(self, x):
+        # points of validate's real-axis slice for the |alpha0| = 10 coherent
+        # state, where a fixed 60-level padding left the oracle off by up to 0.64
+        rho = fock.density_from_pure(fock.coherent_state(10.0, 190))
+        exact = 2.0 / math.pi * math.exp(-2.0 * (x - 10.0) ** 2)
+        assert abs(oracles.wigner_dense(rho.elements, x) - exact) < 1e-12
+
     def test_random_mixed_against_dense_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
