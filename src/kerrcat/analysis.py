@@ -103,22 +103,3 @@ def decoherence_fit(times, coherences, window_depth: float = WINDOW_DEPTH) -> Fi
         )
     residual = float(np.sqrt(res[0] / t_win.size)) if res.size else 0.0
     return FitResult(time=-1.0 / slope, residual=residual, n_points=int(t_win.size))
-
-
-def wigner_slice(
-    rho: fock.DensityOperator,
-    axis: str,
-    extent: float,
-    resolution: int,
-) -> list[tuple[float, float]]:
-    """(position, W) at ``resolution`` evenly spaced points along one phase-space
-    axis through the origin, all from one batched fock.wigner call.
-
-    ``axis`` is "real" or "imaginary". For a cat with real alpha0 the
-    imaginary-axis slice carries the interference fringes.
-    """
-    if axis not in ("real", "imaginary"):
-        raise ValueError(f"axis must be 'real' or 'imaginary', got {axis!r}")
-    positions = np.linspace(-extent, extent, resolution)
-    direction = 1.0 if axis == "real" else 1.0j
-    return list(zip(positions.tolist(), fock.wigner(rho, direction * positions).tolist()))

@@ -93,21 +93,13 @@ class PhaseGrid:
             return 0.0
         return 2.0 * self.half_extent / (self.resolution - 1)
 
-    def re_axis(self) -> np.ndarray:
-        if self.resolution == 1:
-            return np.array([self.center.real])
-        return self.center.real + np.linspace(-self.half_extent, self.half_extent, self.resolution)
-
-    def im_axis(self) -> np.ndarray:
-        if self.resolution == 1:
-            return np.array([self.center.imag])
-        return self.center.imag + np.linspace(-self.half_extent, self.half_extent, self.resolution)
-
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(re_axis(), im_axis()), the farthest corner range-checked first so no axis overflows."""
+        """(re, im) node coordinates, ascending; the farthest corner is range-checked first."""
         c, h = self.center, self.half_extent if self.resolution > 1 else 0.0
         fock.check_probe_range(math.hypot(abs(c.real) + h, abs(c.imag) + h))
-        return self.re_axis(), self.im_axis()
+        # a single node is the center itself, a -0.0 part included
+        offsets = np.linspace(-h, h, self.resolution) if h else np.array([-0.0])
+        return c.real + offsets, c.imag + offsets
 
     def points(self) -> np.ndarray:
         """Complex grid points, shape (resolution, resolution), [im, re] (range-checked by axes)."""

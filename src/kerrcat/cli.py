@@ -1,19 +1,20 @@
 """Command-line front end: params, qsurface, evolve, validate, sweep.
 
 Configuration is a single JSON document (schema below); every output file
-embeds the artifact version and a digest of the resolved configuration so
-repeated runs are byte-identical. Every CSV cell is Python's repr of the
-value, made by the array kernel in csvtext once every value in the file is
-computed; qsurface.csv is formatted a block of grid rows at a time, so its
-whole text is never in memory. Each file is written under a temporary name
-beside it and renamed into place when complete, so a failed run leaves no
-file. Exit codes: 0 success, 2 configuration error (including wrong-typed
-or non-finite numbers, physical inputs whose derived rates overflow or
-underflow, and an output that cannot be written), 3 numerical failure
-(cutoff below the default_cutoff rule, cutoff leak, failed check, broken
-invariant, a propagated state that is not finite or not positive), 4
-convergence failure (a grid point or alpha0 beyond |alpha| = 37.6, where
-e^{-|alpha|^2/2} underflows).
+embeds the artifact version and a digest of that document, with any
+--grid-extent, --grid-res or --cutoff override written into it (--out, a
+path, is left out), so repeated runs are byte-identical. Every CSV cell is
+Python's repr of the value, made by the array kernel in csvtext once every
+value in the file is computed; qsurface.csv is formatted a block of grid
+rows at a time, so its whole text is never in memory. Each file is written
+under a temporary name beside it and renamed into place when complete, so a
+failed run leaves no file. Exit codes: 0 success, 2 configuration error
+(including wrong-typed or non-finite numbers, physical inputs whose derived
+rates overflow or underflow, and an output that cannot be written), 3
+numerical failure (cutoff below the default_cutoff rule, cutoff leak,
+failed check, broken invariant, a propagated state that is not finite or
+not positive), 4 convergence failure (a grid point or alpha0 beyond
+|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
 Config schema (schema_version 1)::
 
@@ -54,7 +55,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -221,19 +222,21 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
     resolution = _integer(gsec.get("resolution", 101), "grid.resolution")
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
-    if overrides is not None:
-        if getattr(overrides, "grid_extent", None) is not None:
-            half_extent = overrides.grid_extent
-        if getattr(overrides, "grid_res", None) is not None:
-            resolution = overrides.grid_res
+    # an override is written into the document, so the digest covers it
+    if getattr(overrides, "grid_extent", None) is not None:
+        half_extent = gsec["half_extent"] = overrides.grid_extent
+    if getattr(overrides, "grid_res", None) is not None:
+        resolution = gsec["resolution"] = overrides.grid_res
+    if gsec:
+        raw["grid"] = gsec
     try:
         grid = PhaseGrid(center=center, half_extent=half_extent, resolution=resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     cutoff = raw.get("cutoff")
-    if overrides is not None and getattr(overrides, "cutoff", None) is not None:
-        cutoff = overrides.cutoff
+    if getattr(overrides, "cutoff", None) is not None:
+        cutoff = raw["cutoff"] = overrides.cutoff
     if cutoff is not None:
         cutoff = _integer(cutoff, "cutoff")
     else:
@@ -244,7 +247,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
 
     out = raw.get("output_dir") or "."
-    if overrides is not None and getattr(overrides, "out", None) is not None:
+    if getattr(overrides, "out", None) is not None:  # a path, so not in the digest
         out = overrides.out
     seed = _integer(raw.get("seed", 0), "seed")
 
@@ -323,19 +326,9 @@ def cmd_params(config: RunConfig) -> dict:
     else:
         d = config.derived
         params = {
-            "omega_c": d.omega_c,
+            **asdict(d),
             "cyclotron_frequency_hz": d.omega_c / (2.0 * math.pi),
-            "omega_z": d.omega_z,
             "axial_frequency_hz": d.omega_z / (2.0 * math.pi),
-            "omega_m": d.omega_m,
-            "mu": d.mu,
-            "k": d.k,
-            "alpha0": d.alpha0,
-            "detuning": d.detuning,
-            "t_cat": d.t_cat,
-            "t_revival": d.t_revival,
-            "t_dec": d.t_dec,
-            "ratio": d.ratio,
         }
     return {
         "version": __version__,
@@ -364,8 +357,9 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     values = surface.values
-    re_cells = csvtext.packed(csvtext.cells(config.grid.re_axis()))
-    im_cells = csvtext.packed(csvtext.cells(config.grid.im_axis()))[:, np.newaxis]
+    re, im = config.grid.axes()
+    re_cells = csvtext.packed(csvtext.cells(re))
+    im_cells = csvtext.packed(csvtext.cells(im))[:, np.newaxis]
     step = max(1, _CSV_BLOCK // values.shape[1])
     blocks = (
         csvtext.lines(re_cells, im_cells[i : i + step], csvtext.cells(values[i : i + step]))
@@ -443,10 +437,14 @@ def cmd_validate(config: RunConfig) -> dict:
     norm = grid_normalization(q_surface(norm_grid, t_cat, sys_))
     checks.append(_check("q_normalization", abs(norm - 1.0), 1e-3))
 
-    w_extent = abs(sys_.alpha0) + 3.0
-    w_vals = [w for _, w in analysis.wigner_slice(final.rho, "imaginary", w_extent, 41)]
-    w_vals += [w for _, w in analysis.wigner_slice(final.rho, "real", w_extent, 41)]
-    checks.append(_check("wigner_bound", max(abs(w) for w in w_vals) - 2.0 / math.pi, 1e-9))
+    # the imaginary and real axes, then the fringes across the branch axis: two
+    # periods pi / (2 |alpha0|) a side at 16 samples a period
+    a0 = abs(sys_.alpha0)
+    line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
+    reach = math.pi / max(a0, 1.0)
+    across = (1j * sys_.alpha0 / a0 if a0 else 1j) * np.linspace(-reach, reach, 65)
+    w_vals = fock.wigner(final.rho, np.concatenate([1j * line, line, across]))
+    checks.append(_check("wigner_bound", float(np.max(np.abs(w_vals))) - 2.0 / math.pi, 1e-9))
 
     rng = np.random.default_rng(config.seed)
     n_small = 8
@@ -463,8 +461,10 @@ def cmd_validate(config: RunConfig) -> dict:
         t_rev = 2.0 * math.pi / sys_.mu
         rev = q_surface(config.grid, t_rev, sys_)
         checks.append(_check("revival", _max_diff(rev.values, surf0.values), 1e-8))
+        # Q(alpha, pi/mu) = Q(-alpha, 0): the t = 0 surface on the grid mirrored through 0
         half = q_surface(config.grid, math.pi / sys_.mu, sys_)
-        checks.append(_check("parity", _max_diff(half.values, surf0.values[::-1, ::-1]), 1e-8))
+        mirror = q_surface(replace(config.grid, center=-config.grid.center), 0.0, sys_)
+        checks.append(_check("parity", _max_diff(half.values, mirror.values[::-1, ::-1]), 1e-8))
 
     return {
         "version": __version__,

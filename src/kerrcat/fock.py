@@ -165,23 +165,31 @@ def mirror_amplitudes(amp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _truncated_amplitudes(alpha: complex, cutoff: int | None) -> tuple[np.ndarray, float]:
+    """<n|alpha> for n < cutoff (default_cutoff(alpha) when None) and the weight they keep.
+
+    Raises CutoffTooSmall when the weight lost to truncation exceeds TRUNCATION_TOL.
+    """
+    n = default_cutoff(alpha) if cutoff is None else int(cutoff)
+    if n < 1:
+        raise CutoffTooSmall("cutoff must be at least 1")
+    amp = coherent_amplitudes(alpha, n)
+    kept = float(np.sum(np.abs(amp) ** 2))
+    if kept < 1.0 - TRUNCATION_TOL:
+        raise CutoffTooSmall(
+            f"cutoff {n} keeps only {kept!r} of |alpha| = {abs(alpha)}; "
+            f"need at least {default_cutoff(alpha)}"
+        )
+    return amp, kept
+
+
 def coherent_state(alpha, cutoff: int | None = None) -> FockVector:
     """Coherent state |alpha> truncated to ``cutoff`` levels and renormalized.
 
     Raises CutoffTooSmall when the weight lost to truncation exceeds 1e-12.
     """
-    a = complex(alpha)
-    n = default_cutoff(a) if cutoff is None else int(cutoff)
-    if n < 1:
-        raise CutoffTooSmall("cutoff must be at least 1")
-    amp = coherent_amplitudes(a, n)
-    norm_sq = float(np.sum(np.abs(amp) ** 2))
-    if norm_sq < 1.0 - TRUNCATION_TOL:
-        raise CutoffTooSmall(
-            f"cutoff {n} keeps only {norm_sq!r} of |alpha| = {abs(a)}; "
-            f"need at least {default_cutoff(a)}"
-        )
-    return FockVector(amp / math.sqrt(norm_sq))
+    amp, kept = _truncated_amplitudes(complex(alpha), cutoff)
+    return FockVector(amp / math.sqrt(kept))
 
 
 def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
@@ -189,20 +197,10 @@ def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
 
     The combination has unit norm for every alpha0 because the branch cross
     terms cancel; after truncation the vector is renormalized exactly.
+    Raises CutoffTooSmall as coherent_state(alpha0, cutoff) does.
     """
-    a0 = complex(alpha0)
-    n = default_cutoff(a0) if cutoff is None else int(cutoff)
-    if n < 1:
-        raise CutoffTooSmall("cutoff must be at least 1")
-    plus = coherent_amplitudes(a0, n)
+    plus, _ = _truncated_amplitudes(complex(alpha0), cutoff)
     minus = mirror_amplitudes(plus)
-    # branch truncation check, same criterion as coherent_state
-    kept = float(np.sum(np.abs(plus) ** 2))
-    if kept < 1.0 - TRUNCATION_TOL:
-        raise CutoffTooSmall(
-            f"cutoff {n} keeps only {kept!r} of the |alpha0| = {abs(a0)} branch; "
-            f"need at least {default_cutoff(a0)}"
-        )
     phase = np.exp(-0.25j * np.pi)
     amp = (phase * plus - np.conj(phase) * minus) / math.sqrt(2.0)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)))

@@ -58,18 +58,6 @@ class EvolutionRecord:
     coherence: float
 
 
-def _coefficients(sys: KerrSystem, n: int):
-    m_idx = np.arange(n)
-    mm = m_idx[:, np.newaxis]
-    nn = m_idx[np.newaxis, :]
-    coef = (
-        1j * sys.mu * (mm**2 - nn**2).astype(float)
-        - 1j * sys.detuning * (mm - nn).astype(float)
-        - 0.5 * sys.gamma * (mm + nn).astype(float)
-    )
-    return coef
-
-
 def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
     """Exact propagation of an arbitrary matrix to time ``t``, no state validation.
 
@@ -89,12 +77,13 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     """
     times = np.asarray(t, dtype=float)
     n = mat.shape[0]
-    coef = _coefficients(sys, n)
+    mm, nn = np.indices((n, n))
+    coef = (1j * sys.mu * (mm**2 - nn**2) - 1j * sys.detuning * (mm - nn)
+            - 0.5 * sys.gamma * (mm + nn))
     if sys.gamma == 0:
         return (np.exp(coef * times.reshape(-1, 1, 1)) * mat).reshape(times.shape + (n, n))
     k = np.arange(1 - n, n)
     x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
-    mm, nn = np.indices((n, n))
     gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
     weight = gain * x[:, mm - nn + n - 1]
     total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)

@@ -156,8 +156,3 @@ def _kick(config: TrapConfig, omega_z: float, k: float) -> complex:
         )
     return complex(k * config.drive_amplitude * config.drive_duration)
 
-
-def b_field_for_cyclotron(frequency_hz: float) -> float:
-    """Magnetic field giving cyclotron frequency omega_c/2pi = frequency_hz."""
-    omega_c = 2.0 * math.pi * frequency_hz
-    return omega_c * ELECTRON_MASS / ELEMENTARY_CHARGE

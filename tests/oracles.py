@@ -1,7 +1,7 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here deliberately avoids the package's own evaluation paths:
-factorials instead of recurrences, matrix exponentials and SciPy's Laguerre
+factorials instead of recurrences, a matrix exponential and SciPy's Laguerre
 polynomials instead of the Laguerre recurrence, closed-form damping solutions
 instead of integrators, a dense generator and a fixed-step Runge-Kutta
 integrator instead of the exact propagator, the closed-form Q as a log-space
@@ -15,6 +15,13 @@ import math
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln, xlogy
+
+from kerrcat.trap_params import ELECTRON_MASS, ELEMENTARY_CHARGE
+
+
+def b_field_for_cyclotron(frequency_hz):
+    """Magnetic field giving cyclotron frequency omega_c/2pi = frequency_hz (pinned constants)."""
+    return 2.0 * math.pi * frequency_hz * ELECTRON_MASS / ELEMENTARY_CHARGE
 
 
 def coherent_amplitudes_factorial(alpha, cutoff):
@@ -58,21 +65,18 @@ def displacement_laguerre(alpha, cutoff):
 
 
 def wigner_dense(rho_matrix, alpha):
-    """Displaced-parity Wigner value with a matrix-exponential D on a padded space.
+    """Displaced-parity Wigner value (2/pi) Tr[rho D(2 alpha) Pi] from displacement_laguerre.
 
-    D(alpha)^dag moves |k> (k < n) out to about (sqrt(n) + |alpha|)^2; the space
-    reaches 6 more in sqrt(level), where the displaced amplitude is below e^{-36},
-    so the truncated generator displaces every level that rho holds exactly.
+    Only the cutoff x cutoff block of D(2 alpha) meets rho, and every element
+    of it is exact, so no padded space is needed. Checked range: the block
+    matches a fully padded displacement_expm to 2e-14 up to |2 alpha| = 25
+    at 190 levels, and W to 4e-16 on random states (up to 40 levels) and cat
+    slices.
     """
     n = rho_matrix.shape[0]
-    m = math.ceil((math.sqrt(n) + abs(alpha) + 6.0) ** 2)
-    a_op = np.diag(np.sqrt(np.arange(1, m)), 1)
-    d = expm(alpha * a_op.conj().T - np.conj(alpha) * a_op)
-    rho_pad = np.zeros((m, m), dtype=complex)
-    rho_pad[:n, :n] = rho_matrix
-    diag = np.diag(d.conj().T @ rho_pad @ d).real
-    parity = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return float(2.0 / np.pi * np.dot(parity, diag))
+    parity = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    d = displacement_laguerre(2.0 * complex(alpha), n)
+    return float(2.0 / np.pi * np.trace(rho_matrix @ d * parity).real)
 
 
 def poisson_pmf(k, mean):

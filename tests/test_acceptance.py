@@ -32,7 +32,7 @@ def coherent_density(alpha0, cutoff):
 
 
 def test_criterion_1_parameter_reproduction(report):
-    b = trap_params.b_field_for_cyclotron(160e9)
+    b = oracles.b_field_for_cyclotron(160e9)
     derived = trap_params.derive(
         trap_params.TrapConfig(
             b_field=b, v0=10.0, d=3.3e-3, temperature=4.0, gamma=1.0, alpha0_override=2.0

@@ -194,27 +194,30 @@ class TestFit:
 
 
 class TestWignerSlice:
+    # W along lines through the origin, each line one batched fock.wigner call
+
     def test_vacuum_peak(self):
         rho = fock.density_from_pure(fock.FockVector(np.eye(15)[0]))
-        for axis in ("real", "imaginary"):
-            pts = analysis.wigner_slice(rho, axis, 3.0, 31)
-            values = dict(pts)
-            assert abs(values[0.0] - 2.0 / math.pi) < 1e-12
-            assert max(v for _, v in pts) == pytest.approx(2.0 / math.pi, abs=1e-12)
+        xs = np.linspace(-3.0, 3.0, 31)
+        for direction in (1.0, 1j):
+            ws = fock.wigner(rho, direction * xs)
+            assert abs(ws[15] - 2.0 / math.pi) < 1e-12  # xs[15] is the origin
+            assert ws.max() == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     def test_cat_fringes_against_dense_oracle(self):
         rho = fock.density_from_pure(fock.cat_state(2.0, 40))
-        pts = analysis.wigner_slice(rho, "imaginary", 2.0, 41)
-        for x, w in pts[::5]:
+        xs = np.linspace(-2.0, 2.0, 41)
+        ws = fock.wigner(rho, 1j * xs)
+        for x, w in zip(xs[::5], ws[::5]):
             assert abs(w - oracles.wigner_dense(rho.elements, 1j * x)) < 1e-8
-        assert max(abs(w) for _, w in pts) > 0.5  # fringes reach near 2/pi
+        assert np.max(np.abs(ws)) > 0.5  # fringes reach near 2/pi
 
     def test_fringe_period(self):
         # imaginary-axis oscillation period pi / (2 |a0|) for real a0
         a0 = 2.0
         rho = fock.density_from_pure(fock.cat_state(a0, 40))
         xs = np.linspace(-1.5, 1.5, 601)
-        ws = np.array([w for _, w in analysis.wigner_slice(rho, "imaginary", 1.5, 601)])
+        ws = fock.wigner(rho, 1j * xs)
         zero_crossings = np.nonzero(np.diff(np.sign(ws)))[0]
         gaps = np.diff(xs[zero_crossings])
         # consecutive zeros sit half a period apart
@@ -225,8 +228,8 @@ class TestWignerSlice:
         plus = fock.density_from_pure(fock.coherent_state(2.0, n)).elements
         minus = fock.density_from_pure(fock.coherent_state(-2.0, n)).elements
         rho = fock.DensityOperator(0.5 * (plus + minus))
-        pts = analysis.wigner_slice(rho, "imaginary", 2.0, 21)
-        for x, w in pts:
+        xs = np.linspace(-2.0, 2.0, 21)
+        for x, w in zip(xs, fock.wigner(rho, 1j * xs)):
             two_gauss = (1.0 / math.pi) * (
                 math.exp(-2.0 * abs(1j * x - 2.0) ** 2)
                 + math.exp(-2.0 * abs(1j * x + 2.0) ** 2)
@@ -236,15 +239,11 @@ class TestWignerSlice:
 
     @pytest.mark.parametrize("a0", [16.0, 20.0])
     def test_macroscopic_cat_stays_bounded(self, a0):
-        # validate's slices at |alpha0| = 16 and 20, where x = |2 alpha|^2 reaches
+        # validate's lines at |alpha0| = 16 and 20, where x = |2 alpha|^2 reaches
         # 1444 and 2116 and e^{-x/2} underflows; any overflow warning is an error
         rho = fock.density_from_pure(fock.cat_state(a0, fock.default_cutoff(a0)))
-        for axis in ("real", "imaginary"):
-            ws = np.array([w for _, w in analysis.wigner_slice(rho, axis, a0 + 3.0, 41)])
-            assert np.all(np.isfinite(ws))
-            assert np.max(np.abs(ws)) <= 2.0 / math.pi + 1e-9
-
-    def test_rejects_unknown_axis(self):
-        rho = fock.density_from_pure(fock.FockVector(np.eye(5)[0]))
-        with pytest.raises(ValueError):
-            analysis.wigner_slice(rho, "diagonal", 1.0, 11)
+        line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
+        across = 1j * np.linspace(-math.pi / a0, math.pi / a0, 65)
+        ws = fock.wigner(rho, np.concatenate([1j * line, line, across]))
+        assert np.all(np.isfinite(ws))
+        assert np.max(np.abs(ws)) <= 2.0 / math.pi + 1e-9

@@ -18,7 +18,6 @@ import kerrcat
 ALLOWED_UNUSED = {
     "coherent_matrix_element": "the off-diagonal <beta|rho(t)|alpha> that analytic "
     "branch-coherence observables are to be built on",
-    "b_field_for_cyclotron": "the README's physical-mode example field was computed with it",
 }
 
 PATHS = sorted(Path(kerrcat.__file__).resolve().parent.glob("*.py"))

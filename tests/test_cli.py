@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrcat import __version__, analytic_q, cli, csvtext, fock, lindblad, trap_params
+from kerrcat import __version__, analytic_q, cli, csvtext, fock, lindblad
 from kerrcat.errors import InvariantViolation
+
+import oracles
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -40,7 +42,7 @@ def physical_doc(gamma=1.0):
         "schema_version": 1,
         "mode": "physical",
         "physical": {
-            "b_field": trap_params.b_field_for_cyclotron(160e9),
+            "b_field": oracles.b_field_for_cyclotron(160e9),
             "v0": 10.0,
             "d": 3.3e-3,
             "temperature": 4.0,
@@ -194,6 +196,25 @@ class TestValidate:
         report = json.loads((tmp_path / "validate.json").read_text())
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["revival"]["pass"] and by_name["parity"]["pass"]
+
+    def test_gamma_zero_parity_on_off_center_grid(self, tmp_path):
+        # Q(alpha, pi/mu) = Q(-alpha, 0) mirrors through the origin, not the grid center
+        doc = dimensionless_doc(alpha0=(1.3, -1.1), gamma=0.0, res=21)
+        doc["grid"]["center"] = [0.2, -0.1]
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "validate.json").read_text())
+        parity = {c["name"]: c for c in report["checks"]}["parity"]
+        assert parity["measured"] <= 1e-12
+
+    def test_wigner_bound_reaches_the_fringes(self, tmp_path):
+        # at t_cat the fringes across the branch axis swing to about 0.61 at
+        # |alpha0| = 4; the real and imaginary axes alone see only about 0.31
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(0.0, 4.0), gamma=0.001, res=21))
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "validate.json").read_text())
+        bound = {c["name"]: c for c in report["checks"]}["wigner_bound"]
+        assert bound["measured"] + 2.0 / math.pi >= 0.6
 
     def test_tiny_cutoff_fails_with_cutoff_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dimensionless_doc())
@@ -545,6 +566,29 @@ class TestDeterminism:
         assert len(first.split("config=")[1]) == 16
 
 
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "argv, flag, field, value",
+        [(["qsurface"], "--grid-res", "grid.resolution", 5),
+         (["qsurface"], "--grid-extent", "grid.half_extent", 3.0),
+         (["evolve", "--t-final", "1.0", "--samples", "3"], "--cutoff", "cutoff", 60)],
+        ids=["grid_res", "grid_extent", "cutoff"],
+    )
+    def test_flag_equals_config_field(self, tmp_path, argv, flag, field, value):
+        # the flag and the same field in the config file give the same bytes,
+        # so the header digest covers the override
+        def run(tag, doc, *extra):
+            cfg = write_config(tmp_path, doc, name=f"{tag}.json")
+            assert cli.main([*argv, *extra, "--config", cfg, "--out", str(tmp_path / tag)]) == 0
+            return (tmp_path / tag / f"{argv[0]}.csv").read_text()
+
+        flagged = run("flagged", dimensionless_doc(res=11), flag, str(value))
+        edited = run("edited", set_fields(dimensionless_doc(res=11), {field: value}))
+        plain = run("plain", dimensionless_doc(res=11))
+        assert flagged == edited
+        assert flagged.splitlines()[0] != plain.splitlines()[0]
+
+
 def expected_csv(doc, columns, rows) -> bytes:
     """The bytes of an export of ``doc``: header line, column line, one line per row."""
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
@@ -574,10 +618,11 @@ class TestCsvExport:
             rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
             rho = lindblad.evolve(sys_, rho0, (0.7,))[-1].rho
             q = lindblad.q_from_rho(rho, grid).values
+        re_axis, im_axis = grid.axes()
         rows = [
             [repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
-            for i, im in enumerate(grid.im_axis())
-            for j, re in enumerate(grid.re_axis())
+            for i, im in enumerate(im_axis)
+            for j, re in enumerate(re_axis)
         ]
         expected = expected_csv(doc, "re_alpha,im_alpha,q", rows)
         assert (tmp_path / "qsurface.csv").read_bytes() == expected
@@ -746,8 +791,9 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         else:
             rho = lindblad.evolve(sys_, rho0, (t,))[-1].rho if t > 0 else rho0
             q = lindblad.q_from_rho(rho, grid).values
+        re_axis, im_axis = grid.axes()
         rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
-                for i, im in enumerate(grid.im_axis()) for j, re in enumerate(grid.re_axis())]
+                for i, im in enumerate(im_axis) for j, re in enumerate(re_axis)]
         assert_repr_cells(path)
         assert path.read_bytes() == expected_csv(doc, "re_alpha,im_alpha,q", rows)
 

@@ -229,7 +229,8 @@ class TestBatchedTimes:
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0, detuning=0.3)
-        coef = lindblad._coefficients(sys_, n)
+        m, k = np.indices((n, n))
+        coef = 1j * (m**2 - k**2) - 0.3j * (m - k)  # i mu (m^2 - k^2) - i delta (m - k)
         times = np.array([0.0, 0.7, 40.0])
         out = lindblad.integrate_matrix(mat, sys_, times)
         # phase first, as integrate_matrix multiplies: NumPy's complex
