@@ -43,8 +43,7 @@ class KerrSystem:
     """Dimensionless kick amplitude plus the two rates of the master equation.
 
     ``detuning`` extends the resonant (omega_p = omega_M) analysis with the
-    linear-in-n phase of the rotating-frame Hamiltonian; it is excluded from
-    the validated acceptance path.
+    linear-in-n phase of the rotating-frame Hamiltonian.
     """
 
     alpha0: complex
@@ -74,9 +73,9 @@ class PhaseGrid:
     ascending.
     """
 
-    center: complex = 0j
-    half_extent: float = 5.0
-    resolution: int = 101
+    center: complex
+    half_extent: float
+    resolution: int
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))

@@ -3,18 +3,20 @@
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of that document, with any
 --grid-extent, --grid-res or --cutoff override written into it (--out, a
-path, is left out), so repeated runs are byte-identical. Every CSV cell is
-Python's repr of the value, made by the array kernel in csvtext once every
-value in the file is computed; qsurface.csv is formatted a block of grid
-rows at a time, so its whole text is never in memory. Each file is written
-under a temporary name beside it and renamed into place when complete, so a
-failed run leaves no file. Exit codes: 0 success, 2 configuration error
-(including wrong-typed or non-finite numbers, physical inputs whose derived
-rates overflow or underflow, and an output that cannot be written), 3
-numerical failure (cutoff below the default_cutoff rule, cutoff leak,
-failed check, broken invariant, a propagated state that is not finite or
-not positive), 4 convergence failure (a grid point or alpha0 beyond
-|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
+path, is left out), so repeated runs are byte-identical. One writer stamps
+both into params.json and validate.json, keys sorted, and returns the text
+that is printed. Every CSV cell is Python's repr of the value, made by
+csvtext's array kernel once every value in the file is computed;
+qsurface.csv is formatted a block of grid rows at a time, so its whole text
+is never in memory. Each file is written under a temporary name beside it
+and renamed into place when complete, so a failed run leaves no file. Exit
+codes: 0 success, 2 configuration error (including wrong-typed or
+non-finite numbers, physical inputs whose derived rates overflow or
+underflow, and an output that cannot be written), 3 numerical failure
+(cutoff below the default_cutoff rule, cutoff leak, failed check, broken
+invariant, a propagated state that is not finite or not positive), 4
+convergence failure (a grid point or alpha0 beyond |alpha| = 37.6, where
+e^{-|alpha|^2/2} underflows).
 
 Config schema (schema_version 1)::
 
@@ -55,7 +57,7 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +70,6 @@ from .errors import (
     CutoffTooSmall,
     InsufficientDecay,
     InvariantViolation,
-    KerrcatError,
     SeriesNotConverged,
 )
 
@@ -193,7 +194,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             )
         except KeyError as exc:
             raise ConfigError(f"physical section missing field {exc}") from exc
-        except KerrcatError as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if trap.alpha0_override is not None:  # before derive squares it
             z = trap.alpha0_override
@@ -270,9 +271,7 @@ def _json_ready(value):
     if isinstance(value, complex):
         return [_json_ready(value.real), _json_ready(value.imag)]
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return value
+        return "inf" if math.isinf(value) else value
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -310,9 +309,12 @@ def _write_csv(config: RunConfig, kind: str, columns: str, blocks) -> None:
     _write_file(config.output_dir / f"{kind}.csv", itertools.chain([header.encode()], blocks))
 
 
-def _coherent_density(alpha0: complex, cutoff: int) -> fock.DensityOperator:
-    """|alpha0><alpha0|; an alpha0 whose vacuum weight underflows is SeriesNotConverged."""
-    return fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
+def _write_json(config: RunConfig, kind: str, doc: dict) -> str:
+    """Write ``<kind>.json``: ``doc`` with the version and config digest. Returns the text."""
+    doc = {**doc, "version": __version__, "config_digest": config.digest}
+    text = json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n"
+    _write_text(config.output_dir / f"{kind}.json", text)
+    return text
 
 
 def cmd_params(config: RunConfig) -> dict:
@@ -330,13 +332,7 @@ def cmd_params(config: RunConfig) -> dict:
             "cyclotron_frequency_hz": d.omega_c / (2.0 * math.pi),
             "axial_frequency_hz": d.omega_z / (2.0 * math.pi),
         }
-    return {
-        "version": __version__,
-        "config_digest": config.digest,
-        "constants": trap_params.CONSTANTS_VERSION,
-        "mode": config.mode,
-        "params": params,
-    }
+    return {"constants": trap_params.CONSTANTS_VERSION, "mode": config.mode, "params": params}
 
 
 def _check_time(t: float, flag: str) -> None:
@@ -350,7 +346,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     if backend == "analytic":
         surface = q_surface(config.grid, t, config.sys)
     elif backend == "numeric":
-        rho = _coherent_density(config.sys.alpha0, config.cutoff)
+        rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
         if t > 0:
             rho = lindblad.evolve(config.sys, rho, (t,))[-1].rho
         surface = lindblad.q_from_rho(rho, config.grid)
@@ -374,7 +370,7 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
-    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
+    rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
     records = lindblad.evolve(config.sys, rho0, times)
     table = np.array(
         [(r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence) for r in records]
@@ -401,11 +397,16 @@ def cmd_validate(config: RunConfig) -> dict:
     sys_ = config.sys
     checks = []
     t_cat = math.pi / (2.0 * sys_.mu) if sys_.mu > 0 else 1.0
+
+    def coherent_q(beta: complex) -> np.ndarray:
+        """Q of the coherent state |beta> on the grid: exactly exp(-|alpha - beta|^2)."""
+        return np.exp(-np.abs(config.grid.points() - beta) ** 2)
+
     # the surface checks the grid's probe range before the Gaussian squares it
     surf0 = q_surface(config.grid, 0.0, sys_)
-    gaussian = np.exp(-np.abs(config.grid.points() - sys_.alpha0) ** 2)
+    gaussian = coherent_q(sys_.alpha0)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
-    rho0 = _coherent_density(config.sys.alpha0, config.cutoff)
+    rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
     surf0n = lindblad.q_from_rho(rho0, config.grid)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
@@ -457,21 +458,16 @@ def cmd_validate(config: RunConfig) -> dict:
     off_band = np.where(on_band, 0.0, propagated)
     checks.append(_check("band_structure_preserved", float(np.max(np.abs(off_band))), 0.0))
 
+    # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu,
+    # each turned by the detuning's e^{-i delta t}
     if sys_.gamma == 0:
-        t_rev = 2.0 * math.pi / sys_.mu
-        rev = q_surface(config.grid, t_rev, sys_)
-        checks.append(_check("revival", _max_diff(rev.values, surf0.values), 1e-8))
-        # Q(alpha, pi/mu) = Q(-alpha, 0): the t = 0 surface on the grid mirrored through 0
-        half = q_surface(config.grid, math.pi / sys_.mu, sys_)
-        mirror = q_surface(replace(config.grid, center=-config.grid.center), 0.0, sys_)
-        checks.append(_check("parity", _max_diff(half.values, mirror.values[::-1, ::-1]), 1e-8))
+        for name, turns, sign in (("revival", 2.0, 1), ("parity", 1.0, -1)):
+            t = turns * math.pi / sys_.mu
+            beta = sign * sys_.alpha0 * np.exp(-1j * sys_.detuning * t)
+            surf = q_surface(config.grid, t, sys_)
+            checks.append(_check(name, _max_diff(surf.values, coherent_q(beta)), 1e-8))
 
-    return {
-        "version": __version__,
-        "config_digest": config.digest,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+    return {"pass": all(c["pass"] for c in checks), "checks": checks}
 
 
 def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
@@ -525,7 +521,8 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
         sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rec = lindblad.evolve(sys_kerr, _coherent_density(a0, cutoff), (t_cat,))[-1]
+    rho0 = fock.density_from_pure(fock.coherent_state(a0, cutoff))
+    rec = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf
     if gamma > 0:
@@ -619,28 +616,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, overrides=args)
-        out = config.output_dir
         if args.command == "params":
-            doc = cmd_params(config)
-            text = json.dumps(_json_ready(doc), sort_keys=True, indent=2) + "\n"
-            _write_text(out / "params.json", text)
-            print(text, end="")
+            print(_write_json(config, "params", cmd_params(config)), end="")
         elif args.command == "qsurface":
             cmd_qsurface(config, args.time, args.backend)
         elif args.command == "evolve":
             cmd_evolve(config, args.t_final, args.samples)
         elif args.command == "validate":
             report = cmd_validate(config)
-            text = json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n"
-            _write_text(out / "validate.json", text)
-            print(text, end="")
+            print(_write_json(config, "validate", report), end="")
             if not report["pass"]:
                 return EXIT_NUMERICAL
         elif args.command == "sweep":
             cmd_sweep(config, _parse_float_list(args.alpha0), _parse_float_list(args.gamma))
         if args.gnuplot and args.command in _GNUPLOT_TEMPLATES:
             script = _GNUPLOT_TEMPLATES[args.command].format(csv=f"{args.command}.csv")
-            _write_text(out / f"{args.command}.gp", script)
+            _write_text(config.output_dir / f"{args.command}.gp", script)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

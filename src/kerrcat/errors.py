@@ -13,10 +13,6 @@ class DimensionMismatch(KerrcatError):
     """Operands live in Fock spaces of different cutoff."""
 
 
-class NonPositiveInput(KerrcatError):
-    """A physical input that must be positive (or non-negative) is not."""
-
-
 class SeriesNotConverged(KerrcatError):
     """A phase-space value cannot be computed to tolerance (probe weight underflow)."""
 
@@ -26,7 +22,7 @@ class InvariantViolation(KerrcatError):
 
 
 class CutoffLeak(KerrcatError):
-    """Population reached the truncation boundary during evolution."""
+    """rho(0) holds over lindblad.LEAK_TOL in the top Fock level, which evolution only drains."""
 
 
 class DegenerateBranches(KerrcatError):

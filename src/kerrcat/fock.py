@@ -96,9 +96,6 @@ class DensityOperator:
     elements: np.ndarray
     cutoff: int = field(init=False)
 
-    #: widened by the integrator, which conserves trace only to its own tolerance
-    trace_tol: float = _TRACE_TOL
-
     def __post_init__(self):
         mat = np.asarray(self.elements, dtype=complex).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
@@ -109,8 +106,8 @@ class DensityOperator:
         if not herm <= _HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm!r}")
         tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= self.trace_tol:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond {self.trace_tol}")
+        if not abs(tr - 1.0) <= _TRACE_TOL:
+            raise ValueError(f"trace {tr!r} differs from 1 beyond {_TRACE_TOL}")
         if not _factors_above_floor(mat, tr.real):
             lo = float(np.linalg.eigvalsh(mat).min())
             if not lo >= _EIGENVALUE_FLOOR:
@@ -165,25 +162,24 @@ def mirror_amplitudes(amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_amplitudes(alpha: complex, cutoff: int | None) -> tuple[np.ndarray, float]:
-    """<n|alpha> for n < cutoff (default_cutoff(alpha) when None) and the weight they keep.
+def _truncated_amplitudes(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
+    """<n|alpha> for n < cutoff and the weight they keep.
 
     Raises CutoffTooSmall when the weight lost to truncation exceeds TRUNCATION_TOL.
     """
-    n = default_cutoff(alpha) if cutoff is None else int(cutoff)
-    if n < 1:
+    if cutoff < 1:
         raise CutoffTooSmall("cutoff must be at least 1")
-    amp = coherent_amplitudes(alpha, n)
+    amp = coherent_amplitudes(alpha, cutoff)
     kept = float(np.sum(np.abs(amp) ** 2))
     if kept < 1.0 - TRUNCATION_TOL:
         raise CutoffTooSmall(
-            f"cutoff {n} keeps only {kept!r} of |alpha| = {abs(alpha)}; "
+            f"cutoff {cutoff} keeps only {kept!r} of |alpha| = {abs(alpha)}; "
             f"need at least {default_cutoff(alpha)}"
         )
     return amp, kept
 
 
-def coherent_state(alpha, cutoff: int | None = None) -> FockVector:
+def coherent_state(alpha, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated to ``cutoff`` levels and renormalized.
 
     Raises CutoffTooSmall when the weight lost to truncation exceeds 1e-12.
@@ -192,7 +188,7 @@ def coherent_state(alpha, cutoff: int | None = None) -> FockVector:
     return FockVector(amp / math.sqrt(kept))
 
 
-def cat_state(alpha0, cutoff: int | None = None) -> FockVector:
+def cat_state(alpha0, cutoff: int) -> FockVector:
     """Two-branch superposition (e^{-i pi/4}|a0> - e^{i pi/4}|-a0>) / sqrt(2).
 
     The combination has unit norm for every alpha0 because the branch cross

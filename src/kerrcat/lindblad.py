@@ -12,9 +12,10 @@ gain term carries only the band-constant factor e^{-lam_k t},
 lam_k = gamma - 2 i mu k, so the solution is a finite power series in the
 nilpotent weighted shift (the damped-Kerr result of Milburn & Holmes,
 PRL 56, 2237 (1986)). It is exact for any initial matrix and any time,
-needs no step size, and never mixes bands. The truncation boundary is
-absorbing: trace lost through the top level is reported, never
-redistributed.
+needs no step size, and never mixes bands. The truncated equation
+conserves trace exactly, and its top level only decays,
+rho_{N-1,N-1}(t) = e^{-gamma (N-1) t} rho_{N-1,N-1}(0), so CutoffLeak
+fires only when rho(0) itself holds more than LEAK_TOL there.
 
 Every sample time is propagated from rho(0) on its own, so integrate_matrix
 takes a scalar time or a 1-d array of times, carried on a leading axis
@@ -36,9 +37,6 @@ from .errors import CutoffLeak, CutoffTooSmall, DegenerateBranches, InvariantVio
 
 #: boundary population above which the truncated basis is declared too small
 LEAK_TOL = 1e-8
-
-#: sampled states must conserve trace at least this well
-TRACE_TOL = 1e-8
 
 #: matrix elements per block of sample times in evolve, whose (times x N x N)
 #: propagator temporaries stay this small (5 times at N = 40)
@@ -107,7 +105,7 @@ def _make_record(
         )
     trace_err = abs(float(np.trace(mat).real) - 1.0)
     try:
-        rho = fock.DensityOperator(mat, trace_tol=TRACE_TOL)
+        rho = fock.DensityOperator(mat)
     except ValueError as exc:
         raise InvariantViolation(f"propagated state at t = {t}: {exc}") from exc
     try:

@@ -22,8 +22,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import NonPositiveInput
-
 CONSTANTS_VERSION = "CODATA-2018"
 
 ELEMENTARY_CHARGE = 1.602176634e-19  # C (exact)
@@ -59,19 +57,19 @@ class TrapConfig:
 
     def __post_init__(self):
         if self.b_field <= 0:
-            raise NonPositiveInput(f"magnetic field must be positive, got {self.b_field}")
+            raise ValueError(f"magnetic field must be positive, got {self.b_field}")
         if self.v0 <= 0:
-            raise NonPositiveInput(f"electrode potential must be positive, got {self.v0}")
+            raise ValueError(f"electrode potential must be positive, got {self.v0}")
         if self.d <= 0:
-            raise NonPositiveInput(f"trap dimension must be positive, got {self.d}")
+            raise ValueError(f"trap dimension must be positive, got {self.d}")
         if self.temperature < 0:
-            raise NonPositiveInput(f"temperature must be non-negative, got {self.temperature}")
+            raise ValueError(f"temperature must be non-negative, got {self.temperature}")
         if self.gamma < 0:
-            raise NonPositiveInput(f"relaxation rate must be non-negative, got {self.gamma}")
+            raise ValueError(f"relaxation rate must be non-negative, got {self.gamma}")
         if self.drive_duration < 0:
-            raise NonPositiveInput(f"kick duration must be non-negative, got {self.drive_duration}")
+            raise ValueError(f"kick duration must be non-negative, got {self.drive_duration}")
         if self.pump_frequency is not None and self.detuning is not None:
-            raise NonPositiveInput("give pump_frequency or detuning, not both")
+            raise ValueError("give pump_frequency or detuning, not both")
 
 
 @dataclass(frozen=True)

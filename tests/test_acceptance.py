@@ -174,7 +174,7 @@ def test_criterion_8_invariant_suite(report):
         worst["herm"] = max(worst["herm"], float(np.max(np.abs(mat - mat.conj().T))))
         worst["neg"] = max(worst["neg"], -float(np.linalg.eigvalsh(mat).min()))
 
-        rho = fock.DensityOperator(mat, trace_tol=1e-8)
+        rho = fock.DensityOperator(mat)
         for _ in range(3):
             a = complex(*rng.uniform(-3.0, 3.0, 2))
             q = float(fock.coherent_form(rho.elements, np.array([a])).real[0])

@@ -5,7 +5,8 @@ commands already run, and it drifts from that kernel unnoticed. So each
 public ``def``/``class`` in ``src/kerrcat`` must be referenced by package
 code outside its own definition; tests reach the physics through the
 kernels the commands use, or through ``tests/oracles.py``. Nor does the
-package hold an ``assert``, which ``python -O`` strips.
+package hold an ``assert``, which ``python -O`` strips, or an exception
+type that it never raises.
 """
 
 import ast
@@ -64,3 +65,17 @@ def test_allowlist_is_current():
     # every entry still names a public definition without a caller; once
     # package code calls it, or it is deleted, the entry goes
     assert set(ALLOWED_UNUSED) <= _unreferenced()
+
+
+def test_every_error_type_is_raised():
+    # a type that nothing raises is an except clause and an exit code that
+    # can never fire; the KerrcatError base is only caught
+    errors = TREES[[path.name for path in PATHS].index("errors.py")]
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in TREES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert defined - raised == {"KerrcatError"}

@@ -451,8 +451,9 @@ class TestBadInput:
 
         monkeypatch.setattr(analytic_q, "_z_matrix", skewed)
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
+        grid = analytic_q.PhaseGrid(center=0j, half_extent=5.0, resolution=1)
         with pytest.raises(InvariantViolation):
-            analytic_q.q_surface(analytic_q.PhaseGrid(resolution=1), 1.0, sys_)
+            analytic_q.q_surface(grid, 1.0, sys_)
         cfg = write_config(tmp_path, dimensionless_doc(res=11))
         code = cli.main(["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "1.0"])
         assert code == cli.EXIT_NUMERICAL

@@ -113,7 +113,7 @@ class TestCatState:
 
     def test_unit_norm_for_any_alpha0(self):
         for a0 in (0.3, 1.0, 2.5 + 1.0j):
-            cat = fock.cat_state(a0)
+            cat = fock.cat_state(a0, fock.default_cutoff(a0))
             assert abs(np.sum(np.abs(cat.amplitudes) ** 2) - 1.0) < 1e-12
 
 

@@ -119,11 +119,17 @@ class TestEvolve:
             assert abs(m1 - law) < 1e-8
 
     def test_trace_conserved(self):
-        sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.02)
-        n = 30
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
-        for rec in lindblad.evolve(sys_, rho0, np.linspace(0.1, 1.0, 5)):
-            assert rec.trace_error <= 1e-8
+        # the exact propagator holds |tr rho - 1| at rounding level, far inside
+        # the 1e-10 trace check of every DensityOperator it returns
+        for alpha0, gamma, delta in (
+            (2.0, 0.02, 0.0), (6.0 * np.exp(1j), 0.1, 0.3), (12.0, 1.0, -0.3), (12.0j, 1e-3, 0.3)
+        ):
+            sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
+            n = fock.default_cutoff(alpha0)
+            for psi in (fock.coherent_state(alpha0, n), fock.cat_state(alpha0, n)):
+                rho0 = fock.density_from_pure(psi)
+                for rec in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
+                    assert rec.trace_error <= 1e-13
 
     def test_fourth_order_convergence(self):
         # halving dt shrinks the RK4 oracle's error against the closed form ~16x

@@ -4,12 +4,15 @@ Examples are derandomized, so every run checks the same cases.
 """
 
 import cmath
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from kerrcat import fock, lindblad
+from kerrcat import cli, fock, lindblad
 from kerrcat.analytic_q import KerrSystem, PhaseGrid, q_surface
 
 import oracles
@@ -57,3 +60,36 @@ def test_backends_agree(alpha0, mu, gamma, delta, t):
     ana = q_surface(grid, t, sys_)
     num = lindblad.q_from_rho(rec.rho, grid)
     assert np.max(np.abs(ana.values - num.values)) <= 1e-6
+
+
+centers = st.one_of(st.just(0j), st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(
+    alpha0=st.builds(cmath.rect, st.floats(0.0, 3.0), st.floats(0.0, 2.0 * math.pi)),
+    gamma=st.one_of(st.just(0.0), gammas),
+    delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    grid=st.builds(lambda c: {"center": [c.real, c.imag], "resolution": 11}, centers),
+)
+@example(alpha0=2.0, gamma=0.0, delta=0.3, grid={"half_extent": 5.0, "resolution": 21})
+def test_validate_passes(alpha0, gamma, delta, grid):
+    # undamped detuned configs included: revival and parity hold at the
+    # detuning-rotated alpha0
+    doc = {
+        "schema_version": 1,
+        "mode": "dimensionless",
+        "dimensionless": {
+            "alpha0": [alpha0.real, alpha0.imag],
+            "gamma_over_mu": gamma,
+            "detuning_over_mu": delta,
+        },
+        "grid": grid,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps(doc))
+        code = cli.main(["validate", "--config", str(config), "--out", tmp])
+        report = json.loads(Path(tmp, "validate.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+    assert code == cli.EXIT_OK
