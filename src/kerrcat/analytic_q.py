@@ -11,12 +11,12 @@ The damped Kerr master equation admits a closed-form Husimi function
 
 subject to Q(alpha, 0) = exp(-|alpha - a0|^2) (Milburn & Holmes, PRL 56,
 2237 (1986)). The series is the quadratic form <alpha| rho(t) |alpha> of the
-Fock matrix rho_qp(t) = c_q conj(c_p) Z_pq(t), c_n = <n|a0>, so Q is
-evaluated through fock.q_grid (coherent_form off the diagonal), the same
-probe kernel that the numeric backend uses. The matrix is truncated where
-the Poisson tail of |a0|^2 bounds the error below TAIL_TOL, independently
-of the grid; the degenerate lam -> 0 denominator is evaluated by its Taylor
-series.
+Fock matrix rho_qp(t) = c_q conj(c_p) Z_pq(t), c_n = <n|a0>, which density
+returns as a fock.DensityOperator, the type the numeric backend returns too;
+q_surface turns either one into Q through fock.q_grid. The matrix is
+truncated where the Poisson tail of |a0|^2 bounds the error below TAIL_TOL,
+independently of the grid; the degenerate lam -> 0 denominator is evaluated
+by its Taylor series.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import numpy as np
 from . import fock
 from .errors import InvariantViolation
 
-#: largest truncation error allowed in any Q value, and the largest
-#: |rho - rho^dag| the Hermitian p <-> q symmetry of the series may leave
+#: largest truncation error allowed in any Q value
 TAIL_TOL = 1e-10
-IMAG_TOL = 1e-10
 
 _Q_FLOOR = -1e-9
 _Q_CEIL = 1.0 + 1e-9
@@ -187,47 +185,35 @@ def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
     return np.exp(-0.5 * (pp + qq) * lam[band] * t + log_v[band])
 
 
-def _fock_matrix(t: float, sys: KerrSystem) -> np.ndarray:
-    """Closed-form rho(t) on the first series_order(sys) levels.
+def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
+    """Closed-form rho(t) on the first series_order(sys) levels, validated as a state.
 
     rho_qp(t) = c_q conj(c_p) Z_pq(t), with c the amplitudes of |alpha0>;
-    Q(alpha, t) = <alpha| rho(t) |alpha> is then the double series above.
+    Q(alpha, t) = <alpha| rho(t) |alpha> is then the double series above. A
+    matrix that DensityOperator rejects raises InvariantViolation.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
     fock.check_probe_range(abs(sys.alpha0))
     n = series_order(sys)
     c = fock.coherent_amplitudes(sys.alpha0, n)
-    # rates near the float limit overflow Z's exponent; a non-finite rho is
-    # reported below, and a finite one (e^{-inf} = 0) is the exact limit
+    # rates near the float limit overflow Z's exponent; DensityOperator rejects
+    # a non-finite rho, and a finite one (e^{-inf} = 0) is the exact limit
     with np.errstate(over="ignore", invalid="ignore"):
         rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
-    if not np.isfinite(rho).all():
-        raise InvariantViolation(f"closed-form rho at t = {t} is not finite")
-    residue = float(np.max(np.abs(rho - rho.conj().T)))
-    if not residue <= IMAG_TOL:
-        raise InvariantViolation(f"max |rho - rho^dag| = {residue} breaks p<->q Hermiticity")
-    return rho
+    try:
+        return fock.DensityOperator(rho)
+    except ValueError as exc:
+        raise InvariantViolation(f"closed-form rho at t = {t}: {exc}") from exc
 
 
-def q_surface(grid: PhaseGrid, t: float, sys: KerrSystem) -> QSurface:
-    """Q over every node of ``grid`` at time ``t`` (fock.q_grid)."""
+def q_surface(grid: PhaseGrid, rho: fock.DensityOperator) -> QSurface:
+    """Q = <alpha| rho |alpha> over every node of ``grid`` (fock.q_grid), for either backend."""
     re, im = grid.axes()
-    return QSurface(grid=grid, values=fock.q_grid(_fock_matrix(t, sys), re, im))
+    return QSurface(grid=grid, values=fock.q_grid(rho.elements, re, im))
 
 
 def grid_normalization(surface: QSurface) -> float:
     """(1/pi) Riemann sum of Q over the grid; 1 when the grid covers the state."""
     w = surface.grid.spacing ** 2
     return float(np.sum(surface.values)) * w / math.pi
-
-
-def coherent_matrix_element(beta, alpha, t: float, sys: KerrSystem) -> complex:
-    """<beta| rho(t) |alpha> of the closed-form Fock matrix.
-
-    Q(alpha, t) is the diagonal beta = alpha; the off-diagonal elements
-    feed the branch-coherence diagnostics.
-    """
-    ket = np.array([complex(alpha)])
-    bra = np.array([complex(beta)])
-    return complex(fock.coherent_form(_fock_matrix(t, sys), ket, bra)[0])

@@ -63,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, csvtext, fock, lindblad, trap_params
-from .analytic_q import KerrSystem, PhaseGrid, q_surface, grid_normalization
+from .analytic_q import KerrSystem, PhaseGrid, density, grid_normalization, q_surface
 from .errors import (
     ConfigError,
     CutoffLeak,
@@ -98,24 +98,31 @@ class RunConfig:
     digest: str
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, name: str) -> float:
-    """``float(value)``; a value of the wrong type is a ConfigError."""
+    """A JSON number as a float; text, a bool or an int past the float range is a ConfigError."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be of type float, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be of type float, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"config numbers must be finite, got {name} = {value}") from exc
 
 
 def _integer(value, name: str) -> int:
     """An integral JSON number (3 or 3.0); 3.9, booleans and text are a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    if not _is_number(value) or value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _as_complex_field(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    if _is_number(value):
+        return complex(_number(value, name))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], name), _number(value[1], name))
     raise ConfigError(f"{name} must be a number or [re, im] pair, got {value!r}")
@@ -217,7 +224,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     # and abs() of a complex raises where hypot() gives inf
     fock.check_probe_range(math.hypot(sys_.alpha0.real, sys_.alpha0.imag))
 
-    gsec = raw.get("grid") or {}
+    gsec = {} if raw.get("grid") is None else raw["grid"]
     if not isinstance(gsec, dict):
         raise ConfigError(f"grid must be an object, got {gsec!r}")
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
@@ -247,7 +254,10 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if cutoff < 1:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
 
-    out = raw.get("output_dir") or "."
+    out = raw.get("output_dir")
+    if not isinstance(out, (str, type(None))):
+        raise ConfigError(f"output_dir must be a string or null, got {out!r}")
+    out = out or "."
     if getattr(overrides, "out", None) is not None:  # a path, so not in the digest
         out = overrides.out
     seed = _integer(raw.get("seed", 0), "seed")
@@ -344,15 +354,14 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     """Write qsurface.csv, Q over the configured grid at time ``t``, in blocks of grid rows."""
     _check_time(t, "--time")
     if backend == "analytic":
-        surface = q_surface(config.grid, t, config.sys)
+        rho = density(t, config.sys)
     elif backend == "numeric":
         rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
         if t > 0:
             rho = lindblad.evolve(config.sys, rho, (t,))[-1].rho
-        surface = lindblad.q_from_rho(rho, config.grid)
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
-    values = surface.values
+    values = q_surface(config.grid, rho).values
     re, im = config.grid.axes()
     re_cells = csvtext.packed(csvtext.cells(re))
     im_cells = csvtext.packed(csvtext.cells(im))[:, np.newaxis]
@@ -403,18 +412,18 @@ def cmd_validate(config: RunConfig) -> dict:
         return np.exp(-np.abs(config.grid.points() - beta) ** 2)
 
     # the surface checks the grid's probe range before the Gaussian squares it
-    surf0 = q_surface(config.grid, 0.0, sys_)
+    surf0 = q_surface(config.grid, density(0.0, sys_))
     gaussian = coherent_q(sys_.alpha0)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
     rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
-    surf0n = lindblad.q_from_rho(rho0, config.grid)
+    surf0n = q_surface(config.grid, rho0)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
     sample_times = (0.5 * t_cat, t_cat)
     records = lindblad.evolve(sys_, rho0, sample_times)
     for label, rec in zip(("t_cat_half", "t_cat"), records):
-        ana = q_surface(config.grid, rec.time, sys_)
-        num = lindblad.q_from_rho(rec.rho, config.grid)
+        ana = q_surface(config.grid, density(rec.time, sys_))
+        num = q_surface(config.grid, rec.rho)
         checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
 
     decay_err = max(
@@ -435,7 +444,7 @@ def cmd_validate(config: RunConfig) -> dict:
     checks.append(_check("q_range_high", q_max - 1.0, 1e-9))
 
     norm_grid = PhaseGrid(center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201)
-    norm = grid_normalization(q_surface(norm_grid, t_cat, sys_))
+    norm = grid_normalization(q_surface(norm_grid, density(t_cat, sys_)))
     checks.append(_check("q_normalization", abs(norm - 1.0), 1e-3))
 
     # the imaginary and real axes, then the fringes across the branch axis: two
@@ -464,7 +473,7 @@ def cmd_validate(config: RunConfig) -> dict:
         for name, turns, sign in (("revival", 2.0, 1), ("parity", 1.0, -1)):
             t = turns * math.pi / sys_.mu
             beta = sign * sys_.alpha0 * np.exp(-1j * sys_.detuning * t)
-            surf = q_surface(config.grid, t, sys_)
+            surf = q_surface(config.grid, density(t, sys_))
             checks.append(_check(name, _max_diff(surf.values, coherent_q(beta)), 1e-8))
 
     return {"pass": all(c["pass"] for c in checks), "checks": checks}

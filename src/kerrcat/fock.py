@@ -3,8 +3,8 @@
 States are stored in the number basis |0>, ..., |N-1>. Coherent amplitudes
 are built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1) starting
 from c_0 = exp(-|alpha|^2 / 2), which avoids explicit factorials; it also
-builds the probes of ``coherent_form`` and ``q_grid``, the quadratic form
-<beta|M|alpha> behind every Q surface. Phase-space functions use the conventions
+builds the probes of ``q_grid``, the quadratic form <alpha|rho|alpha>
+behind every Q surface. Phase-space functions use the conventions
 
     Q(alpha) = <alpha| rho |alpha>        (no 1/pi factor)
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
@@ -30,7 +30,7 @@ TRUNCATION_TOL = 1e-12
 #: largest |alpha| for which e^{-|alpha|^2/2} is a normal double (about 37.6)
 PROBE_ABS_MAX = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
 
-#: points per block of coherent_form, whose (N x points) probe arrays stay this narrow
+#: points per block of q_grid, whose (N x points) probe arrays stay this narrow
 PROBE_CHUNK = 2048
 
 #: the Wigner recurrence divides a value by this power of two once it grows past it
@@ -228,58 +228,26 @@ def _probes(points: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forms(mat: np.ndarray, ket_points, bra_points, out: np.ndarray) -> np.ndarray:
-    """out[g] = <bra_g| mat |ket_g>, PROBE_CHUNK points at a time; a real ``out`` gets real parts.
-
-    ket_points(block) gives the points of a slice of indices, and so does
-    bra_points, or None when the bras are the kets. The probe and product
-    buffers are allocated once, not per chunk.
-    """
-    n = mat.shape[0]
-    bufs = np.empty((2 if bra_points is None else 3, n * min(out.size, PROBE_CHUNK)), dtype=complex)
-    for start in range(0, out.size, PROBE_CHUNK):
-        block = slice(start, min(start + PROBE_CHUNK, out.size))
-        kets, prod, *spare = (buf[: n * (block.stop - start)].reshape(n, -1) for buf in bufs)
-        np.matmul(mat, _probes(ket_points(block), kets), out=prod)
-        bras = _probes(bra_points(block), spare[0]) if spare else kets
-        form = np.einsum("mg,mg->g", np.conjugate(bras, out=bras), prod)
-        out[block] = form.real if np.isrealobj(out) else form
-    return out
-
-
-def coherent_form(mat: np.ndarray, ket: np.ndarray, bra: np.ndarray | None = None) -> np.ndarray:
-    """<bra_g| mat |ket_g> for every index g of two flat point arrays (_forms).
-
-    ``bra`` defaults to ``ket``, which gives Q(alpha_g) = <alpha_g| rho |alpha_g>.
-    Any point beyond check_probe_range raises SeriesNotConverged.
-    """
-    ket = np.asarray(ket, dtype=complex).ravel()
-    bra = ket if bra is None else np.asarray(bra, dtype=complex).ravel()
-    if bra.shape != ket.shape:
-        raise DimensionMismatch(f"{bra.size} bra points for {ket.size} ket points")
-    if ket.size:
-        sides = (ket,) if bra is ket else (ket, bra)
-        check_probe_range(max(float(np.max(np.abs(p))) for p in sides))
-    out = np.empty(ket.size, dtype=complex)
-    return _forms(mat, ket.__getitem__, None if bra is ket else bra.__getitem__, out)
-
-
 def q_grid(mat: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Q = Re <alpha|mat|alpha> at alpha = re[j] + i im[i], shape (im.size, re.size) (_forms).
+    """Q = Re <alpha|mat|alpha> at alpha = re[j] + i im[i], shape (im.size, re.size).
 
-    Each chunk's points are built from the axes, so the result, 8 bytes a
+    PROBE_CHUNK points at a time are built from the axes, into probe and
+    product buffers allocated once, not per chunk, so the result, 8 bytes a
     point, is the only array that grows with the grid. A point beyond
     check_probe_range raises SeriesNotConverged.
     """
     out = np.empty((im.size, re.size))
     if out.size:  # the largest |alpha| on the grid, rounded as np.abs rounds each point
         check_probe_range(float(np.abs(np.max(np.abs(re)) + 1j * np.max(np.abs(im)))))
-
-    def points(block: slice) -> np.ndarray:
-        rows, cols = np.divmod(np.arange(block.start, block.stop), re.size)
-        return re[cols] + 1j * im[rows]
-
-    return _forms(mat, points, None, out.reshape(-1)).reshape(out.shape)
+    flat, n = out.reshape(-1), mat.shape[0]
+    bufs = np.empty((2, n * min(flat.size, PROBE_CHUNK)), dtype=complex)
+    for start in range(0, flat.size, PROBE_CHUNK):
+        stop = min(start + PROBE_CHUNK, flat.size)
+        rows, cols = np.divmod(np.arange(start, stop), re.size)
+        kets, prod = (buf[: n * (stop - start)].reshape(n, -1) for buf in bufs)
+        np.matmul(mat, _probes(re[cols] + 1j * im[rows], kets), out=prod)
+        flat[start:stop] = np.einsum("mg,mg->g", np.conjugate(kets, out=kets), prod).real
+    return out
 
 
 def wigner(rho: DensityOperator, points) -> np.ndarray:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, fock
-from .analytic_q import KerrSystem, PhaseGrid, QSurface, _lam_integral
+from .analytic_q import KerrSystem, _lam_integral
 from .errors import CutoffLeak, CutoffTooSmall, DegenerateBranches, InvariantViolation
 
 #: boundary population above which the truncated basis is declared too small
@@ -149,9 +149,3 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[Evolution
         for t, mat in zip(chunk, stack):
             records.append(_make_record(t, mat, sys, cat_target))
     return records
-
-
-def q_from_rho(rho: fock.DensityOperator, grid: PhaseGrid) -> QSurface:
-    """Husimi surface <alpha| rho |alpha> over all grid nodes (fock.q_grid)."""
-    re, im = grid.axes()
-    return QSurface(grid=grid, values=fock.q_grid(rho.elements, re, im))

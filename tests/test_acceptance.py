@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kerrcat import analysis, cli, fock, lindblad, trap_params
-from kerrcat.analytic_q import KerrSystem, PhaseGrid, grid_normalization, q_surface
+from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, grid_normalization, q_surface
 
 import oracles
 
@@ -60,8 +60,8 @@ def test_criterion_2_initial_condition(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
     grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
     gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
-    err_a = float(np.max(np.abs(q_surface(grid, 0.0, sys_).values - gauss)))
-    num = lindblad.q_from_rho(coherent_density(2.0, 40), grid)
+    err_a = float(np.max(np.abs(q_surface(grid, density(0.0, sys_)).values - gauss)))
+    num = q_surface(grid, coherent_density(2.0, 40))
     err_n = float(np.max(np.abs(num.values - gauss)))
     ok = err_a <= 1e-10 and err_n <= 1e-10
     report(2, "initial_condition", ok, f"analytic err={err_a:.2e}, numeric err={err_n:.2e}")
@@ -76,8 +76,8 @@ def test_criterion_3_dual_path_agreement(report):
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     worst = 0.0
     for rec in records:
-        ana = q_surface(grid, rec.time, sys_)
-        num = lindblad.q_from_rho(rec.rho, grid)
+        ana = q_surface(grid, density(rec.time, sys_))
+        num = q_surface(grid, rec.rho)
         worst = max(worst, float(np.max(np.abs(ana.values - num.values))))
     ok = worst <= 1e-6
     report(3, "dual_path_agreement", ok, f"max node-wise |dQ|={worst:.2e} over t/t_cat in 1/4,1/2,1")
@@ -91,8 +91,8 @@ def test_criterion_4_cat_formation(report):
     fidelity_gap = 1.0 - rec.cat_fidelity
 
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
-    ana = q_surface(grid, t_cat, sys_)
-    cat_surface = lindblad.q_from_rho(fock.density_from_pure(fock.cat_state(2.0, cutoff)), grid)
+    ana = q_surface(grid, density(t_cat, sys_))
+    cat_surface = q_surface(grid, fock.density_from_pure(fock.cat_state(2.0, cutoff)))
     surf_err = float(np.max(np.abs(ana.values - cat_surface.values)))
     ok = fidelity_gap <= 1e-8 and surf_err <= 1e-8
     report(4, "cat_formation", ok, f"1-F={fidelity_gap:.2e}, surface err={surf_err:.2e}")
@@ -101,10 +101,10 @@ def test_criterion_4_cat_formation(report):
 def test_criterion_5_revival_and_parity(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
-    base = q_surface(grid, 0.0, sys_)
-    revival = q_surface(grid, 2.0 * math.pi, sys_)
+    base = q_surface(grid, density(0.0, sys_))
+    revival = q_surface(grid, density(2.0 * math.pi, sys_))
     err_rev = float(np.max(np.abs(revival.values - base.values)))
-    half = q_surface(grid, math.pi, sys_)
+    half = q_surface(grid, density(math.pi, sys_))
     err_par = float(np.max(np.abs(half.values - base.values[::-1, ::-1])))
     ok = err_rev <= 1e-8 and err_par <= 1e-8
     report(5, "revival_and_parity", ok, f"revival err={err_rev:.2e}, parity err={err_par:.2e}")
@@ -177,13 +177,13 @@ def test_criterion_8_invariant_suite(report):
         rho = fock.DensityOperator(mat)
         for _ in range(3):
             a = complex(*rng.uniform(-3.0, 3.0, 2))
-            q = float(fock.coherent_form(rho.elements, np.array([a])).real[0])
+            q = float(fock.q_grid(rho.elements, np.array([a.real]), np.array([a.imag]))[0, 0])
             worst["q_low"] = max(worst["q_low"], -q)
             worst["q_high"] = max(worst["q_high"], q - 1.0)
             worst["wigner"] = max(worst["wigner"], abs(fock.wigner(rho, a)) - 2.0 / math.pi)
 
         grid = PhaseGrid(center=0j, half_extent=math.sqrt(n) + 5.0, resolution=101)
-        norm = grid_normalization(lindblad.q_from_rho(rho, grid))
+        norm = grid_normalization(q_surface(grid, rho))
         worst["norm"] = max(worst["norm"], abs(norm - 1.0))
 
         band = int(rng.integers(-n + 1, n))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerrcat import analysis, fock, lindblad
-from kerrcat.analytic_q import KerrSystem, coherent_matrix_element
+from kerrcat.analytic_q import KerrSystem, density
 from kerrcat.errors import DegenerateBranches, InsufficientDecay
 
 import oracles
@@ -163,22 +163,15 @@ class TestFit:
 
     def test_analytic_and_numeric_paths_agree(self):
         # mu > 0, gamma > 0: branch coherence sampled at odd cat times, where
-        # the transient state is a two-branch cat; the continued Q series and
-        # the integrator must yield the same fitted time
+        # the transient state is a two-branch cat; the closed-form density and
+        # the propagator must yield the same fitted time
         a0 = 1.5
         gamma = 0.01
         sys_ = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
         t_cat = math.pi / 2.0
         times = tuple((2 * k + 1) * t_cat for k in range(13))
 
-        def analytic_c(t):
-            a_t = a0 * math.exp(-0.5 * gamma * t)
-            num = abs(coherent_matrix_element(a_t, -a_t, t, sys_))
-            d_p = coherent_matrix_element(a_t, a_t, t, sys_).real
-            d_m = coherent_matrix_element(-a_t, -a_t, t, sys_).real
-            return num / math.sqrt(d_p * d_m)
-
-        c_analytic = [analytic_c(t) for t in times]
+        c_analytic = [analysis.coherence_metric(density(t, sys_), a0, t, gamma) for t in times]
 
         n = fock.default_cutoff(a0)
         rho0 = fock.density_from_pure(fock.coherent_state(a0, n))

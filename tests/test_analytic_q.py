@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import pdtrc
 
-from kerrcat import fock, analytic_q, lindblad
-from kerrcat.analytic_q import (
-    KerrSystem,
-    PhaseGrid,
-    _z_matrix,
-    coherent_matrix_element,
-    grid_normalization,
-    q_surface,
-)
+from kerrcat import fock, analytic_q
+from kerrcat.analytic_q import KerrSystem, PhaseGrid, _z_matrix, density, grid_normalization, q_surface
 from kerrcat.errors import SeriesNotConverged
 
 import oracles
@@ -25,8 +18,10 @@ def make_sys(alpha0=2.0, mu=1.0, gamma=0.01, detuning=0.0):
 
 
 def q_at(points, t, sys_):
-    """Closed-form Q(alpha, t) at each point: the Fock matrix read out by the probe kernel."""
-    return fock.coherent_form(analytic_q._fock_matrix(t, sys_), np.atleast_1d(points)).real
+    """Closed-form Q(alpha, t) at each point: density(t, sys_) read out by the probe kernel."""
+    mat = density(t, sys_).elements
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    return np.array([fock.q_grid(mat, np.array([a.real]), np.array([a.imag]))[0, 0] for a in pts])
 
 
 class TestKerrSystem:
@@ -189,38 +184,39 @@ class TestQValue:
 class TestQSurface:
     def test_initial_gaussian(self):
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=101)
-        surf = q_surface(grid, 0.0, make_sys())
+        surf = q_surface(grid, density(0.0, make_sys()))
         gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
         assert np.max(np.abs(surf.values - gauss)) < 1e-10
 
     def test_normalization(self):
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
-        surf = q_surface(grid, 0.6, make_sys())
+        surf = q_surface(grid, density(0.6, make_sys()))
         assert abs(grid_normalization(surf) - 1.0) < 1e-3
 
     def test_revival(self):
         sys_ = make_sys(gamma=0.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
-        now = q_surface(grid, 0.0, sys_)
-        later = q_surface(grid, 2.0 * math.pi, sys_)
+        now = q_surface(grid, density(0.0, sys_))
+        later = q_surface(grid, density(2.0 * math.pi, sys_))
         assert np.max(np.abs(later.values - now.values)) < 1e-8
 
     def test_parity_half_revival(self):
         sys_ = make_sys(gamma=0.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
-        now = q_surface(grid, 0.0, sys_)
-        half = q_surface(grid, math.pi, sys_)
+        now = q_surface(grid, density(0.0, sys_))
+        half = q_surface(grid, density(math.pi, sys_))
         assert np.max(np.abs(half.values - now.values[::-1, ::-1])) < 1e-8
 
     def test_kerr_periodicity_generic_time(self):
         sys_ = make_sys(gamma=0.0)
         grid = PhaseGrid(center=0j, half_extent=4.0, resolution=21)
-        a = q_surface(grid, 0.73, sys_)
-        b = q_surface(grid, 0.73 + 2.0 * math.pi, sys_)
+        a = q_surface(grid, density(0.73, sys_))
+        b = q_surface(grid, density(0.73 + 2.0 * math.pi, sys_))
         assert np.max(np.abs(a.values - b.values)) < 1e-8
 
     def test_degenerate_grid(self):
-        surf = q_surface(PhaseGrid(center=2.0 + 0j, half_extent=1.0, resolution=1), 0.0, make_sys())
+        grid = PhaseGrid(center=2.0 + 0j, half_extent=1.0, resolution=1)
+        surf = q_surface(grid, density(0.0, make_sys()))
         assert surf.values.shape == (1, 1)
         assert abs(surf.values[0, 0] - 1.0) < 1e-10
 
@@ -230,7 +226,7 @@ class TestQSurface:
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=301)
         tracemalloc.start()
         try:
-            q_surface(grid, 0.9, make_sys())
+            q_surface(grid, density(0.9, make_sys()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -247,10 +243,7 @@ class TestQSurface:
         rho = fock.density_from_pure(fock.coherent_state(sys_.alpha0, 40))
         tracemalloc.start()
         try:
-            if backend == "analytic":
-                q_surface(grid, 0.9, sys_)
-            else:
-                lindblad.q_from_rho(rho, grid)
+            q_surface(grid, density(0.9, sys_) if backend == "analytic" else rho)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,44 +273,33 @@ class TestMeanN:
     def test_vacuum(self):
         sys_ = KerrSystem(alpha0=0.0, mu=0.0, gamma=0.1)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=201)
-        surf = q_surface(grid, 0.0, sys_)
+        surf = q_surface(grid, density(0.0, sys_))
         assert abs(mean_n(surf)) < 1e-3
 
     def test_initial_coherent(self):
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
-        surf = q_surface(grid, 0.0, make_sys())
+        surf = q_surface(grid, density(0.0, make_sys()))
         assert abs(mean_n(surf) - 4.0) < 2e-3
 
     def test_damped_mean(self):
         # t = 1/gamma: diagonal dynamics is pure damping whatever mu is
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
-        surf = q_surface(grid, 100.0, make_sys(gamma=0.01))
+        surf = q_surface(grid, density(100.0, make_sys(gamma=0.01)))
         assert abs(mean_n(surf) - 4.0 * math.exp(-1.0)) < 2e-3
 
 
 class TestCrossElement:
+    """The off-diagonal elements rho_qp of the closed-form density."""
+
     def test_t0_factorizes(self):
-        sys_ = make_sys()
-        a0 = 2.0
-
-        def overlap(x, y):
-            return np.exp(-abs(x) ** 2 / 2 - abs(y) ** 2 / 2 + np.conj(x) * y)
-
-        for beta, alpha in ((1.2 + 0.5j, -0.8 + 0.1j), (0.0, 1.0), (2.0, 2.0)):
-            want = overlap(beta, a0) * overlap(a0, alpha)
-            got = coherent_matrix_element(beta, alpha, 0.0, sys_)
-            assert abs(got - want) < 1e-12
+        # rho(0) = |a0><a0|, rho_qp = c_q conj(c_p)
+        rho = density(0.0, make_sys()).elements
+        c = oracles.coherent_amplitudes_factorial(2.0, rho.shape[0])
+        assert np.max(np.abs(rho - np.outer(c, c.conj()))) < 1e-12
 
     def test_hermitian_symmetry(self):
-        sys_ = make_sys()
-        m1 = coherent_matrix_element(1.0 + 0.4j, -0.7j, 0.9, sys_)
-        m2 = coherent_matrix_element(-0.7j, 1.0 + 0.4j, 0.9, sys_)
-        assert abs(m1 - np.conj(m2)) < 1e-13
-
-    def test_diagonal_matches_q_value(self):
-        sys_ = make_sys()
-        for a in (0.5, 1.5 - 0.5j):
-            assert abs(coherent_matrix_element(a, a, 0.8, sys_).real - q_at(a, 0.8, sys_)[0]) < 1e-12
+        rho = density(0.9, make_sys()).elements
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
 
 
 class TestDetuning:

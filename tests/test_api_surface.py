@@ -1,12 +1,13 @@
 """Every public top-level name in the package is used by the package itself.
 
 A function that only tests call is a second copy of a kernel that the
-commands already run, and it drifts from that kernel unnoticed. So each
-public ``def``/``class`` in ``src/kerrcat`` must be referenced by package
-code outside its own definition; tests reach the physics through the
-kernels the commands use, or through ``tests/oracles.py``. Nor does the
-package hold an ``assert``, which ``python -O`` strips, or an exception
-type that it never raises.
+commands already run, and it drifts from that kernel unnoticed; a constant
+that nothing reads is a tolerance that no longer bounds anything. So each
+public ``def``/``class`` and module-level assignment in ``src/kerrcat``
+must be referenced by package code outside its own definition; tests reach
+the physics through the kernels the commands use, or through
+``tests/oracles.py``. Nor does the package hold an ``assert``, which
+``python -O`` strips, or an exception type that it never raises.
 """
 
 import ast
@@ -16,21 +17,24 @@ from pathlib import Path
 import kerrcat
 
 #: public names kept without a caller in the package, each with its reason
-ALLOWED_UNUSED = {
-    "coherent_matrix_element": "the off-diagonal <beta|rho(t)|alpha> that analytic "
-    "branch-coherence observables are to be built on",
-}
+ALLOWED_UNUSED: dict[str, str] = {}
 
 PATHS = sorted(Path(kerrcat.__file__).resolve().parent.glob("*.py"))
 TREES = [ast.parse(path.read_text(), filename=str(path)) for path in PATHS]
 
 
 def _public_definitions():
-    """Every public top-level def or class node."""
+    """(name, node) for every public top-level def, class or assigned name."""
     for tree in TREES:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield node
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            yield from ((name, node) for name in names if not name.startswith("_"))
 
 
 def _unreferenced() -> set[str]:
@@ -42,7 +46,7 @@ def _unreferenced() -> set[str]:
                 uses[node.id].add(node)
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].add(node)
-    return {d.name for d in _public_definitions() if uses[d.name] <= set(ast.walk(d))}
+    return {name for name, node in _public_definitions() if uses[name] <= set(ast.walk(node))}
 
 
 def test_every_public_name_has_a_package_caller():

@@ -285,13 +285,35 @@ class TestBadInput:
             ({"physical.b_field": 1e160}, ["params"]),
             ({"physical.b_field": 1e-170}, ["params"]),
             ({"physical.b_field": 1e-300}, ["evolve", "--t-final", "1"]),
+            # a number is a JSON int or float, never text or a bool
+            ({"dimensionless.gamma_over_mu": "0.5"}, ["params"]),
+            ({"dimensionless.gamma_over_mu": " 0.5 "}, ["params"]),
+            ({"dimensionless.gamma_over_mu": "1e-2"}, ["params"]),
+            ({"dimensionless.gamma_over_mu": True}, ["params"]),
+            ({"physical.b_field": "5.7"}, ["params"]),
+            ({"dimensionless.alpha0": True}, ["params"]),
+            ({"dimensionless.gamma_over_mu": 10**400}, ["params"]),
+            ({"dimensionless.alpha0": [10**400, 0]}, ["params"]),
+            # output_dir is a string or null, whatever --out says
+            ({"output_dir": 5}, ["params"]),
+            ({"output_dir": ["a"]}, ["params"]),
+            ({"output_dir": {}}, ["params"]),
+            ({"output_dir": True}, ["params"]),
+            # grid is an object or null; a falsy value is not the default grid
+            ({"grid": []}, ["params"]),
+            ({"grid": 0}, ["params"]),
+            ({"grid": ""}, ["params"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
              "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid",
              "fractional_resolution", "fractional_cutoff", "fractional_seed",
              "bool_resolution", "bool_cutoff", "bool_seed", "overflowing_b_field",
-             "mu_underflow_b_field", "underflowing_b_field"],
+             "mu_underflow_b_field", "underflowing_b_field",
+             "numeric_text_gamma", "padded_text_gamma", "exponent_text_gamma", "bool_gamma",
+             "numeric_text_b_field", "bool_alpha0", "overflowing_int_gamma",
+             "overflowing_int_alpha0", "int_output_dir", "list_output_dir", "object_output_dir",
+             "bool_output_dir", "empty_list_grid", "zero_grid", "empty_text_grid"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -451,9 +473,8 @@ class TestBadInput:
 
         monkeypatch.setattr(analytic_q, "_z_matrix", skewed)
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
-        grid = analytic_q.PhaseGrid(center=0j, half_extent=5.0, resolution=1)
         with pytest.raises(InvariantViolation):
-            analytic_q.q_surface(grid, 1.0, sys_)
+            analytic_q.density(1.0, sys_)
         cfg = write_config(tmp_path, dimensionless_doc(res=11))
         code = cli.main(["qsurface", "--config", cfg, "--out", str(tmp_path), "--time", "1.0"])
         assert code == cli.EXIT_NUMERICAL
@@ -614,11 +635,11 @@ class TestCsvExport:
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
         grid = analytic_q.PhaseGrid(center=0j, half_extent=5.0, resolution=41)
         if backend == "analytic":
-            q = analytic_q.q_surface(grid, 0.7, sys_).values
+            rho = analytic_q.density(0.7, sys_)
         else:
             rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
             rho = lindblad.evolve(sys_, rho0, (0.7,))[-1].rho
-            q = lindblad.q_from_rho(rho, grid).values
+        q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [
             [repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
@@ -788,10 +809,10 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
     for backend in ("analytic", "numeric"):
         path = run("qsurface", "--time", repr(t), "--backend", backend)
         if backend == "analytic":
-            q = analytic_q.q_surface(grid, t, sys_).values
+            rho = analytic_q.density(t, sys_)
         else:
             rho = lindblad.evolve(sys_, rho0, (t,))[-1].rho if t > 0 else rho0
-            q = lindblad.q_from_rho(rho, grid).values
+        q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
                 for i, im in enumerate(im_axis) for j, re in enumerate(re_axis)]

@@ -42,7 +42,9 @@ def eigvalsh_calls(monkeypatch):
 
 def husimi(rho, points):
     """Q = <alpha| rho |alpha> at each point, by the probe kernel."""
-    return fock.coherent_form(rho.elements, np.atleast_1d(points)).real
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    return np.array([fock.q_grid(rho.elements, np.array([a.real]), np.array([a.imag]))[0, 0]
+                     for a in pts])
 
 
 class TestCoherentState:
@@ -238,59 +240,55 @@ class TestHusimi:
         rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
         xs = np.linspace(-7.0, 7.0, 141)
         w = (xs[1] - xs[0]) ** 2
-        grid = xs[np.newaxis, :] + 1j * xs[:, np.newaxis]
-        total = float(np.sum(husimi(rho, grid.ravel()))) * w / math.pi
+        total = float(np.sum(fock.q_grid(rho.elements, xs, xs))) * w / math.pi
         assert abs(total - 1.0) < 1e-3
 
     def test_probe_underflow_raises(self):
         rho = fock.density_from_pure(number_state(0, 4))
         with pytest.raises(SeriesNotConverged):
-            fock.coherent_form(rho.elements, np.array([60.0 + 0j]))
+            fock.q_grid(rho.elements, np.array([60.0]), np.array([0.0]))
 
 
 CHUNK_EDGES = [1, fock.PROBE_CHUNK - 1, fock.PROBE_CHUNK, fock.PROBE_CHUNK + 1]
 
 
 class TestCoherentForm:
-    @pytest.mark.parametrize("count", CHUNK_EDGES)
-    def test_diagonal_matches_brute_force(self, count):
-        rng = np.random.default_rng(count)
-        rho = oracles.random_density(rng, 9)
-        pts = rng.uniform(-3.0, 3.0, count) + 1j * rng.uniform(-3.0, 3.0, count)
-        got = fock.coherent_form(rho, pts)
-        want = np.array([oracles.husimi_brute(rho, a) for a in pts])
-        assert got.shape == (count,)
-        assert np.max(np.abs(got - want)) < 1e-12
+    """The coherent quadratic form of fock.q_grid, Q = Re <alpha|mat|alpha> over a grid."""
 
     @pytest.mark.parametrize("count", CHUNK_EDGES)
-    def test_cross_element_matches_brute_force(self, count):
-        rng = np.random.default_rng(100 + count)
-        n = 7
-        mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        kets = rng.uniform(-2.5, 2.5, count) + 1j * rng.uniform(-2.5, 2.5, count)
-        bras = rng.uniform(-2.5, 2.5, count) + 1j * rng.uniform(-2.5, 2.5, count)
-        got = fock.coherent_form(mat, kets, bras)
-        want = np.array([
-            np.vdot(oracles.coherent_amplitudes_factorial(b, n),
-                    mat @ oracles.coherent_amplitudes_factorial(a, n))
-            for a, b in zip(kets, bras)
-        ])
+    def test_diagonal_matches_brute_force(self, count):
+        # one row of ``count`` points: the last chunk holds 1, 2047, 2048 or 1 of them
+        rng = np.random.default_rng(count)
+        rho = oracles.random_density(rng, 9)
+        re, im = rng.uniform(-3.0, 3.0, count), rng.uniform(-3.0, 3.0, 1)
+        got = fock.q_grid(rho, re, im)
+        want = np.array([[oracles.husimi_brute(rho, x + 1j * im[0]) for x in re]])
+        assert got.shape == (1, count)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_chunk_boundary_splits_a_row(self):
+        # 45 x 46 = 2070 points: the first chunk ends 24 points into row 44
+        rng = np.random.default_rng(46)
+        rho = oracles.random_density(rng, 9)
+        re, im = rng.uniform(-3.0, 3.0, 46), rng.uniform(-3.0, 3.0, 45)
+        got = fock.q_grid(rho, re, im)
+        want = np.array([[oracles.husimi_brute(rho, x + 1j * y) for x in re] for y in im])
+        assert got.shape == (45, 46)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_points(self):
-        assert fock.coherent_form(np.eye(3), np.array([], dtype=complex)).shape == (0,)
-
-    def test_mismatched_sides(self):
-        with pytest.raises(DimensionMismatch):
-            fock.coherent_form(np.eye(3), np.zeros(4), np.zeros(5))
+        empty, one = np.array([]), np.array([0.0])
+        for re, im in ((empty, one), (one, empty), (empty, empty)):
+            assert fock.q_grid(np.eye(3), re, im).shape == (im.size, re.size)
 
     def test_probe_underflow_not_converged(self):
         # e^{-|alpha|^2/2} is subnormal for |alpha| > 37.6, where Q would be wrong
-        inside, beyond = np.array([37.6]), np.array([38.0])
-        assert fock.coherent_form(np.eye(3), inside, inside).shape == (1,)
-        for ket, bra in ((beyond, inside), (inside, beyond)):
+        zero, inside, beyond = np.array([0.0]), np.array([37.6]), np.array([38.0])
+        assert fock.q_grid(np.eye(3), inside, zero).shape == (1, 1)
+        assert fock.q_grid(np.eye(3), zero, inside).shape == (1, 1)
+        for re, im in ((beyond, zero), (zero, beyond)):
             with pytest.raises(SeriesNotConverged):
-                fock.coherent_form(np.eye(3), ket, bra)
+                fock.q_grid(np.eye(3), re, im)
 
 
 class TestWigner:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kerrcat import fock, lindblad
-from kerrcat.analytic_q import KerrSystem, PhaseGrid, q_surface
+from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, q_surface
 from kerrcat.errors import CutoffLeak, CutoffTooSmall
 
 import oracles
@@ -304,16 +304,18 @@ class TestSpecValidation:
 
 
 class TestQFromRho:
+    """Q of a numeric-route DensityOperator, by the shared q_surface."""
+
     def test_vacuum_surface(self):
         rho = fock.density_from_pure(fock.FockVector(np.eye(15)[0]))
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=21)
-        surf = lindblad.q_from_rho(rho, grid)
+        surf = q_surface(grid, rho)
         assert np.max(np.abs(surf.values - np.exp(-np.abs(grid.points()) ** 2))) < 1e-12
 
     def test_coherent_gaussian(self):
         rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
-        surf = lindblad.q_from_rho(rho, grid)
+        surf = q_surface(grid, rho)
         gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
         assert np.max(np.abs(surf.values - gauss)) < 1e-10
 
@@ -321,7 +323,7 @@ class TestQFromRho:
         rng = np.random.default_rng(9)
         rho = fock.DensityOperator(oracles.random_density(rng, 12))
         grid = PhaseGrid(center=0.5 - 0.5j, half_extent=2.0, resolution=9)
-        surf = lindblad.q_from_rho(rho, grid)
+        surf = q_surface(grid, rho)
         pts = grid.points()
         for i in range(9):
             for j in range(9):
@@ -335,8 +337,8 @@ class TestQFromRho:
         times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
         for rec in lindblad.evolve(sys_, rho0, times):
-            ana = q_surface(grid, rec.time, sys_)
-            num = lindblad.q_from_rho(rec.rho, grid)
+            ana = q_surface(grid, density(rec.time, sys_))
+            num = q_surface(grid, rec.rho)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6
 
     @pytest.mark.parametrize("gamma", (0.0, 0.01, 0.3))
@@ -349,6 +351,6 @@ class TestQFromRho:
         times = (0.7, 1.9, 3.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)
         for rec in lindblad.evolve(sys_, rho0, times):
-            ana = q_surface(grid, rec.time, sys_)
-            num = lindblad.q_from_rho(rec.rho, grid)
+            ana = q_surface(grid, density(rec.time, sys_))
+            num = q_surface(grid, rec.rho)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from kerrcat import cli, fock, lindblad
-from kerrcat.analytic_q import KerrSystem, PhaseGrid, q_surface
+from kerrcat import analysis, cli, fock, lindblad
+from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, q_surface
+from kerrcat.errors import DegenerateBranches
 
 import oracles
 
@@ -56,10 +57,24 @@ def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
     n = fock.default_cutoff(alpha0) + 10
     rec = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
+    rho = density(t, sys_)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
-    ana = q_surface(grid, t, sys_)
-    num = lindblad.q_from_rho(rec.rho, grid)
+    ana = q_surface(grid, rho)
+    num = q_surface(grid, rec.rho)
     assert np.max(np.abs(ana.values - num.values)) <= 1e-6
+
+    # the closed form's observables through the diagnostics the records use
+    assert abs(fock.expectation_n(rho) - rec.mean_n) <= 1e-13
+    assert abs(fock.purity(rho) - rec.purity) <= 1e-13
+    assert abs(fock.fidelity(rho, fock.cat_state(alpha0, rho.cutoff)) - rec.cat_fidelity) <= 1e-13
+    try:
+        coherence = analysis.coherence_metric(rho, alpha0, t, gamma)
+    except DegenerateBranches:
+        coherence = math.nan
+    if math.isnan(rec.coherence):
+        assert math.isnan(coherence)
+    else:
+        assert abs(coherence - rec.coherence) <= 1e-10
 
 
 centers = st.one_of(st.just(0j), st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
