@@ -1,22 +1,22 @@
 """Exact analytic Q function of the damped Kerr oscillator.
 
 The damped Kerr master equation admits a closed-form Husimi function
+(Milburn & Holmes, PRL 56, 2237 (1986)), the quadratic form
+Q(alpha, t) = <alpha| rho(t) |alpha> of the Fock matrix
 
-    Q(alpha, t) = e^{-|alpha|^2 - |a0|^2}
-                  sum_{p,q} (alpha a0*)^p / p!  (alpha* a0)^q / q!  Z_pq(t)
+    rho_qp(t) = <q|a_t> <a_t|p> K_qp(t),   a_t = a0 e^{-gamma t/2},
+    K_qp(t) = exp{ -i mu (p+q)(p-q) t + i delta (p-q) t
+                   + gamma |a0|^2 [x_{p-q}(t) - x_0(t)] },
+    x_k(t) = (1 - e^{-lam_k t}) / lam_k,   lam_k = gamma + 2 i mu k,
 
-    Z_pq(t) = exp{ -(p+q)/2 [gamma + 2 i mu (p-q)] t
-                   + gamma |a0|^2 (1 - e^{-lam t}) / lam },
-    lam = gamma + 2 i mu (p-q)
-
-subject to Q(alpha, 0) = exp(-|alpha - a0|^2) (Milburn & Holmes, PRL 56,
-2237 (1986)). The series is the quadratic form <alpha| rho(t) |alpha> of the
-Fock matrix rho_qp(t) = c_q conj(c_p) Z_pq(t), c_n = <n|a0>, which density
-returns as a fock.DensityOperator, the type the numeric backend returns too;
-q_surface turns either one into Q through fock.q_grid. The matrix is
-truncated where the Poisson tail of |a0|^2 bounds the error below TAIL_TOL,
-independently of the grid; the degenerate lam -> 0 denominator is evaluated
-by its Taylor series.
+subject to Q(alpha, 0) = exp(-|alpha - a0|^2). Since Re x_k <= x_0, no
+exponent of K has a positive real part: nothing overflows where the same
+matrix as <q|a0> <a0|p> Z_pq(t) carries e^{|a0|^2 (1 - e^{-gamma t})}.
+density returns it as a fock.DensityOperator, the type the numeric backend
+returns too; q_surface turns either one into Q through fock.q_grid. The
+matrix is truncated where the Poisson tail of |a0|^2 bounds the error below
+TAIL_TOL, independently of the grid; the degenerate lam -> 0 denominator is
+evaluated by its Taylor series.
 """
 
 from __future__ import annotations
@@ -167,40 +167,39 @@ def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_matrix(order: int, t: float, sys: KerrSystem) -> np.ndarray:
-    """Z_pq for all 0 <= p, q <= order, times the detuning phase per band.
+def _kernel(order: int, t: float, sys: KerrSystem) -> np.ndarray:
+    """K_qp(t) for all 0 <= q, p <= order (module docstring): |K| <= 1, K_qq = 1.
 
-    The phase e^{+i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
-    the rotation that H = hbar delta n gives the master equation. Z_pq(0) = 1
-    exactly, where an overflowing (p + q) lam would give inf * 0 = NaN.
+    The phase e^{i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
+    the rotation that H = hbar delta n gives the master equation. K(0) = 1
+    exactly, where an overflowing mu (p - q) would give inf * 0 = NaN.
     """
     if t == 0:
         return np.ones((order + 1, order + 1), dtype=complex)
     d = np.arange(-order, order + 1)
-    lam = sys.gamma + 2j * sys.mu * d
-    g2 = abs(sys.alpha0) ** 2
-    log_v = sys.gamma * g2 * _lam_integral(lam, t) + 1j * sys.detuning * d * t
-    pp, qq = np.indices((order + 1, order + 1))
+    kerr = 2j * sys.mu * d
+    x = _lam_integral(sys.gamma + kerr, t)
+    log_v = abs(sys.alpha0) ** 2 * (sys.gamma * (x - x[order])) + 1j * sys.detuning * d * t
+    qq, pp = np.indices((order + 1, order + 1))
     band = pp - qq + order
-    return np.exp(-0.5 * (pp + qq) * lam[band] * t + log_v[band])
+    return np.exp(-0.5 * (pp + qq) * kerr[band] * t + log_v[band])
 
 
 def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
     """Closed-form rho(t) on the first series_order(sys) levels, validated as a state.
 
-    rho_qp(t) = c_q conj(c_p) Z_pq(t), with c the amplitudes of |alpha0>;
-    Q(alpha, t) = <alpha| rho(t) |alpha> is then the double series above. A
-    matrix that DensityOperator rejects raises InvariantViolation.
+    rho_qp(t) = <q|a_t> <a_t|p> K_qp(t), a_t = alpha0 e^{-gamma t/2}. A matrix
+    that DensityOperator rejects raises InvariantViolation.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
     fock.check_probe_range(abs(sys.alpha0))
     n = series_order(sys)
-    c = fock.coherent_amplitudes(sys.alpha0, n)
-    # rates near the float limit overflow Z's exponent; DensityOperator rejects
-    # a non-finite rho, and a finite one (e^{-inf} = 0) is the exact limit
+    c = fock.coherent_amplitudes(sys.alpha0 * math.exp(-0.5 * sys.gamma * t), n)
+    # rates near the float limit overflow a phase, and DensityOperator rejects
+    # the non-finite rho, or lam t, whose e^{-lam t} = 0 is the exact limit
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.outer(c, c.conj()) * _z_matrix(n - 1, t, sys).T
+        rho = np.outer(c, c.conj()) * _kernel(n - 1, t, sys)
     try:
         return fock.DensityOperator(rho)
     except ValueError as exc:
@@ -208,9 +207,15 @@ def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
 
 
 def q_surface(grid: PhaseGrid, rho: fock.DensityOperator) -> QSurface:
-    """Q = <alpha| rho |alpha> over every node of ``grid`` (fock.q_grid), for either backend."""
+    """Q = <alpha| rho |alpha> over every node of ``grid`` (fock.q_grid), for either backend.
+
+    A Q that QSurface rejects raises InvariantViolation.
+    """
     re, im = grid.axes()
-    return QSurface(grid=grid, values=fock.q_grid(rho.elements, re, im))
+    try:
+        return QSurface(grid=grid, values=fock.q_grid(rho.elements, re, im))
+    except ValueError as exc:
+        raise InvariantViolation(f"Q of a valid state: {exc}") from exc
 
 
 def grid_normalization(surface: QSurface) -> float:

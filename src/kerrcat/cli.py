@@ -14,9 +14,13 @@ codes: 0 success, 2 configuration error (including wrong-typed or
 non-finite numbers, physical inputs whose derived rates overflow or
 underflow, and an output that cannot be written), 3 numerical failure
 (cutoff below the default_cutoff rule, cutoff leak, failed check, broken
-invariant, a propagated state that is not finite or not positive), 4
-convergence failure (a grid point or alpha0 beyond |alpha| = 37.6, where
-e^{-|alpha|^2/2} underflows).
+invariant, a state that is not finite or not positive, a Q outside
+[-1e-9, 1 + 1e-9]), 4 convergence failure (a grid point or alpha0 beyond
+|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
+
+validate compares independent computations: each backend's initial Q with
+the Gaussian, the backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the
+Wigner bound and, undamped, revival and parity; not the types' invariants.
 
 Config schema (schema_version 1)::
 
@@ -94,7 +98,6 @@ class RunConfig:
     grid: PhaseGrid
     cutoff: int
     output_dir: Path
-    seed: int
     digest: str
 
 
@@ -260,7 +263,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     out = out or "."
     if getattr(overrides, "out", None) is not None:  # a path, so not in the digest
         out = overrides.out
-    seed = _integer(raw.get("seed", 0), "seed")
+    _integer(raw.get("seed", 0), "seed")  # read by no command, but in schema v1 and the digest
 
     digest_src = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:16]
@@ -271,7 +274,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         grid=grid,
         cutoff=cutoff,
         output_dir=Path(out),
-        seed=seed,
         digest=digest,
     )
 
@@ -402,7 +404,7 @@ def _max_diff(a, b) -> float:
 
 
 def cmd_validate(config: RunConfig) -> dict:
-    """Dual-path and invariant suite. The report lists every check."""
+    """Checks that compare independent computations (see the module docstring)."""
     sys_ = config.sys
     checks = []
     t_cat = math.pi / (2.0 * sys_.mu) if sys_.mu > 0 else 1.0
@@ -431,17 +433,6 @@ def cmd_validate(config: RunConfig) -> dict:
         for r in records
     )
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
-    checks.append(_check("trace_conservation", float(max(r.trace_error for r in records)), 1e-8))
-    herm = max(_max_diff(r.rho.elements, r.rho.elements.conj().T) for r in records)
-    checks.append(_check("hermiticity", herm, 1e-10))
-    neg = max(-float(np.linalg.eigvalsh(r.rho.elements).min()) for r in records)
-    checks.append(_check("positivity", neg, 1e-9))
-
-    final = records[-1]
-    q_min = min(float(surf0.values.min()), float(surf0n.values.min()))
-    q_max = max(float(surf0.values.max()), float(surf0n.values.max()))
-    checks.append(_check("q_range_low", -q_min, 1e-9))
-    checks.append(_check("q_range_high", q_max - 1.0, 1e-9))
 
     norm_grid = PhaseGrid(center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201)
     norm = grid_normalization(q_surface(norm_grid, density(t_cat, sys_)))
@@ -453,19 +444,8 @@ def cmd_validate(config: RunConfig) -> dict:
     line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
     reach = math.pi / max(a0, 1.0)
     across = (1j * sys_.alpha0 / a0 if a0 else 1j) * np.linspace(-reach, reach, 65)
-    w_vals = fock.wigner(final.rho, np.concatenate([1j * line, line, across]))
+    w_vals = fock.wigner(records[-1].rho, np.concatenate([1j * line, line, across]))
     checks.append(_check("wigner_bound", float(np.max(np.abs(w_vals))) - 2.0 / math.pi, 1e-9))
-
-    rng = np.random.default_rng(config.seed)
-    n_small = 8
-    raw = rng.normal(size=(n_small, n_small)) + 1j * rng.normal(size=(n_small, n_small))
-    on_band = np.eye(n_small, k=2, dtype=bool)  # single anti-diagonal m - n = -2
-    masked = np.where(on_band, raw, 0.0)
-    propagated = lindblad.integrate_matrix(
-        masked, KerrSystem(alpha0=0.0, mu=sys_.mu, gamma=max(sys_.gamma, 0.1)), 0.1
-    )
-    off_band = np.where(on_band, 0.0, propagated)
-    checks.append(_check("band_structure_preserved", float(np.max(np.abs(off_band))), 0.0))
 
     # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu,
     # each turned by the detuning's e^{-i delta t}

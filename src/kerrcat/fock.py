@@ -222,9 +222,10 @@ def check_probe_range(max_abs: float) -> None:
 def _probes(points: np.ndarray, out: np.ndarray) -> np.ndarray:
     """<k|alpha_g> for k < n into the (n, points) array ``out``, by the amplitude recurrence."""
     out[0] = np.exp(-0.5 * (points.real**2 + points.imag**2))
+    scaled = out.view(float)  # a real scale, not NumPy's complex divide
     for k in range(out.shape[0] - 1):
         np.multiply(out[k], points, out=out[k + 1])
-        out[k + 1] /= math.sqrt(k + 1)
+        scaled[k + 1] *= 1.0 / math.sqrt(k + 1)
     return out
 
 

@@ -212,6 +212,25 @@ def rk4_integrate(mat, sys, t, dt):
     return (prop @ np.asarray(mat, dtype=complex).reshape(size)).reshape(n, n)
 
 
+def z_form_density(sys, t, cutoff):
+    """rho_qp(t) = c_q conj(c_p) Z_pq(t) on ``cutoff`` levels, c = <n|alpha0> by factorials.
+
+    The closed form before its damping moved into the amplitudes of
+    alpha0 e^{-gamma t/2}: each Z_pq(t) entry by entry as in q_series, finite
+    only while |alpha0|^2 (1 - e^{-gamma t}) stays below about 709.
+    """
+    c = coherent_amplitudes_factorial(sys.alpha0, cutoff)
+    g2 = abs(complex(sys.alpha0)) ** 2
+    z = np.empty((cutoff, cutoff), dtype=complex)
+    for p in range(cutoff):
+        for q in range(cutoff):
+            lam = sys.gamma + 2j * sys.mu * (p - q)
+            integral = t if lam == 0 else (1.0 - cmath.exp(-lam * t)) / lam
+            phase = 1j * sys.detuning * (p - q) * t
+            z[p, q] = cmath.exp(-0.5 * (p + q) * lam * t + sys.gamma * g2 * integral + phase)
+    return np.outer(c, c.conj()) * z.T
+
+
 def q_series(alpha, t, sys, order):
     """Closed-form Q(alpha, t) as the double series over 0 <= p, q <= order.
 

@@ -7,8 +7,8 @@ import pytest
 from scipy.special import pdtrc
 
 from kerrcat import fock, analytic_q
-from kerrcat.analytic_q import KerrSystem, PhaseGrid, _z_matrix, density, grid_normalization, q_surface
-from kerrcat.errors import SeriesNotConverged
+from kerrcat.analytic_q import KerrSystem, PhaseGrid, _kernel, density, grid_normalization, q_surface
+from kerrcat.errors import InvariantViolation, SeriesNotConverged
 
 import oracles
 
@@ -82,34 +82,73 @@ class TestPhaseGrid:
 
 
 class TestZFactor:
+    """K_qp, the factor left of Z_pq once its damping is in the amplitudes of a_t."""
+
     def test_unity_at_t0(self):
         sys_ = make_sys()
-        assert np.all(_z_matrix(7, 0.0, sys_) == 1.0 + 0.0j)
+        assert np.all(_kernel(7, 0.0, sys_) == 1.0 + 0.0j)
 
     def test_unity_on_diagonal_undamped(self):
         sys_ = make_sys(gamma=0.0)
-        assert np.all(np.diag(_z_matrix(9, 5.0, sys_)) == 1.0 + 0.0j)
+        assert np.all(np.diag(_kernel(9, 5.0, sys_)) == 1.0 + 0.0j)
 
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        sys_ = make_sys(alpha0=2.0, mu=1.0, gamma=0.01)
-        lam = mp.mpf("0.01") + 2j * mp.mpf(1)
-        t = mp.mpf("0.5")
-        want = mp.e ** (-0.5 * 1 * lam * t + mp.mpf("0.01") * 4 * (1 - mp.e ** (-lam * t)) / lam)
-        got = _z_matrix(1, 0.5, sys_)[1, 0]
+        sys_ = make_sys(alpha0=2.0, mu=1.0, gamma=0.01, detuning=0.4)
+        g, mu, delta, t = mp.mpf("0.01"), mp.mpf(1), mp.mpf("0.4"), mp.mpf("0.5")
+
+        def x(k):
+            lam = g + 2j * mu * k
+            return (1 - mp.e ** (-lam * t)) / lam
+
+        q, p = 0, 1  # K_qp = K[q, p]
+        want = mp.e ** (-1j * mu * (p + q) * (p - q) * t + 1j * delta * (p - q) * t
+                        + g * 4 * (x(p - q) - x(0)))
+        got = _kernel(1, 0.5, sys_)[q, p]
         assert abs(got - complex(want)) < 1e-14
 
     def test_degenerate_denominator_continuity(self):
-        # gamma -> 0 on the diagonal band crosses the 0/0 point smoothly
+        # gamma -> 0 crosses the 0/0 point of x_0 smoothly
         tiny = make_sys(alpha0=2.0, mu=1.0, gamma=1e-9)
         zero = make_sys(alpha0=2.0, mu=1.0, gamma=0.0)
-        assert abs(_z_matrix(3, 2.0, tiny)[3, 3] - _z_matrix(3, 2.0, zero)[3, 3]) < 1e-7
+        assert np.max(np.abs(_kernel(3, 2.0, tiny) - _kernel(3, 2.0, zero))) < 1e-7
 
     def test_magnitude_bound(self):
-        sys_ = make_sys(alpha0=2.0, mu=1.0, gamma=0.3)
-        for p, q, t in ((0, 0, 1.0), (4, 1, 2.5), (10, 10, 7.0)):
-            assert abs(_z_matrix(10, t, sys_)[p, q]) <= math.exp(0.3 * 4.0 * t) * (1 + 1e-12)
+        # no exponent has a positive real part, also where Z_pq overflows; the
+        # diagonal is 1, so the populations are Poisson(|a_t|^2)
+        for alpha0, t in ((2.0, 7.0), (27.0, 20.0), (37.6, 20.0)):
+            kernel = _kernel(40, t, make_sys(alpha0=alpha0, mu=1.0, gamma=0.3))
+            assert np.max(np.abs(kernel)) <= 1.0 + 1e-12
+            assert np.all(np.diag(kernel) == 1.0 + 0.0j)
+
+
+class TestDampedAmplitudes:
+    """density in the amplitudes of a_t = alpha0 e^{-gamma t/2}, where Z_pq overflows."""
+
+    @pytest.mark.parametrize("alpha0", [27.0, 30.0, 37.6])
+    def test_large_amplitude_decays(self, alpha0):
+        sys_ = make_sys(alpha0=alpha0, mu=1.0, gamma=0.3)
+        want = alpha0**2 * math.exp(-0.3 * 20.0)
+        assert abs(fock.expectation_n(density(20.0, sys_)) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "alpha0, mu, gamma, delta, t",
+        [(2.0, 1.0, 0.01, 0.0, 1.5), (1.5 - 2.0j, 0.3, 0.5, 0.4, 3.0), (4.0j, 2.0, 1.2, -0.7, 0.8),
+         (5.5, 1.0, 0.05, 0.0, 4.9), (0.7 + 0.2j, 1.0, 2.0, 0.3, 2.5), (3.0, 1.0, 0.0, 0.2, 2.0)],
+    )
+    def test_matches_z_form(self, alpha0, mu, gamma, delta, t):
+        # rho_qp = c_q conj(c_p) Z_pq, c = <n|alpha0>, where Z_pq is finite
+        sys_ = make_sys(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
+        rho = density(t, sys_).elements
+        ref = oracles.z_form_density(sys_, t, rho.shape[0])
+        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_q_outside_range_is_invariant_violation(self):
+        # a valid state (trace 1, smallest eigenvalue -5e-10) whose Q at 0 is 1 + 5e-9
+        rho = fock.DensityOperator(np.diag([1.0 + 5e-9] + [-5e-10] * 10))
+        with pytest.raises(InvariantViolation):
+            q_surface(PhaseGrid(center=0j, half_extent=1.0, resolution=3), rho)
 
 
 class TestQValue:
