@@ -14,9 +14,10 @@ exponent of K has a positive real part: nothing overflows where the same
 matrix as <q|a0> <a0|p> Z_pq(t) carries e^{|a0|^2 (1 - e^{-gamma t})}.
 density returns it as a fock.DensityOperator, the type the numeric backend
 returns too; q_surface turns either one into Q through fock.q_grid. The
-matrix is truncated where the Poisson tail of |a0|^2 bounds the error below
-TAIL_TOL, independently of the grid; the degenerate lam -> 0 denominator is
-evaluated by its Taylor series.
+matrix is truncated by fock.series_order, the rule both backends share,
+where the Poisson tail of |a0|^2 bounds the error below fock.TAIL_TOL,
+independently of the grid; the degenerate lam -> 0 denominator is evaluated
+by its Taylor series.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import numpy as np
 
 from . import fock
 from .errors import InvariantViolation
-
-#: largest truncation error allowed in any Q value
-TAIL_TOL = 1e-10
+from .fock import series_order
 
 _Q_FLOOR = -1e-9
 _Q_CEIL = 1.0 + 1e-9
@@ -130,26 +129,6 @@ class QSurface:
         object.__setattr__(self, "values", vals)
 
 
-def series_order(sys: KerrSystem) -> int:
-    """Fock truncation N: smallest N with 2 sqrt(P[Poisson(|a0|^2) >= N]) <= TAIL_TOL.
-
-    For a positive rho, Cauchy-Schwarz bounds the change in any
-    <beta|rho|alpha> from dropping the levels n >= N by 2 sqrt(Tr rho_{n>=N}).
-    That trace is the Poisson tail of |a0>, and damping only lowers it. It is
-    summed downward from 40 standard deviations past the mean, where the pmf
-    underflows, so only positive terms are added.
-    """
-    mean = abs(sys.alpha0) ** 2
-    if mean == 0:
-        return 1
-    log_mean, tail = math.log(mean), 0.0
-    for k in range(math.ceil(mean + 40.0 * math.sqrt(mean) + 60.0), 0, -1):
-        tail += math.exp(k * log_mean - mean - math.lgamma(k + 1.0))
-        if 2.0 * math.sqrt(tail) > TAIL_TOL:
-            return k + 1
-    return 1
-
-
 def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """(1 - e^{-lam t}) / lam, with the lam -> 0 limit by Taylor series.
 
@@ -186,15 +165,14 @@ def _kernel(order: int, t: float, sys: KerrSystem) -> np.ndarray:
 
 
 def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
-    """Closed-form rho(t) on the first series_order(sys) levels, validated as a state.
+    """Closed-form rho(t) on the first series_order(sys.alpha0) levels, validated as a state.
 
     rho_qp(t) = <q|a_t> <a_t|p> K_qp(t), a_t = alpha0 e^{-gamma t/2}. A matrix
     that DensityOperator rejects raises InvariantViolation.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
-    fock.check_probe_range(abs(sys.alpha0))
-    n = series_order(sys)
+    n = series_order(sys.alpha0)
     c = fock.coherent_amplitudes(sys.alpha0 * math.exp(-0.5 * sys.gamma * t), n)
     # rates near the float limit overflow a phase, and DensityOperator rejects
     # the non-finite rho, or lam t, whose e^{-lam t} = 0 is the exact limit

@@ -11,10 +11,11 @@ qsurface.csv is formatted a block of grid rows at a time, so its whole text
 is never in memory. Each file is written under a temporary name beside it
 and renamed into place when complete, so a failed run leaves no file. Exit
 codes: 0 success, 2 configuration error (including wrong-typed or
-non-finite numbers, physical inputs whose derived rates overflow or
-underflow, and an output that cannot be written), 3 numerical failure
-(cutoff below the default_cutoff rule, cutoff leak, failed check, broken
-invariant, a state that is not finite or not positive, a Q outside
+non-finite numbers, an integer past sys.maxsize, a cutoff or grid too large
+to allocate, physical inputs whose derived rates overflow or underflow, and
+an output that cannot be written), 3 numerical failure (cutoff below the
+fock.series_order rule, cutoff leak, failed check, broken invariant, a
+state that is not finite or not positive, a Q outside
 [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid point or alpha0 beyond
 |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
@@ -117,9 +118,9 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """An integral JSON number (3 or 3.0); 3.9, booleans and text are a ConfigError."""
-    if not _is_number(value) or value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """An integral JSON number (3, 3.0) up to sys.maxsize; 3.9, 1e300, bools, text: ConfigError."""
+    if not _is_number(value) or value != int(value) or value > _sys.maxsize:
+        raise ConfigError(f"{name} must be an integer up to {_sys.maxsize}, got {value!r}")
     return int(value)
 
 
@@ -248,12 +249,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     cutoff = raw.get("cutoff")
     if getattr(overrides, "cutoff", None) is not None:
         cutoff = raw["cutoff"] = overrides.cutoff
-    if cutoff is not None:
-        cutoff = _integer(cutoff, "cutoff")
-    else:
-        # ten levels of headroom over the state-validity rule so far grid
-        # probes reach machine precision, not just the 1e-12 state tolerance
-        cutoff = fock.default_cutoff(sys_.alpha0) + 10
+    cutoff = fock.series_order(sys_.alpha0) if cutoff is None else _integer(cutoff, "cutoff")
     if cutoff < 1:
         raise ConfigError(f"cutoff must be positive, got {cutoff}")
 
@@ -504,7 +500,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
     Returns |alpha0|, gamma, t_cat, the cat fidelity, W at the origin and the
     coherence at t_cat, the fitted and formula decoherence times, and the fit status.
     """
-    cutoff = fock.default_cutoff(a0)
+    cutoff = fock.series_order(a0)
     t_cat = math.pi / 2.0
     try:
         sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
@@ -621,7 +617,7 @@ def main(argv=None) -> int:
         if args.gnuplot and args.command in _GNUPLOT_TEMPLATES:
             script = _GNUPLOT_TEMPLATES[args.command].format(csv=f"{args.command}.csv")
             _write_text(config.output_dir / f"{args.command}.gp", script)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a cutoff or grid too large
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SeriesNotConverged as exc:

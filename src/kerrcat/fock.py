@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
 
-#: truncated coherent-state weight allowed to fall beyond the cutoff
-TRUNCATION_TOL = 1e-12
+#: largest truncation error allowed in any Q value (see series_order)
+TAIL_TOL = 1e-10
 
 #: largest |alpha| for which e^{-|alpha|^2/2} is a normal double (about 37.6)
 PROBE_ABS_MAX = math.sqrt(-2.0 * math.log(np.finfo(float).tiny))
@@ -41,14 +41,28 @@ _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-9
 
 
-def default_cutoff(alpha: complex) -> int:
-    """Cutoff rule N = ceil(|alpha|^2 + 8|alpha| + 10).
+def series_order(alpha) -> int:
+    """Levels N for |alpha>: the least N >= 2 with 2 sqrt(P[Poisson(|alpha|^2) >= N]) <= TAIL_TOL.
 
-    Keeps the truncated coherent-state weight below 1e-12 for |alpha| <= 6
-    (Poisson tail bound).
+    For a positive rho, Cauchy-Schwarz bounds the change in any
+    <beta|rho|alpha> from dropping the levels n >= N by 2 sqrt(Tr rho_{n>=N}).
+    That trace is the Poisson tail of |alpha>, at most 2.5e-21, and damping
+    only lowers it. It is summed downward from 40 standard deviations past the
+    mean, where the pmf underflows, so only positive terms are added. Two
+    levels at least leave the top one empty when alpha is 0. An |alpha|
+    beyond check_probe_range raises SeriesNotConverged.
     """
     a = abs(complex(alpha))
-    return math.ceil(a * a + 8.0 * a + 10.0)
+    check_probe_range(a)
+    mean = a**2
+    if mean == 0:
+        return 2
+    log_mean, tail = math.log(mean), 0.0
+    for k in range(math.ceil(mean + 40.0 * math.sqrt(mean) + 60.0), 1, -1):
+        tail += math.exp(k * log_mean - mean - math.lgamma(k + 1.0))
+        if 2.0 * math.sqrt(tail) > TAIL_TOL:
+            return k + 1
+    return 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,24 +179,21 @@ def mirror_amplitudes(amp: np.ndarray) -> np.ndarray:
 def _truncated_amplitudes(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
     """<n|alpha> for n < cutoff and the weight they keep.
 
-    Raises CutoffTooSmall when the weight lost to truncation exceeds TRUNCATION_TOL.
+    Raises CutoffTooSmall when the cutoff is below series_order(alpha).
     """
-    if cutoff < 1:
-        raise CutoffTooSmall("cutoff must be at least 1")
-    amp = coherent_amplitudes(alpha, cutoff)
-    kept = float(np.sum(np.abs(amp) ** 2))
-    if kept < 1.0 - TRUNCATION_TOL:
+    needed = series_order(alpha)
+    if cutoff < needed:
         raise CutoffTooSmall(
-            f"cutoff {cutoff} keeps only {kept!r} of |alpha| = {abs(alpha)}; "
-            f"need at least {default_cutoff(alpha)}"
+            f"cutoff {cutoff} below the rule value {needed} for |alpha| = {abs(alpha)}"
         )
-    return amp, kept
+    amp = coherent_amplitudes(alpha, cutoff)
+    return amp, float(np.sum(np.abs(amp) ** 2))
 
 
 def coherent_state(alpha, cutoff: int) -> FockVector:
     """Coherent state |alpha> truncated to ``cutoff`` levels and renormalized.
 
-    Raises CutoffTooSmall when the weight lost to truncation exceeds 1e-12.
+    Raises CutoffTooSmall when the cutoff is below series_order(alpha).
     """
     amp, kept = _truncated_amplitudes(complex(alpha), cutoff)
     return FockVector(amp / math.sqrt(kept))

@@ -112,7 +112,7 @@ def test_criterion_5_revival_and_parity(report):
 
 def test_criterion_6_energy_decay(report):
     gamma = 0.1
-    cutoff = 30
+    cutoff = fock.series_order(2.0)
     times = tuple(float(t) for t in np.linspace(0.0, 3.0 / gamma, 16))
     worst = 0.0
     for mu in (0.0, 1.0):
@@ -129,7 +129,7 @@ def test_criterion_7_decoherence_scaling(report):
     alphas = (1.0, 1.5, 2.0, 3.0)
     taus = []
     for a0 in alphas:
-        cutoff = fock.default_cutoff(a0)
+        cutoff = fock.series_order(a0)
         t_final = 2.0 * analysis.WINDOW_DEPTH / (a0**2 * gamma)
         sample_times = np.linspace(0.0, t_final, 161)
         records = lindblad.evolve(

@@ -11,7 +11,7 @@ import oracles
 
 
 def damped_cat_records(alpha0, gamma, t_final=None, samples=161):
-    n = fock.default_cutoff(alpha0)
+    n = fock.series_order(alpha0)
     if t_final is None:
         t_final = 2.0 * analysis.WINDOW_DEPTH / (alpha0**2 * gamma)
     times = np.linspace(0.0, t_final, samples)
@@ -38,7 +38,7 @@ class TestCatFidelity:
 
     def test_kerr_evolution_reaches_cat(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        n = 30
+        n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
         rec = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
@@ -173,7 +173,7 @@ class TestFit:
 
         c_analytic = [analysis.coherence_metric(density(t, sys_), a0, t, gamma) for t in times]
 
-        n = fock.default_cutoff(a0)
+        n = fock.series_order(a0)
         rho0 = fock.density_from_pure(fock.coherent_state(a0, n))
         records = lindblad.evolve(sys_, rho0, times)
 
@@ -234,7 +234,7 @@ class TestWignerSlice:
     def test_macroscopic_cat_stays_bounded(self, a0):
         # validate's lines at |alpha0| = 16 and 20, where x = |2 alpha|^2 reaches
         # 1444 and 2116 and e^{-x/2} underflows; any overflow warning is an error
-        rho = fock.density_from_pure(fock.cat_state(a0, fock.default_cutoff(a0)))
+        rho = fock.density_from_pure(fock.cat_state(a0, fock.series_order(a0)))
         line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
         across = 1j * np.linspace(-math.pi / a0, math.pi / a0, 65)
         ws = fock.wigner(rho, np.concatenate([1j * line, line, across]))

@@ -175,10 +175,10 @@ class TestQValue:
         # raising the order beyond the rule moves Q less than the tail bound
         sys_ = make_sys()
         alpha = 2.5 + 1.0j
-        order = analytic_q.series_order(sys_) - 1
+        order = fock.series_order(sys_.alpha0) - 1
         vals = {extra: oracles.q_series(alpha, 0.7, sys_, order + extra) for extra in (0, 10, 25)}
         bound = 2.0 * math.sqrt(pdtrc(order, abs(sys_.alpha0) ** 2))
-        assert bound <= analytic_q.TAIL_TOL
+        assert bound <= fock.TAIL_TOL
         assert abs(vals[10] - vals[0]) <= bound
         assert abs(vals[25] - vals[0]) <= bound
 
@@ -195,21 +195,24 @@ class TestQValue:
 
     @pytest.mark.parametrize("alpha0", [0.5, 2.0, 1.0 - 3.0j, 6.0])
     def test_series_order_is_smallest_poisson_cut(self, alpha0):
-        sys_ = make_sys(alpha0=alpha0)
-        n = analytic_q.series_order(sys_)
+        n = fock.series_order(alpha0)
         mean = abs(alpha0) ** 2
-        assert 2.0 * math.sqrt(pdtrc(n - 1, mean)) <= analytic_q.TAIL_TOL
-        assert 2.0 * math.sqrt(pdtrc(n - 2, mean)) > analytic_q.TAIL_TOL
+        assert 2.0 * math.sqrt(pdtrc(n - 1, mean)) <= fock.TAIL_TOL
+        assert 2.0 * math.sqrt(pdtrc(n - 2, mean)) > fock.TAIL_TOL
+        # the state the rule admits is normalized after truncation to double precision
+        v = fock.coherent_state(alpha0, n)
+        assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_series_order_matches_pdtrc_cut(self):
         # the pure-math tail sum against SciPy's Poisson tail, every 0.01 up to |alpha0| = 37.6
         amplitudes = np.arange(1, 3761) * 0.01
-        n = np.array([analytic_q.series_order(make_sys(alpha0=a)) for a in amplitudes])
+        n = np.array([fock.series_order(a) for a in amplitudes])
         mean = amplitudes**2
-        assert np.all(2.0 * np.sqrt(pdtrc(n - 1, mean)) <= analytic_q.TAIL_TOL)
+        assert np.all(2.0 * np.sqrt(pdtrc(n - 1, mean)) <= fock.TAIL_TOL)
         # n - 1 breaks the bound, so n is the first level the old pdtrc loop accepts
-        assert np.all((n == 1) | (2.0 * np.sqrt(pdtrc(n - 2, mean)) > analytic_q.TAIL_TOL))
-        assert analytic_q.series_order(make_sys(alpha0=0.0)) == 1
+        assert np.all((n == 2) | (2.0 * np.sqrt(pdtrc(n - 2, mean)) > fock.TAIL_TOL))
+        # two levels at least, so the top one of |0> is empty
+        assert fock.series_order(0.0) == fock.series_order(1e-11) == 2
 
     def test_probe_underflow_not_converged(self):
         # past |alpha| = 37.6 the weight e^{-|alpha|^2/2} is subnormal and Q

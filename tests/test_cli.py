@@ -244,11 +244,12 @@ class TestValidate:
         "argv",
         [["evolve", "--t-final", "1"],
          ["qsurface", "--time", "1", "--backend", "numeric"],
-         ["validate"]],
-        ids=["evolve", "qsurface_numeric", "validate"],
+         ["validate"],
+         ["qsurface", "--time", "0", "--backend", "numeric"]],
+        ids=["evolve", "qsurface_numeric", "validate", "qsurface_numeric_t0"],
     )
     def test_cutoff_below_rule_exits_3(self, tmp_path, capsys, argv):
-        # 27 levels hold |2> to 1e-12, but the rule asks for 30
+        # 27 levels hold |2> to 1e-12, but the rule asks for 35, at every t
         cfg = write_config(tmp_path, dimensionless_doc(res=11))
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path), "--cutoff", "27"])
         assert code == cli.EXIT_NUMERICAL
@@ -273,6 +274,33 @@ class TestValidate:
         )
         assert code == cli.EXIT_CONVERGENCE
         assert "convergence" in capsys.readouterr().err
+
+
+class TestTruncationRule:
+    """One rule, fock.series_order, sizes both backends' Fock space."""
+
+    @pytest.mark.parametrize("a0", [0.0, 0.3, 2.0, 6.0, 12.0])
+    def test_default_cutoff_is_the_closed_forms(self, tmp_path, a0):
+        config = cli.load_config(write_config(tmp_path, dimensionless_doc(alpha0=(a0, 0.0))))
+        ana = analytic_q.density(0.0, config.sys)
+        assert config.cutoff == ana.cutoff == fock.series_order(a0)
+        # so the backends' initial states are the same matrix, the numeric one
+        # divided by the weight its amplitudes keep: 1 to rounding, 1.8e-15 off at 12
+        num = fock.density_from_pure(fock.coherent_state(a0, config.cutoff)).elements
+        assert np.max(np.abs(num - ana.elements)) <= 1e-14 * np.max(np.abs(ana.elements))
+
+    @pytest.mark.parametrize("a0", [0.0, 1e-11])
+    @pytest.mark.parametrize(
+        "argv",
+        [["qsurface", "--time", "1", "--backend", "numeric"],
+         ["evolve", "--t-final", "1", "--samples", "3"],
+         ["validate"]],
+        ids=["qsurface_numeric", "evolve", "validate"],
+    )
+    def test_vacuum_kick_runs(self, tmp_path, a0, argv):
+        # a one-level |0> would hold all its weight in the top level, a cutoff leak
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(a0, 0.0), res=11))
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 class TestBadInput:
@@ -319,6 +347,10 @@ class TestBadInput:
             ({"grid": []}, ["params"]),
             ({"grid": 0}, ["params"]),
             ({"grid": ""}, ["params"]),
+            # sizes past sys.maxsize, or too large to allocate, fail before any work
+            ({"cutoff": 10**13}, ["evolve", "--t-final", "1"]),
+            ({"grid.resolution": 10**7 + 1}, ["qsurface", "--time", "0"]),
+            ({"cutoff": 1e300}, ["evolve", "--t-final", "1"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
@@ -329,7 +361,8 @@ class TestBadInput:
              "numeric_text_gamma", "padded_text_gamma", "exponent_text_gamma", "bool_gamma",
              "numeric_text_b_field", "bool_alpha0", "overflowing_int_gamma",
              "overflowing_int_alpha0", "int_output_dir", "list_output_dir", "object_output_dir",
-             "bool_output_dir", "empty_list_grid", "zero_grid", "empty_text_grid"],
+             "bool_output_dir", "empty_list_grid", "zero_grid", "empty_text_grid",
+             "unallocatable_cutoff", "unallocatable_resolution", "huge_cutoff"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -688,7 +721,7 @@ class TestCsvExport:
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
         rows = []
         for a0 in (1.0, 1.5):
-            rho0 = fock.density_from_pure(fock.coherent_state(a0, fock.default_cutoff(a0)))
+            rho0 = fock.density_from_pure(fock.coherent_state(a0, fock.series_order(a0)))
             sys_ = analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=0.0)
             rec = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
             values = (a0, 0.0, math.pi / 2, rec.cat_fidelity, fock.wigner(rec.rho, 0.0),
@@ -813,7 +846,7 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
     doc = dimensionless_doc(alpha0=(alpha0.real, alpha0.imag), gamma=gamma, extent=extent, res=res)
     cfg = write_config(tmp_path, doc)
     sys_ = analytic_q.KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
-    cutoff = fock.default_cutoff(alpha0) + 10
+    cutoff = fock.series_order(alpha0)
     grid = analytic_q.PhaseGrid(center=0j, half_extent=extent, resolution=res)
     rho0 = fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
 

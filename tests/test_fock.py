@@ -72,12 +72,6 @@ class TestCoherentState:
         with pytest.raises(CutoffTooSmall):
             fock.coherent_state(2.0, 10)
 
-    def test_default_cutoff_rule(self):
-        assert fock.default_cutoff(2.0) == math.ceil(4 + 16 + 10)
-        # rule keeps truncation below tolerance for the worst advertised case
-        v = fock.coherent_state(6.0, fock.default_cutoff(6.0))
-        assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-12
-
 
 class TestCatState:
     def test_degenerate_alpha0_is_vacuum(self):
@@ -115,7 +109,7 @@ class TestCatState:
 
     def test_unit_norm_for_any_alpha0(self):
         for a0 in (0.3, 1.0, 2.5 + 1.0j):
-            cat = fock.cat_state(a0, fock.default_cutoff(a0))
+            cat = fock.cat_state(a0, fock.series_order(a0))
             assert abs(np.sum(np.abs(cat.amplitudes) ** 2) - 1.0) < 1e-12
 
 
@@ -311,7 +305,7 @@ class TestWigner:
     def test_dense_oracle_far_from_origin(self, x):
         # points of validate's real-axis slice for the |alpha0| = 10 coherent
         # state, where a fixed 60-level padding left the oracle off by up to 0.64
-        rho = fock.density_from_pure(fock.coherent_state(10.0, 190))
+        rho = fock.density_from_pure(fock.coherent_state(10.0, fock.series_order(10.0)))
         exact = 2.0 / math.pi * math.exp(-2.0 * (x - 10.0) ** 2)
         assert abs(oracles.wigner_dense(rho.elements, x) - exact) < 1e-12
 
@@ -421,7 +415,7 @@ class TestWignerKernel:
     def test_large_coherent_state_closed_form(self, a0, margin):
         # a cutoff with margin holds the state to double precision, so the only
         # error left is the kernel's, and W = (2/pi) e^{-2|alpha - a0|^2} exactly
-        rho = fock.density_from_pure(fock.coherent_state(a0, fock.default_cutoff(a0) + margin))
+        rho = fock.density_from_pure(fock.coherent_state(a0, fock.series_order(a0) + margin))
         xs = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
         pts = np.concatenate([xs, 1j * xs, a0 + np.linspace(-1.5, 1.5, 21) * (1 + 0.5j)])
         want = 2.0 / np.pi * np.exp(-2.0 * np.abs(pts - a0) ** 2)

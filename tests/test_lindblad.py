@@ -70,7 +70,7 @@ class TestEvolve:
 
     def test_pure_damping_poisson_populations(self):
         sys_ = damping_sys(alpha0=2.0, gamma=0.1)
-        n = 30
+        n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         for rec in lindblad.evolve(sys_, rho0, (1.5, 4.0)):
             mean = 4.0 * math.exp(-0.1 * rec.time)
@@ -79,7 +79,7 @@ class TestEvolve:
 
     def test_damped_cat_matches_closed_form(self):
         gamma = 0.05
-        n = 30
+        n = fock.series_order(2.0)
         sys_ = damping_sys(alpha0=2.0, gamma=gamma)
         rho0 = fock.density_from_pure(fock.cat_state(2.0, n))
         for rec in lindblad.evolve(sys_, rho0, (1.0, 3.0)):
@@ -88,7 +88,7 @@ class TestEvolve:
 
     def test_kerr_cat_formation(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        n = 30
+        n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
         rec = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
@@ -97,7 +97,7 @@ class TestEvolve:
 
     def test_kerr_phases_against_oracle(self):
         sys_ = KerrSystem(alpha0=1.5, mu=1.0, gamma=0.0)
-        n = 25
+        n = fock.series_order(1.5)
         rho0 = fock.density_from_pure(fock.coherent_state(1.5, n))
         t = 0.9
         rec = lindblad.evolve(sys_, rho0, (t,))[-1]
@@ -106,7 +106,7 @@ class TestEvolve:
         assert np.max(np.abs(rec.rho.elements - exact)) < 1e-10
 
     def test_mean_decay_independent_of_mu(self):
-        n = 30
+        n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         times = (0.5, 1.5)
         means = {}
@@ -125,7 +125,7 @@ class TestEvolve:
             (2.0, 0.02, 0.0), (6.0 * np.exp(1j), 0.1, 0.3), (12.0, 1.0, -0.3), (12.0j, 1e-3, 0.3)
         ):
             sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
-            n = fock.default_cutoff(alpha0)
+            n = fock.series_order(alpha0)
             for psi in (fock.coherent_state(alpha0, n), fock.cat_state(alpha0, n)):
                 rho0 = fock.density_from_pure(psi)
                 for rec in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
@@ -215,8 +215,8 @@ class TestBatchedTimes:
         assert lindblad.integrate_matrix(mat, sys_, np.array([])).shape == (0, 6, 6)
 
     def test_evolve_equals_single_time_runs(self):
-        # 23 times at N = 30 span three blocks of EVOLVE_BLOCK elements
-        n = 30
+        # 23 times at N = 35 span four blocks of EVOLVE_BLOCK elements
+        n = fock.series_order(2.0)
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.05)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         times = tuple(float(t) for t in np.linspace(0.0, 2.0, 23))
@@ -283,22 +283,22 @@ class TestBatchedTimes:
 class TestSpecValidation:
     def test_unsorted_sample_times(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, fock.series_order(1.0)))
         with pytest.raises(ValueError):
             lindblad.evolve(sys_, rho0, (0.5, 0.2))
 
     def test_sample_time_out_of_range(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, fock.series_order(1.0)))
         for t in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 lindblad.evolve(sys_, rho0, (0.0, t))
 
     def test_cutoff_below_rule(self):
-        # the rule asks for 30 levels at |alpha0| = 2; 20 still hold |alpha0>
-        # to 1e-12 when |alpha0| = 1, so only the rule rejects the run
+        # 30 levels hold |1> (the rule asks for 22), but |alpha0| = 2 needs 35:
+        # the cat target evolve builds at rho0's cutoff rejects the run
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 20))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 30))
         with pytest.raises(CutoffTooSmall):
             lindblad.evolve(sys_, rho0, (1.0,))
 
@@ -346,7 +346,7 @@ class TestQFromRho:
     def test_dual_path_agreement_detuned(self, delta, gamma):
         alpha0 = 1.5 + 0.5j
         sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
-        n = fock.default_cutoff(alpha0) + 10
+        n = fock.series_order(alpha0)
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0, n))
         times = (0.7, 1.9, 3.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)

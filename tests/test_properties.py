@@ -55,7 +55,7 @@ def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
 @given(alpha0=alpha0s, mu=mus, gamma=gammas, delta=deltas, t=times)
 def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
-    n = fock.default_cutoff(alpha0) + 10
+    n = fock.series_order(alpha0)
     rec = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
     rho = density(t, sys_)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
