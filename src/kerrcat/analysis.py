@@ -10,7 +10,9 @@ cat, as exp[-2 |alpha0|^2 (1 - e^{-gamma t})]. Its initial 1/e time is
 therefore 1/(2 gamma |alpha0|^2): the decoherence-time scaling with a
 factor-2 offset from the bare (gamma |alpha0|^2)^{-1} estimate. The decay
 law is exponential only while gamma t << 1, so the fitted time comes from a
-least-squares slope over a shallow initial window of ln C.
+least-squares slope over a shallow initial window of ln C. C reads a
+fock.DensityOperator from either backend, and each command computes it for
+the states it writes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import DegenerateBranches, InsufficientDecay
+from .errors import InsufficientDecay
 
 #: fit window ends once ln C has dropped by this much (or C < 1e-4);
 #: shallow enough that the exponential approximation holds for the
@@ -46,7 +48,10 @@ class FitResult:
 
 
 def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) -> float:
-    """Normalized coherence between the two damped branch amplitudes."""
+    """Normalized coherence between the two damped branch amplitudes.
+
+    NaN when a branch population is at or below _DENOMINATOR_FLOOR.
+    """
     a_t = complex(alpha0) * math.exp(-0.5 * gamma * t)
     plus = fock.coherent_amplitudes(a_t, rho.cutoff)
     minus = fock.mirror_amplitudes(plus)
@@ -55,24 +60,23 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     d_plus = float(np.vdot(plus, mat @ plus).real)
     d_minus = float(np.vdot(minus, mat @ minus).real)
     if d_plus <= _DENOMINATOR_FLOOR or d_minus <= _DENOMINATOR_FLOOR:
-        raise DegenerateBranches(
-            f"branch populations {d_plus!r}, {d_minus!r} too small at t = {t}"
-        )
+        return math.nan
     return float(num / math.sqrt(d_plus * d_minus))
 
 
-def decoherence_fit(times, coherences, window_depth: float = WINDOW_DEPTH) -> FitResult:
+def decoherence_fit(times, coherences) -> FitResult:
     """Least-squares slope of ln C over the initial decay window.
 
     ``coherences`` holds C at each of the ascending ``times``. The window
     runs from the first sample until C drops below
-    max(exp(-window_depth), 1e-4). Raises InsufficientDecay (carrying a
-    lower bound on the decay time) when the samples never reach the window
-    threshold, i.e. when no decay rate can be certified.
+    max(exp(-WINDOW_DEPTH), WINDOW_FLOOR), read at call time. Raises
+    InsufficientDecay (carrying a lower bound on the decay time) when the
+    samples never reach the window threshold, i.e. when no decay rate can be
+    certified.
     """
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
-    threshold = max(math.exp(-window_depth), WINDOW_FLOOR)
+    threshold = max(math.exp(-WINDOW_DEPTH), WINDOW_FLOOR)
     below = np.nonzero(cs < threshold)[0]
     if below.size == 0:
         bound = float(times[-1]) if times.size else 0.0

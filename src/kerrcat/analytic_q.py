@@ -141,7 +141,11 @@ def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     small = np.abs(x) < 1e-6
     # three Taylor terms reach full double precision for |x| < 1e-6
     out[small] = t[small] * (1.0 - x[small] / 2.0 + x[small] ** 2 / 6.0)
-    ns = ~small
+    # NumPy's complex divide forms 1 / lam, which overflows for a subnormal
+    # lam (a subnormal gamma at resonance); t (1 - e^{-x}) / x is the same value
+    sub = ~small & (np.abs(lam) < np.finfo(float).tiny)
+    out[sub] = t[sub] * ((1.0 - np.exp(-x[sub])) / x[sub])
+    ns = ~small & ~sub
     out[ns] = (1.0 - np.exp(-x[ns])) / lam[ns]
     return out
 

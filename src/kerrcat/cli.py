@@ -19,9 +19,11 @@ state that is not finite or not positive, a Q outside
 [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid point or alpha0 beyond
 |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
-validate compares independent computations: each backend's initial Q with
-the Gaussian, the backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the
-Wigner bound and, undamped, revival and parity; not the types' invariants.
+Each command computes the observables it writes from the validated states
+that lindblad.evolve and analytic_q.density return. validate compares
+independent computations: each backend's initial Q with the Gaussian, the
+backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and,
+undamped, revival and parity; not the types' invariants.
 
 Config schema (schema_version 1)::
 
@@ -354,9 +356,8 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     if backend == "analytic":
         rho = density(t, config.sys)
     elif backend == "numeric":
-        rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
-        if t > 0:
-            rho = lindblad.evolve(config.sys, rho, (t,))[-1].rho
+        rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
+        rho = lindblad.evolve(config.sys, rho0, (t,))[-1]
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     values = q_surface(config.grid, rho).values
@@ -377,11 +378,16 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
-    rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
-    records = lindblad.evolve(config.sys, rho0, times)
-    table = np.array(
-        [(r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence) for r in records]
-    )
+    sys_ = config.sys
+    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, config.cutoff))
+    cat = fock.cat_state(sys_.alpha0, config.cutoff)
+    states = lindblad.evolve(sys_, rho0, times)
+    table = np.array([
+        (t, fock.expectation_n(rho), fock.purity(rho),
+         abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cat),
+         analysis.coherence_metric(rho, sys_.alpha0, t, sys_.gamma))
+        for t, rho in zip(times, states)
+    ])
     _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence",
                [csvtext.lines(*csvtext.cells(table.T))])
 
@@ -418,15 +424,15 @@ def cmd_validate(config: RunConfig) -> dict:
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
     sample_times = (0.5 * t_cat, t_cat)
-    records = lindblad.evolve(sys_, rho0, sample_times)
-    for label, rec in zip(("t_cat_half", "t_cat"), records):
-        ana = q_surface(config.grid, density(rec.time, sys_))
-        num = q_surface(config.grid, rec.rho)
+    states = lindblad.evolve(sys_, rho0, sample_times)
+    for label, t, rho in zip(("t_cat_half", "t_cat"), sample_times, states):
+        ana = q_surface(config.grid, density(t, sys_))
+        num = q_surface(config.grid, rho)
         checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
 
     decay_err = max(
-        abs(r.mean_n - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * r.time))
-        for r in records
+        abs(fock.expectation_n(rho) - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * t))
+        for t, rho in zip(sample_times, states)
     )
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
 
@@ -440,7 +446,7 @@ def cmd_validate(config: RunConfig) -> dict:
     line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
     reach = math.pi / max(a0, 1.0)
     across = (1j * sys_.alpha0 / a0 if a0 else 1j) * np.linspace(-reach, reach, 65)
-    w_vals = fock.wigner(records[-1].rho, np.concatenate([1j * line, line, across]))
+    w_vals = fock.wigner(states[-1], np.concatenate([1j * line, line, across]))
     checks.append(_check("wigner_bound", float(np.max(np.abs(w_vals))) - 2.0 / math.pi, 1e-9))
 
     # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu,
@@ -507,19 +513,17 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rho0 = fock.density_from_pure(fock.coherent_state(a0, cutoff))
-    rec = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
+    cat = fock.cat_state(a0, cutoff)
+    rho = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf
     if gamma > 0:
         sys_damp = KerrSystem(alpha0=a0, mu=0.0, gamma=gamma)  # damping only
         times = np.linspace(0.0, _damping_window(a0, gamma), 161)
-        damp_records = lindblad.evolve(
-            sys_damp, fock.density_from_pure(fock.cat_state(a0, cutoff)), times
-        )
+        damped = lindblad.evolve(sys_damp, fock.density_from_pure(cat), times)
+        coherences = [analysis.coherence_metric(r, a0, t, gamma) for t, r in zip(times, damped)]
         try:
-            t_dec_fitted = analysis.decoherence_fit(
-                times, [r.coherence for r in damp_records]
-            ).time
+            t_dec_fitted = analysis.decoherence_fit(times, coherences).time
             status = "ok"
         except InsufficientDecay as exc:
             t_dec_fitted = exc.lower_bound if exc.lower_bound is not None else math.inf
@@ -528,8 +532,8 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
         t_dec_fitted = math.inf
         status = "no_damping"
 
-    return (abs(a0), gamma, t_cat, rec.cat_fidelity, fock.wigner(rec.rho, 0.0), rec.coherence,
-            t_dec_fitted, t_dec_formula, status)
+    return (abs(a0), gamma, t_cat, fock.fidelity(rho, cat), fock.wigner(rho, 0.0),
+            analysis.coherence_metric(rho, a0, t_cat, gamma), t_dec_fitted, t_dec_formula, status)
 
 
 _GNUPLOT_TEMPLATES = {

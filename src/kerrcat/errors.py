@@ -25,10 +25,6 @@ class CutoffLeak(KerrcatError):
     """rho(0) holds over lindblad.LEAK_TOL in the top Fock level, which evolution only drains."""
 
 
-class DegenerateBranches(KerrcatError):
-    """Cat-branch probes overlap too much for the coherence metric."""
-
-
 class InsufficientDecay(KerrcatError):
     """Coherence never dropped below 1/e; only a lower bound is known.
 

@@ -20,20 +20,20 @@ fires only when rho(0) itself holds more than LEAK_TOL there.
 Every sample time is propagated from rho(0) on its own, so integrate_matrix
 takes a scalar time or a 1-d array of times, carried on a leading axis
 through the same sum, and evolve passes its sample times in blocks of
-EVOLVE_BLOCK matrix elements before validating each state. At gamma = 0
-every term of the sum vanishes and none is built.
+EVOLVE_BLOCK matrix elements and returns each state as a validated
+fock.DensityOperator, as analytic_q.density does; the observables are the
+callers'. At gamma = 0 every term of the sum vanishes and none is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, fock
+from . import fock
 from .analytic_q import KerrSystem, _lam_integral
-from .errors import CutoffLeak, DegenerateBranches, InvariantViolation
+from .errors import CutoffLeak, InvariantViolation
 
 #: boundary population above which the truncated basis is declared too small
 LEAK_TOL = 1e-8
@@ -41,19 +41,6 @@ LEAK_TOL = 1e-8
 #: matrix elements per block of sample times in evolve, whose (times x N x N)
 #: propagator temporaries stay this small (6 times at N = 35)
 EVOLVE_BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """State and scalar observables at one sample time."""
-
-    time: float
-    rho: fock.DensityOperator
-    mean_n: float
-    purity: float
-    trace_error: float
-    cat_fidelity: float
-    coherence: float
 
 
 def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
@@ -93,9 +80,8 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     return np.multiply(phase, total, out=total).reshape(times.shape + (n, n))
 
 
-def _make_record(
-    t: float, mat: np.ndarray, sys: KerrSystem, cat_target: fock.FockVector
-) -> EvolutionRecord:
+def _make_record(t: float, mat: np.ndarray) -> fock.DensityOperator:
+    """rho(t) as a validated DensityOperator; a non-finite state or a leak past LEAK_TOL raises."""
     if not np.isfinite(mat).all():
         raise InvariantViolation(f"propagated state at t = {t} is not finite")
     boundary = float(mat[-1, -1].real)
@@ -103,46 +89,32 @@ def _make_record(
         raise CutoffLeak(
             f"boundary population {boundary!r} at t = {t}; raise the cutoff"
         )
-    trace_err = abs(float(np.trace(mat).real) - 1.0)
     try:
-        rho = fock.DensityOperator(mat)
+        return fock.DensityOperator(mat)
     except ValueError as exc:
         raise InvariantViolation(f"propagated state at t = {t}: {exc}") from exc
-    try:
-        coherence = analysis.coherence_metric(rho, sys.alpha0, t, sys.gamma)
-    except DegenerateBranches:
-        coherence = math.nan
-    return EvolutionRecord(
-        time=t,
-        rho=rho,
-        mean_n=fock.expectation_n(rho),
-        purity=fock.purity(rho),
-        trace_error=trace_err,
-        cat_fidelity=fock.fidelity(rho, cat_target),
-        coherence=coherence,
-    )
 
 
-def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[EvolutionRecord]:
-    """Propagate ``rho0`` to each of the ascending ``times`` and validate the states.
+def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[fock.DensityOperator]:
+    """Propagate ``rho0`` to each of the ascending ``times``: one validated state per time.
 
-    The cutoff is ``rho0``'s; the fidelity target fock.cat_state(sys.alpha0, n)
-    raises CutoffTooSmall below fock.series_order(sys.alpha0).
+    The cutoff is ``rho0``'s.
     """
     times = tuple(float(t) for t in times)
     if not all(0 <= t < math.inf for t in times) or list(times) != sorted(times):
         raise ValueError(f"times must be finite, non-negative and ascending, got {times}")
     n = rho0.cutoff
     mat0 = np.asarray(rho0.elements)
-    cat_target = fock.cat_state(sys.alpha0, n)
     block = max(1, EVOLVE_BLOCK // n**2)
-    records = []
+    states = []
     for start in range(0, len(times), block):
         chunk = times[start : start + block]
         # rates that overflow the sum leave a non-finite state, which
         # _make_record reports, so the overflow itself is not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             stack = integrate_matrix(mat0, sys, np.array(chunk))
+        # the sum is exactly the identity at t = 0, where a rate that
+        # overflows to inf would make it NaN, so rho(0) is rho0 itself
         for t, mat in zip(chunk, stack):
-            records.append(_make_record(t, mat, sys, cat_target))
-    return records
+            states.append(_make_record(t, mat if t > 0 else mat0))
+    return states

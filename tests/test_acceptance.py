@@ -72,12 +72,12 @@ def test_criterion_3_dual_path_agreement(report):
     cutoff = 40
     t_cat = math.pi / 2.0
     times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
-    records = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
+    states = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     worst = 0.0
-    for rec in records:
-        ana = q_surface(grid, density(rec.time, sys_))
-        num = q_surface(grid, rec.rho)
+    for t, rho in zip(times, states):
+        ana = q_surface(grid, density(t, sys_))
+        num = q_surface(grid, rho)
         worst = max(worst, float(np.max(np.abs(ana.values - num.values))))
     ok = worst <= 1e-6
     report(3, "dual_path_agreement", ok, f"max node-wise |dQ|={worst:.2e} over t/t_cat in 1/4,1/2,1")
@@ -87,8 +87,8 @@ def test_criterion_4_cat_formation(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
     cutoff = 40
     t_cat = math.pi / 2.0
-    rec = lindblad.evolve(sys_, coherent_density(2.0, cutoff), (t_cat,))[-1]
-    fidelity_gap = 1.0 - rec.cat_fidelity
+    rho = lindblad.evolve(sys_, coherent_density(2.0, cutoff), (t_cat,))[-1]
+    fidelity_gap = 1.0 - fock.fidelity(rho, fock.cat_state(2.0, cutoff))
 
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     ana = q_surface(grid, density(t_cat, sys_))
@@ -117,9 +117,10 @@ def test_criterion_6_energy_decay(report):
     worst = 0.0
     for mu in (0.0, 1.0):
         sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=gamma)
-        for rec in lindblad.evolve(sys_, coherent_density(2.0, cutoff), times):
-            law = 4.0 * math.exp(-gamma * rec.time)
-            worst = max(worst, abs(rec.mean_n - law))
+        states = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
+        for t, rho in zip(times, states):
+            law = 4.0 * math.exp(-gamma * t)
+            worst = max(worst, abs(fock.expectation_n(rho) - law))
     ok = worst <= 1e-8
     report(6, "energy_decay", ok, f"max |<n> - law|={worst:.2e} over mu in 0,1 and t in [0,3/gamma]")
 
@@ -132,14 +133,15 @@ def test_criterion_7_decoherence_scaling(report):
         cutoff = fock.series_order(a0)
         t_final = 2.0 * analysis.WINDOW_DEPTH / (a0**2 * gamma)
         sample_times = np.linspace(0.0, t_final, 161)
-        records = lindblad.evolve(
+        states = lindblad.evolve(
             KerrSystem(alpha0=a0, mu=0.0, gamma=gamma),
             fock.density_from_pure(fock.cat_state(a0, cutoff)),
             sample_times,
         )
-        taus.append(
-            analysis.decoherence_fit(sample_times, [r.coherence for r in records]).time
-        )
+        coherences = [
+            analysis.coherence_metric(r, a0, t, gamma) for t, r in zip(sample_times, states)
+        ]
+        taus.append(analysis.decoherence_fit(sample_times, coherences).time)
 
     scale = math.exp(np.mean([math.log(t * a * a) for t, a in zip(taus, alphas)]))
     deviations = [abs(t * a * a / scale - 1.0) for t, a in zip(taus, alphas)]

@@ -83,3 +83,17 @@ def test_every_error_type_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     assert defined - raised == {"KerrcatError"}
+
+
+def test_propagator_sits_below_the_diagnostics():
+    # lindblad returns states; the observables read from them (analysis) and
+    # the commands that write them (cli) import lindblad, never the reverse
+    tree = TREES[[path.name for path in PATHS].index("lindblad.py")]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert imported & {"analysis", "cli"} == set()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrcat import __version__, analytic_q, cli, csvtext, fock, lindblad
+from kerrcat import __version__, analysis, analytic_q, cli, csvtext, fock, lindblad
 from kerrcat.errors import InvariantViolation
 
 import oracles
@@ -573,6 +573,20 @@ class TestSweep:
         assert rows[0]["fit_status"] == "no_damping"
         assert float(rows[0]["fidelity_at_tcat"]) >= 1.0 - 1e-8
 
+    def test_subnormal_gamma_row(self, tmp_path):
+        # the damping-only leg runs to t ~ 1e305, where 1 / gamma overflows
+        # NumPy's complex divide; the fit still sees C decay from 1
+        cfg = write_config(tmp_path, dimensionless_doc())
+        code = cli.main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", "2",
+             "--gamma", "2.225073858507203e-309"]
+        )
+        assert code == 0
+        row = read_csv(tmp_path / "sweep.csv")[0]
+        assert row["fit_status"] == "ok"
+        # the initial 1/e time 1/(2 gamma |alpha0|^2), multiplied out in range
+        assert abs(float(row["t_dec_fitted"]) * 2.225073858507203e-309 * 8.0 - 1.0) < 0.05
+
     @pytest.mark.parametrize(
         "alpha0,gamma",
         [("0", "0.01"), ("1", "-0.1"), ("1", "inf"), ("nan", "0.01"),
@@ -668,6 +682,18 @@ def expected_csv(doc, columns, rows) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
+def evolve_rows(sys_, rho0, times):
+    """evolve.csv's cells: t, <n>, purity, |tr rho - 1|, cat fidelity and coherence per state."""
+    cat = fock.cat_state(sys_.alpha0, rho0.cutoff)
+    return [
+        [repr(float(x)) for x in
+         (t, fock.expectation_n(rho), fock.purity(rho),
+          abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cat),
+          analysis.coherence_metric(rho, sys_.alpha0, t, sys_.gamma))]
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times))
+    ]
+
+
 class TestCsvExport:
     """The exact bytes of each CSV, and what a run that fails leaves behind.
 
@@ -687,7 +713,7 @@ class TestCsvExport:
             rho = analytic_q.density(0.7, sys_)
         else:
             rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
-            rho = lindblad.evolve(sys_, rho0, (0.7,))[-1].rho
+            rho = lindblad.evolve(sys_, rho0, (0.7,))[-1]
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [
@@ -705,12 +731,7 @@ class TestCsvExport:
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.1)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
-        records = lindblad.evolve(sys_, rho0, np.linspace(0.0, 2.0, 5))
-        rows = [
-            [repr(float(x)) for x in
-             (r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence)]
-            for r in records
-        ]
+        rows = evolve_rows(sys_, rho0, np.linspace(0.0, 2.0, 5))
         columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
         assert (tmp_path / "evolve.csv").read_bytes() == expected_csv(doc, columns, rows)
 
@@ -723,9 +744,10 @@ class TestCsvExport:
         for a0 in (1.0, 1.5):
             rho0 = fock.density_from_pure(fock.coherent_state(a0, fock.series_order(a0)))
             sys_ = analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=0.0)
-            rec = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
-            values = (a0, 0.0, math.pi / 2, rec.cat_fidelity, fock.wigner(rec.rho, 0.0),
-                      rec.coherence, math.inf, math.inf)
+            rho = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
+            values = (a0, 0.0, math.pi / 2, fock.fidelity(rho, fock.cat_state(a0, rho0.cutoff)),
+                      fock.wigner(rho, 0.0), analysis.coherence_metric(rho, a0, math.pi / 2, 0.0),
+                      math.inf, math.inf)
             rows.append([repr(float(x)) for x in values] + ["no_damping"])
         columns = ("alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
                    "t_dec_fitted,t_dec_formula,fit_status")
@@ -860,7 +882,7 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         if backend == "analytic":
             rho = analytic_q.density(t, sys_)
         else:
-            rho = lindblad.evolve(sys_, rho0, (t,))[-1].rho if t > 0 else rho0
+            rho = lindblad.evolve(sys_, rho0, (t,))[-1]
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
@@ -870,9 +892,7 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
 
     path = run("evolve", "--t-final", repr(t), "--samples", str(samples))
     times = np.linspace(0.0, t, samples) if t > 0 else (0.0,)
-    rows = [[repr(float(x)) for x in
-             (r.time, r.mean_n, r.purity, r.trace_error, r.cat_fidelity, r.coherence)]
-            for r in lindblad.evolve(sys_, rho0, times)]
+    rows = evolve_rows(sys_, rho0, times)
     assert_repr_cells(path)
     columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
     assert path.read_bytes() == expected_csv(doc, columns, rows)

@@ -6,7 +6,7 @@ import pytest
 
 from kerrcat import fock, lindblad
 from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, q_surface
-from kerrcat.errors import CutoffLeak, CutoffTooSmall
+from kerrcat.errors import CutoffLeak
 
 import oracles
 
@@ -64,17 +64,18 @@ class TestEvolve:
     def test_vacuum_constant(self):
         sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.3)
         rho0 = fock.density_from_pure(fock.FockVector(np.eye(12)[0]))
-        for rec in lindblad.evolve(sys_, rho0, (1.0, 2.0)):
-            assert abs(rec.rho.elements[0, 0] - 1.0) < 1e-12
-            assert rec.mean_n < 1e-12
+        for rho in lindblad.evolve(sys_, rho0, (1.0, 2.0)):
+            assert abs(rho.elements[0, 0] - 1.0) < 1e-12
+            assert fock.expectation_n(rho) < 1e-12
 
     def test_pure_damping_poisson_populations(self):
         sys_ = damping_sys(alpha0=2.0, gamma=0.1)
         n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
-        for rec in lindblad.evolve(sys_, rho0, (1.5, 4.0)):
-            mean = 4.0 * math.exp(-0.1 * rec.time)
-            pops = np.diag(rec.rho.elements).real
+        times = (1.5, 4.0)
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
+            mean = 4.0 * math.exp(-0.1 * t)
+            pops = np.diag(rho.elements).real
             assert np.max(np.abs(pops - oracles.poisson_pmf(np.arange(n), mean))) < 1e-8
 
     def test_damped_cat_matches_closed_form(self):
@@ -82,28 +83,29 @@ class TestEvolve:
         n = fock.series_order(2.0)
         sys_ = damping_sys(alpha0=2.0, gamma=gamma)
         rho0 = fock.density_from_pure(fock.cat_state(2.0, n))
-        for rec in lindblad.evolve(sys_, rho0, (1.0, 3.0)):
-            exact = oracles.damped_cat_density(2.0, gamma, rec.time, n)
-            assert np.max(np.abs(rec.rho.elements - exact)) < 1e-8
+        times = (1.0, 3.0)
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
+            exact = oracles.damped_cat_density(2.0, gamma, t, n)
+            assert np.max(np.abs(rho.elements - exact)) < 1e-8
 
     def test_kerr_cat_formation(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
         n = fock.series_order(2.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
         t_cat = math.pi / 2.0
-        rec = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
-        assert rec.cat_fidelity >= 1.0 - 1e-10
-        assert abs(rec.purity - 1.0) < 1e-10
+        rho = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
+        assert fock.fidelity(rho, fock.cat_state(2.0, n)) >= 1.0 - 1e-10
+        assert abs(fock.purity(rho) - 1.0) < 1e-10
 
     def test_kerr_phases_against_oracle(self):
         sys_ = KerrSystem(alpha0=1.5, mu=1.0, gamma=0.0)
         n = fock.series_order(1.5)
         rho0 = fock.density_from_pure(fock.coherent_state(1.5, n))
         t = 0.9
-        rec = lindblad.evolve(sys_, rho0, (t,))[-1]
+        rho = lindblad.evolve(sys_, rho0, (t,))[-1]
         psi = oracles.kerr_amplitudes(1.5, 1.0, t, n)
         exact = np.outer(psi, psi.conj())
-        assert np.max(np.abs(rec.rho.elements - exact)) < 1e-10
+        assert np.max(np.abs(rho.elements - exact)) < 1e-10
 
     def test_mean_decay_independent_of_mu(self):
         n = fock.series_order(2.0)
@@ -112,7 +114,7 @@ class TestEvolve:
         means = {}
         for mu in (0.0, 1.0):
             sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=0.1)
-            means[mu] = [r.mean_n for r in lindblad.evolve(sys_, rho0, times)]
+            means[mu] = [fock.expectation_n(r) for r in lindblad.evolve(sys_, rho0, times)]
         for t, m0, m1 in zip(times, means[0.0], means[1.0]):
             law = 4.0 * math.exp(-0.1 * t)
             assert abs(m0 - law) < 1e-8
@@ -128,8 +130,8 @@ class TestEvolve:
             n = fock.series_order(alpha0)
             for psi in (fock.coherent_state(alpha0, n), fock.cat_state(alpha0, n)):
                 rho0 = fock.density_from_pure(psi)
-                for rec in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
-                    assert rec.trace_error <= 1e-13
+                for rho in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
+                    assert abs(float(np.trace(rho.elements).real) - 1.0) <= 1e-13
 
     def test_fourth_order_convergence(self):
         # halving dt shrinks the RK4 oracle's error against the closed form ~16x
@@ -150,6 +152,14 @@ class TestEvolve:
             errs[dt] = np.max(np.abs(np.diag(out).real - exact))
         ratio = errs[0.05] / errs[0.025]
         assert 13.0 < ratio < 22.0
+
+    def test_t0_is_rho0_even_where_rates_overflow(self):
+        # gamma = 1e308 makes the sum's rates inf, and inf * 0 NaN, at t = 0
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0, fock.series_order(1.0)))
+        for gamma in (0.3, 1e308):
+            sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=gamma)
+            rho = lindblad.evolve(sys_, rho0, (0.0,))[0]
+            assert np.array_equal(rho.elements, rho0.elements)
 
     def test_cutoff_leak_raises(self):
         n = 12
@@ -222,12 +232,10 @@ class TestBatchedTimes:
         times = tuple(float(t) for t in np.linspace(0.0, 2.0, 23))
         assert len(times) > lindblad.EVOLVE_BLOCK // n**2
         batched = lindblad.evolve(sys_, rho0, times)
-        assert [r.time for r in batched] == list(times)
-        for rec in batched:
-            one = lindblad.evolve(sys_, rho0, (rec.time,))[0]
-            assert np.array_equal(rec.rho.elements, one.rho.elements)
-            for name in ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence"):
-                assert getattr(rec, name) == getattr(one, name)
+        assert len(batched) == len(times)
+        for t, rho in zip(times, batched):
+            one = lindblad.evolve(sys_, rho0, (t,))[0]
+            assert np.array_equal(rho.elements, one.elements)
 
     def test_gamma_zero_builds_no_term(self):
         # every weight is zero, so the result is the phase alone
@@ -245,7 +253,7 @@ class TestBatchedTimes:
 
     def test_blocking_cannot_change_a_record(self, monkeypatch):
         # one time per call, the default blocks and one call for all must
-        # agree bit for bit on a damped random mixed state
+        # return the same states bit for bit from a damped random mixed state
         n = 30
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.01)
         mat = np.zeros((n, n), dtype=complex)
@@ -256,15 +264,13 @@ class TestBatchedTimes:
         for block in (1, lindblad.EVOLVE_BLOCK, 10**9):
             monkeypatch.setattr(lindblad, "EVOLVE_BLOCK", block)
             runs.append(lindblad.evolve(sys_, rho0, times))
-        fields = ("time", "mean_n", "purity", "trace_error", "cat_fidelity", "coherence")
-        for recs in zip(*runs):
-            for rec in recs[1:]:
-                assert np.array_equal(rec.rho.elements, recs[0].rho.elements)
-                for name in fields:
-                    assert getattr(rec, name) == getattr(recs[0], name)
+        assert all(len(states) == len(times) for states in runs)
+        for states in zip(*runs):
+            for rho in states[1:]:
+                assert np.array_equal(rho.elements, states[0].elements)
 
     def test_block_memory_bounded(self):
-        # the transient above what the records keep stays at a few blocks,
+        # the transient above what the states keep stays at a few blocks,
         # whatever the number of samples
         n = 40
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
@@ -272,11 +278,11 @@ class TestBatchedTimes:
         times = np.linspace(0.0, math.pi / 2.0, 201)
         tracemalloc.start()
         try:
-            records = lindblad.evolve(sys_, rho0, times)
+            states = lindblad.evolve(sys_, rho0, times)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(records) == 201
+        assert len(states) == 201
         assert peak - retained <= 2 * 2**20
 
 
@@ -293,14 +299,6 @@ class TestSpecValidation:
         for t in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 lindblad.evolve(sys_, rho0, (0.0, t))
-
-    def test_cutoff_below_rule(self):
-        # 30 levels hold |1> (the rule asks for 22), but |alpha0| = 2 needs 35:
-        # the cat target evolve builds at rho0's cutoff rejects the run
-        sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, 30))
-        with pytest.raises(CutoffTooSmall):
-            lindblad.evolve(sys_, rho0, (1.0,))
 
 
 class TestQFromRho:
@@ -336,9 +334,9 @@ class TestQFromRho:
         t_cat = math.pi / 2.0
         times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
-        for rec in lindblad.evolve(sys_, rho0, times):
-            ana = q_surface(grid, density(rec.time, sys_))
-            num = q_surface(grid, rec.rho)
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
+            ana = q_surface(grid, density(t, sys_))
+            num = q_surface(grid, rho)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6
 
     @pytest.mark.parametrize("gamma", (0.0, 0.01, 0.3))
@@ -350,7 +348,7 @@ class TestQFromRho:
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0, n))
         times = (0.7, 1.9, 3.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)
-        for rec in lindblad.evolve(sys_, rho0, times):
-            ana = q_surface(grid, density(rec.time, sys_))
-            num = q_surface(grid, rec.rho)
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
+            ana = q_surface(grid, density(t, sys_))
+            num = q_surface(grid, rho)
             assert np.max(np.abs(ana.values - num.values)) < 1e-6

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from kerrcat import analysis, cli, fock, lindblad
 from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, q_surface
-from kerrcat.errors import DegenerateBranches
 
 import oracles
 
@@ -56,25 +55,20 @@ def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
 def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
     n = fock.series_order(alpha0)
-    rec = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
-    rho = density(t, sys_)
+    num = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
+    ana = density(t, sys_)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
-    ana = q_surface(grid, rho)
-    num = q_surface(grid, rec.rho)
-    assert np.max(np.abs(ana.values - num.values)) <= 1e-6
+    assert np.max(np.abs(q_surface(grid, ana).values - q_surface(grid, num).values)) <= 1e-6
 
-    # the closed form's observables through the diagnostics the records use
-    assert abs(fock.expectation_n(rho) - rec.mean_n) <= 1e-13
-    assert abs(fock.purity(rho) - rec.purity) <= 1e-13
-    assert abs(fock.fidelity(rho, fock.cat_state(alpha0, rho.cutoff)) - rec.cat_fidelity) <= 1e-13
-    try:
-        coherence = analysis.coherence_metric(rho, alpha0, t, gamma)
-    except DegenerateBranches:
-        coherence = math.nan
-    if math.isnan(rec.coherence):
-        assert math.isnan(coherence)
+    # both states through the same diagnostics
+    cat = fock.cat_state(alpha0, n)
+    for observable in (fock.expectation_n, fock.purity, lambda rho: fock.fidelity(rho, cat)):
+        assert abs(observable(ana) - observable(num)) <= 1e-13
+    c_ana, c_num = (analysis.coherence_metric(rho, alpha0, t, gamma) for rho in (ana, num))
+    if math.isnan(c_num):
+        assert math.isnan(c_ana)
     else:
-        assert abs(coherence - rec.coherence) <= 1e-10
+        assert abs(c_ana - c_num) <= 1e-10
 
 
 centers = st.one_of(st.just(0j), st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
