@@ -356,8 +356,9 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     if backend == "analytic":
         rho = density(t, config.sys)
     elif backend == "numeric":
-        rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
-        rho = lindblad.evolve(config.sys, rho0, (t,))[-1]
+        rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
+        if t > 0:
+            rho = lindblad.evolve(config.sys, rho, (t,))[-1]
     else:
         raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     values = q_surface(config.grid, rho).values

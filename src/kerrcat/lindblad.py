@@ -113,8 +113,6 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[fock.Dens
         # _make_record reports, so the overflow itself is not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             stack = integrate_matrix(mat0, sys, np.array(chunk))
-        # the sum is exactly the identity at t = 0, where a rate that
-        # overflows to inf would make it NaN, so rho(0) is rho0 itself
         for t, mat in zip(chunk, stack):
-            states.append(_make_record(t, mat if t > 0 else mat0))
+            states.append(_make_record(t, mat))
     return states

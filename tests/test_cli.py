@@ -872,9 +872,9 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
     grid = analytic_q.PhaseGrid(center=0j, half_extent=extent, resolution=res)
     rho0 = fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
 
-    def run(*argv):
+    def run(*argv, code=0):
         out = tmp_path / "_".join(argv)
-        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == code
         return out / f"{argv[0]}.csv"
 
     for backend in ("analytic", "numeric"):
@@ -882,7 +882,7 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         if backend == "analytic":
             rho = analytic_q.density(t, sys_)
         else:
-            rho = lindblad.evolve(sys_, rho0, (t,))[-1]
+            rho = lindblad.evolve(sys_, rho0, (t,))[-1] if t > 0 else rho0
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]
@@ -897,8 +897,14 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
     columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
     assert path.read_bytes() == expected_csv(doc, columns, rows)
 
-    # sweep rows are real |alpha0| at resonance; a damped row needs alpha0 != 0
+    # sweep rows are real |alpha0| at resonance; a damped row needs alpha0 != 0,
+    # and a subnormal alpha0^2 gamma, whose window 2 WINDOW_DEPTH / (alpha0^2 gamma)
+    # is not finite, is a config error
     a0 = max(abs(alpha0), 0.1)
+    rate = a0**2 * gamma
+    if gamma > 0 and (rate == 0 or 2.0 * analysis.WINDOW_DEPTH / rate == math.inf):
+        run("sweep", "--alpha0", repr(a0), "--gamma", repr(gamma), code=2)
+        return
     path = run("sweep", "--alpha0", repr(a0), "--gamma", repr(gamma))
     *values, status = cli._one_cat_report(a0, gamma)
     assert_repr_cells(path, text_columns=1)
