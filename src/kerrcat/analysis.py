@@ -71,8 +71,8 @@ def decoherence_fit(times, coherences) -> FitResult:
     runs from the first sample until C drops below
     max(exp(-WINDOW_DEPTH), WINDOW_FLOOR), read at call time. Raises
     InsufficientDecay (carrying a lower bound on the decay time) when the
-    samples never reach the window threshold, i.e. when no decay rate can be
-    certified.
+    samples never reach the window threshold, or the fitted time is not
+    finite, i.e. when no decay rate can be certified.
     """
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
@@ -100,10 +100,11 @@ def decoherence_fit(times, coherences) -> FitResult:
     design = np.vstack([np.ones_like(t_win), t_win]).T
     coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
     slope = float(coef[1])
-    if slope >= 0:
+    time = -1.0 / slope if slope < 0 else math.inf  # a subnormal slope overflows to inf too
+    if time == math.inf:
         raise InsufficientDecay(
-            "coherence does not decay over the fit window",
+            "coherence does not decay at a finite rate over the fit window",
             lower_bound=float(times[-1]),
         )
     residual = float(np.sqrt(res[0] / t_win.size)) if res.size else 0.0
-    return FitResult(time=-1.0 / slope, residual=residual, n_points=int(t_win.size))
+    return FitResult(time=time, residual=residual, n_points=int(t_win.size))

@@ -2,28 +2,28 @@
 
 Configuration is a single JSON document (schema below); every output file
 embeds the artifact version and a digest of that document, with any
---grid-extent, --grid-res or --cutoff override written into it (--out, a
-path, is left out), so repeated runs are byte-identical. One writer stamps
-both into params.json and validate.json, keys sorted, and returns the text
-that is printed. Every CSV cell is Python's repr of the value, made by
+--grid-extent or --grid-res override written into it (--out, a path, is
+left out), so repeated runs are byte-identical. One writer stamps both into
+params.json and validate.json, keys sorted, and returns the text that is
+printed. Every CSV cell is Python's repr of the value, made by
 csvtext's array kernel once every value in the file is computed;
 qsurface.csv is formatted a block of grid rows at a time, so its whole text
 is never in memory. Each file is written under a temporary name beside it
 and renamed into place when complete, so a failed run leaves no file. Exit
 codes: 0 success, 2 configuration error (including wrong-typed or
-non-finite numbers, an integer past sys.maxsize, a cutoff or grid too large
-to allocate, physical inputs whose derived rates overflow or underflow, and
-an output that cannot be written), 3 numerical failure (cutoff below the
-fock.series_order rule, cutoff leak, failed check, broken invariant, a
-state that is not finite or not positive, a Q outside
-[-1e-9, 1 + 1e-9]), 4 convergence failure (a grid point or alpha0 beyond
-|alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
+non-finite numbers, an integer past sys.maxsize, a grid too large to
+allocate, a cutoff that is not null, physical inputs whose derived rates
+overflow or underflow, and an output that cannot be written), 3 numerical
+failure (failed check, broken invariant, a state that is not finite or not
+positive, a Q outside [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid
+point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
 Each command computes the observables it writes from the validated states
-that lindblad.evolve and analytic_q.density return. validate compares
-independent computations: each backend's initial Q with the Gaussian, the
-backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and,
-undamped, revival and parity; not the types' invariants.
+that lindblad.evolve and analytic_q.density return, both at the derived
+fock.series_order(alpha0) levels. validate compares independent
+computations: each backend's initial Q with the Gaussian, the backends at
+t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and, undamped,
+revival and parity; not the types' invariants.
 
 Config schema (schema_version 1)::
 
@@ -41,7 +41,7 @@ Config schema (schema_version 1)::
                    "gamma": 1/s, "alpha0_override": [re, im] | null},
       "grid": {"center": [re, im] | number, "half_extent": number,
                "resolution": odd int},
-      "cutoff": int | null,
+      "cutoff": null,
       "output_dir": str | null,
       "seed": int
     }
@@ -99,7 +99,6 @@ class RunConfig:
     sys: KerrSystem
     derived: trap_params.DerivedParams | None
     grid: PhaseGrid
-    cutoff: int
     output_dir: Path
     digest: str
 
@@ -248,12 +247,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cutoff = raw.get("cutoff")
-    if getattr(overrides, "cutoff", None) is not None:
-        cutoff = raw["cutoff"] = overrides.cutoff
-    cutoff = fock.series_order(sys_.alpha0) if cutoff is None else _integer(cutoff, "cutoff")
-    if cutoff < 1:
-        raise ConfigError(f"cutoff must be positive, got {cutoff}")
+    if raw.get("cutoff") is not None:  # the digest would record an N the run does not use
+        raise ConfigError(f"cutoff is derived from alpha0 and must be null, got {raw['cutoff']!r}")
 
     out = raw.get("output_dir")
     if not isinstance(out, (str, type(None))):
@@ -270,7 +265,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         sys=sys_,
         derived=derived,
         grid=grid,
-        cutoff=cutoff,
         output_dir=Path(out),
         digest=digest,
     )
@@ -356,7 +350,8 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     if backend == "analytic":
         rho = density(t, config.sys)
     elif backend == "numeric":
-        rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
+        alpha0 = config.sys.alpha0
+        rho = fock.density_from_pure(fock.coherent_state(alpha0, fock.series_order(alpha0)))
         if t > 0:
             rho = lindblad.evolve(config.sys, rho, (t,))[-1]
     else:
@@ -380,8 +375,9 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
     sys_ = config.sys
-    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, config.cutoff))
-    cat = fock.cat_state(sys_.alpha0, config.cutoff)
+    cutoff = fock.series_order(sys_.alpha0)
+    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, cutoff))
+    cat = fock.cat_state(sys_.alpha0, cutoff)
     states = lindblad.evolve(sys_, rho0, times)
     table = np.array([
         (t, fock.expectation_n(rho), fock.purity(rho),
@@ -410,7 +406,7 @@ def cmd_validate(config: RunConfig) -> dict:
     """Checks that compare independent computations (see the module docstring)."""
     sys_ = config.sys
     checks = []
-    t_cat = math.pi / (2.0 * sys_.mu) if sys_.mu > 0 else 1.0
+    t_cat = math.pi / (2.0 * sys_.mu)
 
     def coherent_q(beta: complex) -> np.ndarray:
         """Q of the coherent state |beta> on the grid: exactly exp(-|alpha - beta|^2)."""
@@ -420,7 +416,7 @@ def cmd_validate(config: RunConfig) -> dict:
     surf0 = q_surface(config.grid, density(0.0, sys_))
     gaussian = coherent_q(sys_.alpha0)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
-    rho0 = fock.density_from_pure(fock.coherent_state(config.sys.alpha0, config.cutoff))
+    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, fock.series_order(sys_.alpha0)))
     surf0n = q_surface(config.grid, rho0)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
@@ -584,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--grid-extent", type=float, default=None)
     common.add_argument("--grid-res", type=int, default=None)
-    common.add_argument("--cutoff", type=int, default=None)
     common.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -622,7 +617,7 @@ def main(argv=None) -> int:
         if args.gnuplot and args.command in _GNUPLOT_TEMPLATES:
             script = _GNUPLOT_TEMPLATES[args.command].format(csv=f"{args.command}.csv")
             _write_text(config.output_dir / f"{args.command}.gp", script)
-    except (ConfigError, MemoryError) as exc:  # MemoryError: a cutoff or grid too large
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SeriesNotConverged as exc:

@@ -141,6 +141,13 @@ class TestFit:
             analysis.decoherence_fit(times, np.ones_like(times))
         assert err.value.lower_bound == 5.0
 
+    def test_unresolvable_rate_is_a_lower_bound(self):
+        # the slope -2e-309 is subnormal, and -1 / slope overflows to inf
+        times = np.linspace(0.0, 1.8e307, 161)
+        with pytest.raises(InsufficientDecay) as err:
+            analysis.decoherence_fit(times, np.exp(-2e-309 * times))
+        assert err.value.lower_bound == 1.8e307
+
     def test_too_few_points(self):
         with pytest.raises(InsufficientDecay):
             analysis.decoherence_fit((0.0, 1.0, 2.0), (1.0, 0.5, 0.25))

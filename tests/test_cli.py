@@ -232,29 +232,6 @@ class TestValidate:
         bound = {c["name"]: c for c in report["checks"]}["wigner_bound"]
         assert bound["measured"] + 2.0 / math.pi >= 0.6
 
-    def test_tiny_cutoff_fails_with_cutoff_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dimensionless_doc())
-        code = cli.main(
-            ["validate", "--config", cfg, "--out", str(tmp_path), "--cutoff", "12"]
-        )
-        assert code == cli.EXIT_NUMERICAL
-        assert "Cutoff" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["evolve", "--t-final", "1"],
-         ["qsurface", "--time", "1", "--backend", "numeric"],
-         ["validate"],
-         ["qsurface", "--time", "0", "--backend", "numeric"]],
-        ids=["evolve", "qsurface_numeric", "validate", "qsurface_numeric_t0"],
-    )
-    def test_cutoff_below_rule_exits_3(self, tmp_path, capsys, argv):
-        # 27 levels hold |2> to 1e-12, but the rule asks for 35, at every t
-        cfg = write_config(tmp_path, dimensionless_doc(res=11))
-        code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path), "--cutoff", "27"])
-        assert code == cli.EXIT_NUMERICAL
-        assert "CutoffTooSmall" in capsys.readouterr().err
-
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -280,14 +257,50 @@ class TestTruncationRule:
     """One rule, fock.series_order, sizes both backends' Fock space."""
 
     @pytest.mark.parametrize("a0", [0.0, 0.3, 2.0, 6.0, 12.0])
-    def test_default_cutoff_is_the_closed_forms(self, tmp_path, a0):
-        config = cli.load_config(write_config(tmp_path, dimensionless_doc(alpha0=(a0, 0.0))))
-        ana = analytic_q.density(0.0, config.sys)
-        assert config.cutoff == ana.cutoff == fock.series_order(a0)
-        # so the backends' initial states are the same matrix, the numeric one
-        # divided by the weight its amplitudes keep: 1 to rounding, 1.8e-15 off at 12
-        num = fock.density_from_pure(fock.coherent_state(a0, config.cutoff)).elements
-        assert np.max(np.abs(num - ana.elements)) <= 1e-14 * np.max(np.abs(ana.elements))
+    def test_default_cutoff_is_the_closed_forms(self, tmp_path, monkeypatch, a0):
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=(a0, 0.0), res=3))
+        ana = analytic_q.density(0.0, cli.load_config(cfg).sys)
+        assert ana.cutoff == fock.series_order(a0)
+        bound = 1e-14 * np.max(np.abs(ana.elements))
+
+        class Built(Exception):
+            """Carries the rho(0) a command hands the propagator, and ends the run."""
+
+        def built(sys_, rho0, times):
+            raise Built(rho0)
+
+        monkeypatch.setattr(lindblad, "evolve", built)
+        for argv in (["qsurface", "--time", "1", "--backend", "numeric"],
+                     ["evolve", "--t-final", "1", "--samples", "2"], ["validate"]):
+            with pytest.raises(Built) as run:
+                cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
+            num = run.value.args[0]
+            # so the backends' initial states are the same matrix, the numeric one
+            # divided by the weight its amplitudes keep: 1 to rounding, 1.8e-15 off at 12
+            assert num.cutoff == ana.cutoff
+            assert np.max(np.abs(num.elements - ana.elements)) <= bound
+
+    @pytest.mark.parametrize("cutoff", [35, 40, "x", 10**13, None])
+    @pytest.mark.parametrize(
+        "argv",
+        [["params"], ["qsurface", "--time", "1", "--backend", "numeric"],
+         ["evolve", "--t-final", "1", "--samples", "2"], ["validate"],
+         ["sweep", "--alpha0", "1", "--gamma", "0.05"]],
+        ids=["params", "qsurface", "evolve", "validate", "sweep"],
+    )
+    def test_cutoff_field_is_rejected(self, tmp_path, capsys, cutoff, argv):
+        # the number of levels is derived: a set cutoff, even the rule's own 35
+        # at |alpha0| = 2, would put in the digest an N the run need not use
+        cfg = write_config(tmp_path, dimensionless_doc(res=3, cutoff=cutoff))
+        out = tmp_path / "out"
+        code = cli.main(argv + ["--config", cfg, "--out", str(out)])
+        if cutoff is None:
+            assert code == cli.EXIT_OK
+            return
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cutoff") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("a0", [0.0, 1e-11])
     @pytest.mark.parametrize(
@@ -320,7 +333,7 @@ class TestBadInput:
             ({"seed": "x"}, ["params"]),
             ({"physical.b_field": "x"}, ["params"]),
             ({"grid": "x"}, ["params"]),
-            ({"grid.resolution": 3.9, "cutoff": 40}, ["qsurface", "--time", "0"]),
+            ({"grid.resolution": 3.9}, ["qsurface", "--time", "0"]),
             ({"cutoff": 40.7}, ["qsurface", "--time", "0"]),
             ({"seed": 2.5}, ["params"]),
             ({"grid.resolution": True}, ["params"]),
@@ -347,7 +360,8 @@ class TestBadInput:
             ({"grid": []}, ["params"]),
             ({"grid": 0}, ["params"]),
             ({"grid": ""}, ["params"]),
-            # sizes past sys.maxsize, or too large to allocate, fail before any work
+            # sizes past sys.maxsize, or too large to allocate, fail before any work;
+            # so does a cutoff of any value (test_cutoff_field_is_rejected)
             ({"cutoff": 10**13}, ["evolve", "--t-final", "1"]),
             ({"grid.resolution": 10**7 + 1}, ["qsurface", "--time", "0"]),
             ({"cutoff": 1e300}, ["evolve", "--t-final", "1"]),
@@ -474,7 +488,7 @@ class TestBadInput:
          ("dimensionless", 38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
          ("dimensionless", 40.0, ["params"]),
          ("dimensionless", 1e200, ["params"]),
-         ("dimensionless", 1e200, ["evolve", "--cutoff", "50", "--t-final", "1"]),
+         ("dimensionless", 1e200, ["evolve", "--t-final", "1"]),
          ("dimensionless", 2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0.01"]),
          ("dimensionless", 2.0, ["sweep", "--alpha0", "1e200", "--gamma", "0"]),
          ("dimensionless", 1.7e308 + 1.7e308j, ["params"]),
@@ -503,7 +517,7 @@ class TestBadInput:
             del doc["physical"]["alpha0_override"]
             doc["physical"].update(drive_amplitude=alpha0, drive_duration=1e-12)
         else:
-            doc = dimensionless_doc(alpha0=pair, res=3, cutoff=40)
+            doc = dimensionless_doc(alpha0=pair, res=3)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
         assert code == cli.EXIT_CONVERGENCE
@@ -512,9 +526,8 @@ class TestBadInput:
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
     def test_integral_float_accepted(self, tmp_path):
-        cfg = write_config(tmp_path, dimensionless_doc(res=3.0, cutoff=30.0, seed=1.0))
-        config = cli.load_config(cfg)
-        assert (config.grid.resolution, config.cutoff) == (3, 30)
+        cfg = write_config(tmp_path, dimensionless_doc(res=3.0, seed=1.0))
+        assert cli.load_config(cfg).grid.resolution == 3
 
     def test_broken_series_symmetry_exits_3(self, tmp_path, capsys, monkeypatch):
         def skewed(order, t, sys):
@@ -587,6 +600,20 @@ class TestSweep:
         # the initial 1/e time 1/(2 gamma |alpha0|^2), multiplied out in range
         assert abs(float(row["t_dec_fitted"]) * 2.225073858507203e-309 * 8.0 - 1.0) < 0.05
 
+    def test_unresolvable_rate_is_a_lower_bound(self, tmp_path):
+        # at alpha0 = 1 the fitted 1/e time 1/(2 gamma) is past the float
+        # range, so the row gives the window end as a lower bound, not an inf "ok"
+        gamma = 2.225073858507203e-309
+        cfg = write_config(tmp_path, dimensionless_doc())
+        code = cli.main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", "1",
+             "--gamma", repr(gamma)]
+        )
+        assert code == 0
+        row = read_csv(tmp_path / "sweep.csv")[0]
+        assert row["fit_status"] == "lower_bound"
+        assert float(row["t_dec_fitted"]) == 2.0 * analysis.WINDOW_DEPTH / gamma < math.inf
+
     @pytest.mark.parametrize(
         "alpha0,gamma",
         [("0", "0.01"), ("1", "-0.1"), ("1", "inf"), ("nan", "0.01"),
@@ -655,9 +682,8 @@ class TestOverrides:
     @pytest.mark.parametrize(
         "argv, flag, field, value",
         [(["qsurface"], "--grid-res", "grid.resolution", 5),
-         (["qsurface"], "--grid-extent", "grid.half_extent", 3.0),
-         (["evolve", "--t-final", "1.0", "--samples", "3"], "--cutoff", "cutoff", 60)],
-        ids=["grid_res", "grid_extent", "cutoff"],
+         (["qsurface"], "--grid-extent", "grid.half_extent", 3.0)],
+        ids=["grid_res", "grid_extent"],
     )
     def test_flag_equals_config_field(self, tmp_path, argv, flag, field, value):
         # the flag and the same field in the config file give the same bytes,
@@ -703,7 +729,7 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("backend", ["analytic", "numeric"])
     def test_qsurface_bytes(self, tmp_path, backend):
-        doc = dimensionless_doc(res=41, cutoff=40)
+        doc = dimensionless_doc(res=41)
         cfg = write_config(tmp_path, doc)
         argv = ["qsurface", "--time", "0.7", "--backend", backend]
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
@@ -712,7 +738,7 @@ class TestCsvExport:
         if backend == "analytic":
             rho = analytic_q.density(0.7, sys_)
         else:
-            rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
+            rho0 = fock.density_from_pure(fock.coherent_state(2.0, fock.series_order(2.0)))
             rho = lindblad.evolve(sys_, rho0, (0.7,))[-1]
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
@@ -725,12 +751,12 @@ class TestCsvExport:
         assert (tmp_path / "qsurface.csv").read_bytes() == expected
 
     def test_evolve_bytes(self, tmp_path):
-        doc = dimensionless_doc(gamma=0.1, cutoff=40)
+        doc = dimensionless_doc(gamma=0.1)
         cfg = write_config(tmp_path, doc)
         argv = ["evolve", "--t-final", "2.0", "--samples", "5"]
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.1)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0, fock.series_order(2.0)))
         rows = evolve_rows(sys_, rho0, np.linspace(0.0, 2.0, 5))
         columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
         assert (tmp_path / "evolve.csv").read_bytes() == expected_csv(doc, columns, rows)
@@ -757,11 +783,9 @@ class TestCsvExport:
         "doc, argv, code",
         [(dimensionless_doc(extent=38.0, res=3), ["qsurface", "--time", "0"],
           cli.EXIT_CONVERGENCE),
-         (dimensionless_doc(res=11), ["evolve", "--t-final", "1", "--cutoff", "27"],
-          cli.EXIT_NUMERICAL),
          (dimensionless_doc(alpha0=(1.0, 0.0), gamma=1e308, res=11),
           ["qsurface", "--time", "1", "--backend", "numeric"], cli.EXIT_NUMERICAL)],
-        ids=["probe_underflow", "cutoff_below_rule", "overflowing_damping"],
+        ids=["probe_underflow", "overflowing_damping"],
     )
     def test_failed_run_writes_nothing(self, tmp_path, doc, argv, code):
         # the CSV is opened only once every row is computed
@@ -955,8 +979,9 @@ def test_every_command_runs_with_scipy_blocked(tmp_path):
 
 
 # JSON values for fields that want a number: tiny, huge and signed numbers,
-# text, booleans, null, lists and objects. A grid resolution or a cutoff sets
-# an allocation, so those two draw only small or rejected values.
+# text, booleans, null, lists and objects. A grid resolution sets an
+# allocation, so it draws only small or rejected values; every cutoff but
+# null is rejected before any is made.
 extreme = st.sampled_from([0, -0.0, 5e-324, 1e-300, -1e-12, 1e12, 1e300, 1.7e308, -1e308, 2**70])
 wrong = st.sampled_from(["x", "1.0", True, False, None, [], [1.0], {}, {"re": 1.0}])
 numbers = st.one_of(extreme, st.floats(allow_nan=False, allow_infinity=False), wrong)
