@@ -73,8 +73,6 @@ from . import __version__, analysis, csvtext, fock, lindblad, trap_params
 from .analytic_q import KerrSystem, PhaseGrid, density, grid_normalization, q_surface
 from .errors import (
     ConfigError,
-    CutoffLeak,
-    CutoffTooSmall,
     InsufficientDecay,
     InvariantViolation,
     SeriesNotConverged,
@@ -350,8 +348,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     if backend == "analytic":
         rho = density(t, config.sys)
     elif backend == "numeric":
-        alpha0 = config.sys.alpha0
-        rho = fock.density_from_pure(fock.coherent_state(alpha0, fock.series_order(alpha0)))
+        rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0))
         if t > 0:
             rho = lindblad.evolve(config.sys, rho, (t,))[-1]
     else:
@@ -375,9 +372,8 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
     sys_ = config.sys
-    cutoff = fock.series_order(sys_.alpha0)
-    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, cutoff))
-    cat = fock.cat_state(sys_.alpha0, cutoff)
+    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
+    cat = fock.cat_state(sys_.alpha0)
     states = lindblad.evolve(sys_, rho0, times)
     table = np.array([
         (t, fock.expectation_n(rho), fock.purity(rho),
@@ -416,7 +412,7 @@ def cmd_validate(config: RunConfig) -> dict:
     surf0 = q_surface(config.grid, density(0.0, sys_))
     gaussian = coherent_q(sys_.alpha0)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
-    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0, fock.series_order(sys_.alpha0)))
+    rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
     surf0n = q_surface(config.grid, rho0)
     checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
 
@@ -503,14 +499,13 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
     Returns |alpha0|, gamma, t_cat, the cat fidelity, W at the origin and the
     coherence at t_cat, the fitted and formula decoherence times, and the fit status.
     """
-    cutoff = fock.series_order(a0)
     t_cat = math.pi / 2.0
     try:
         sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rho0 = fock.density_from_pure(fock.coherent_state(a0, cutoff))
-    cat = fock.cat_state(a0, cutoff)
+    rho0 = fock.density_from_pure(fock.coherent_state(a0))
+    cat = fock.cat_state(a0)
     rho = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf
@@ -623,7 +618,7 @@ def main(argv=None) -> int:
     except SeriesNotConverged as exc:
         print(f"convergence failure: {exc}", file=_sys.stderr)
         return EXIT_CONVERGENCE
-    except (CutoffLeak, CutoffTooSmall, InvariantViolation) as exc:
+    except InvariantViolation as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -5,10 +5,6 @@ class KerrcatError(Exception):
     """Base class for all package-specific errors."""
 
 
-class CutoffTooSmall(KerrcatError):
-    """A truncated Fock basis cannot represent the requested state."""
-
-
 class DimensionMismatch(KerrcatError):
     """Operands live in Fock spaces of different cutoff."""
 
@@ -19,10 +15,6 @@ class SeriesNotConverged(KerrcatError):
 
 class InvariantViolation(KerrcatError):
     """A computed value broke a bound that the closed form guarantees."""
-
-
-class CutoffLeak(KerrcatError):
-    """rho(0) holds over lindblad.LEAK_TOL in the top Fock level, which evolution only drains."""
 
 
 class InsufficientDecay(KerrcatError):

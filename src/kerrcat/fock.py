@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
+from .errors import DimensionMismatch, SeriesNotConverged
 
 #: largest truncation error allowed in any Q value (see series_order)
 TAIL_TOL = 1e-10
@@ -176,37 +176,24 @@ def mirror_amplitudes(amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_amplitudes(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
-    """<n|alpha> for n < cutoff and the weight they keep.
+def coherent_state(alpha) -> FockVector:
+    """Coherent state |alpha> on series_order(alpha) levels, renormalized.
 
-    Raises CutoffTooSmall when the cutoff is below series_order(alpha).
+    The levels dropped hold at most the Poisson tail that series_order bounds.
     """
-    needed = series_order(alpha)
-    if cutoff < needed:
-        raise CutoffTooSmall(
-            f"cutoff {cutoff} below the rule value {needed} for |alpha| = {abs(alpha)}"
-        )
-    amp = coherent_amplitudes(alpha, cutoff)
-    return amp, float(np.sum(np.abs(amp) ** 2))
+    amp = coherent_amplitudes(alpha, series_order(alpha))
+    return FockVector(amp / math.sqrt(float(np.sum(np.abs(amp) ** 2))))
 
 
-def coherent_state(alpha, cutoff: int) -> FockVector:
-    """Coherent state |alpha> truncated to ``cutoff`` levels and renormalized.
-
-    Raises CutoffTooSmall when the cutoff is below series_order(alpha).
-    """
-    amp, kept = _truncated_amplitudes(complex(alpha), cutoff)
-    return FockVector(amp / math.sqrt(kept))
-
-
-def cat_state(alpha0, cutoff: int) -> FockVector:
+def cat_state(alpha0) -> FockVector:
     """Two-branch superposition (e^{-i pi/4}|a0> - e^{i pi/4}|-a0>) / sqrt(2).
 
-    The combination has unit norm for every alpha0 because the branch cross
-    terms cancel; after truncation the vector is renormalized exactly.
-    Raises CutoffTooSmall as coherent_state(alpha0, cutoff) does.
+    Built on series_order(alpha0) levels, those of |alpha0>, since the cat
+    has its populations. The combination has unit norm for every alpha0
+    because the branch cross terms cancel; after truncation the vector is
+    renormalized exactly.
     """
-    plus, _ = _truncated_amplitudes(complex(alpha0), cutoff)
+    plus = coherent_amplitudes(alpha0, series_order(alpha0))
     minus = mirror_amplitudes(plus)
     phase = np.exp(-0.25j * np.pi)
     amp = (phase * plus - np.conj(phase) * minus) / math.sqrt(2.0)

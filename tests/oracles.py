@@ -6,7 +6,9 @@ polynomials instead of the Laguerre recurrence, closed-form damping solutions
 instead of integrators, a dense generator and a fixed-step Runge-Kutta
 integrator instead of the exact propagator, the closed-form Q as a log-space
 double series instead of the Fock-matrix quadratic form, and <n> from the
-second moment of Q instead of the number-basis diagonal.
+second moment of Q instead of the number-basis diagonal. coherent_vector and
+cat_vector are not oracles: they repeat fock.coherent_state's and
+fock.cat_state's arithmetic at a level count the test chooses.
 """
 
 import cmath
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln, xlogy
 
+from kerrcat import fock
 from kerrcat.trap_params import ELECTRON_MASS, ELEMENTARY_CHARGE
 
 
@@ -35,6 +38,21 @@ def coherent_amplitudes_factorial(alpha, cutoff):
             / math.sqrt(math.factorial(n))
         )
     return out
+
+
+def coherent_vector(alpha, n):
+    """|alpha> on exactly n levels, renormalized, as fock.coherent_state builds it at its own N."""
+    amp = fock.coherent_amplitudes(alpha, n)
+    return fock.FockVector(amp / math.sqrt(float(np.sum(np.abs(amp) ** 2))))
+
+
+def cat_vector(alpha0, n):
+    """The cat on exactly n levels, renormalized, as fock.cat_state builds it at its own N."""
+    plus = fock.coherent_amplitudes(alpha0, n)
+    phase = np.exp(-0.25j * np.pi)
+    amp = (phase * plus - np.conj(phase) * fock.mirror_amplitudes(plus)) / math.sqrt(2.0)
+    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+    return fock.FockVector(amp)
 
 
 def displacement_expm(alpha, cutoff, pad=40):

@@ -27,8 +27,8 @@ def report(capsys):
     return _report
 
 
-def coherent_density(alpha0, cutoff):
-    return fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
+def coherent_density(alpha0):
+    return fock.density_from_pure(fock.coherent_state(alpha0))
 
 
 def test_criterion_1_parameter_reproduction(report):
@@ -61,7 +61,7 @@ def test_criterion_2_initial_condition(report):
     grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
     gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
     err_a = float(np.max(np.abs(q_surface(grid, density(0.0, sys_)).values - gauss)))
-    num = q_surface(grid, coherent_density(2.0, 40))
+    num = q_surface(grid, coherent_density(2.0))
     err_n = float(np.max(np.abs(num.values - gauss)))
     ok = err_a <= 1e-10 and err_n <= 1e-10
     report(2, "initial_condition", ok, f"analytic err={err_a:.2e}, numeric err={err_n:.2e}")
@@ -69,10 +69,9 @@ def test_criterion_2_initial_condition(report):
 
 def test_criterion_3_dual_path_agreement(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
-    cutoff = 40
     t_cat = math.pi / 2.0
     times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
-    states = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
+    states = lindblad.evolve(sys_, coherent_density(2.0), times)
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     worst = 0.0
     for t, rho in zip(times, states):
@@ -85,14 +84,13 @@ def test_criterion_3_dual_path_agreement(report):
 
 def test_criterion_4_cat_formation(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-    cutoff = 40
     t_cat = math.pi / 2.0
-    rho = lindblad.evolve(sys_, coherent_density(2.0, cutoff), (t_cat,))[-1]
-    fidelity_gap = 1.0 - fock.fidelity(rho, fock.cat_state(2.0, cutoff))
+    rho = lindblad.evolve(sys_, coherent_density(2.0), (t_cat,))[-1]
+    fidelity_gap = 1.0 - fock.fidelity(rho, fock.cat_state(2.0))
 
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)
     ana = q_surface(grid, density(t_cat, sys_))
-    cat_surface = q_surface(grid, fock.density_from_pure(fock.cat_state(2.0, cutoff)))
+    cat_surface = q_surface(grid, fock.density_from_pure(fock.cat_state(2.0)))
     surf_err = float(np.max(np.abs(ana.values - cat_surface.values)))
     ok = fidelity_gap <= 1e-8 and surf_err <= 1e-8
     report(4, "cat_formation", ok, f"1-F={fidelity_gap:.2e}, surface err={surf_err:.2e}")
@@ -112,12 +110,11 @@ def test_criterion_5_revival_and_parity(report):
 
 def test_criterion_6_energy_decay(report):
     gamma = 0.1
-    cutoff = fock.series_order(2.0)
     times = tuple(float(t) for t in np.linspace(0.0, 3.0 / gamma, 16))
     worst = 0.0
     for mu in (0.0, 1.0):
         sys_ = KerrSystem(alpha0=2.0, mu=mu, gamma=gamma)
-        states = lindblad.evolve(sys_, coherent_density(2.0, cutoff), times)
+        states = lindblad.evolve(sys_, coherent_density(2.0), times)
         for t, rho in zip(times, states):
             law = 4.0 * math.exp(-gamma * t)
             worst = max(worst, abs(fock.expectation_n(rho) - law))
@@ -130,12 +127,11 @@ def test_criterion_7_decoherence_scaling(report):
     alphas = (1.0, 1.5, 2.0, 3.0)
     taus = []
     for a0 in alphas:
-        cutoff = fock.series_order(a0)
         t_final = 2.0 * analysis.WINDOW_DEPTH / (a0**2 * gamma)
         sample_times = np.linspace(0.0, t_final, 161)
         states = lindblad.evolve(
             KerrSystem(alpha0=a0, mu=0.0, gamma=gamma),
-            fock.density_from_pure(fock.cat_state(a0, cutoff)),
+            fock.density_from_pure(fock.cat_state(a0)),
             sample_times,
         )
         coherences = [

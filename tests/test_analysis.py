@@ -12,11 +12,10 @@ import oracles
 
 def damped_cat_coherences(alpha0, gamma, t_final=None, samples=161):
     """Sample times and the coherence of the damping-only cat's state at each."""
-    n = fock.series_order(alpha0)
     if t_final is None:
         t_final = 2.0 * analysis.WINDOW_DEPTH / (alpha0**2 * gamma)
     times = np.linspace(0.0, t_final, samples)
-    rho0 = fock.density_from_pure(fock.cat_state(alpha0, n))
+    rho0 = fock.density_from_pure(fock.cat_state(alpha0))
     states = lindblad.evolve(KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma), rho0, times)
     return times, [analysis.coherence_metric(r, alpha0, t, gamma) for t, r in zip(times, states)]
 
@@ -27,25 +26,24 @@ def fitted_time(times, coherences):
 
 def cat_fidelity(rho, alpha0):
     """<cat| rho |cat> against the two-branch target for alpha0."""
-    return fock.fidelity(rho, fock.cat_state(alpha0, rho.cutoff))
+    return fock.fidelity(rho, fock.cat_state(alpha0))
 
 
 class TestCatFidelity:
     def test_pure_cat(self):
-        rho = fock.density_from_pure(fock.cat_state(2.0, 40))
+        rho = fock.density_from_pure(fock.cat_state(2.0))
         assert abs(cat_fidelity(rho, 2.0) - 1.0) < 1e-12
 
     def test_kerr_evolution_reaches_cat(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        n = fock.series_order(2.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         t_cat = math.pi / 2.0
         rho = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
         assert cat_fidelity(rho, 2.0) >= 1.0 - 1e-10
 
     def test_single_branch_fidelity(self):
         # |<cat|a0>|^2 = (1 + e^{-4 |a0|^2}) / 2, brute forced
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         cat = oracles.paper_cat_amplitudes(2.0, 40)
         coh = oracles.coherent_amplitudes_factorial(2.0, 40)
         brute = abs(np.vdot(cat, coh / np.linalg.norm(coh))) ** 2
@@ -54,7 +52,7 @@ class TestCatFidelity:
         assert abs(got - 0.5) < 1e-6
 
     def test_global_phase_invariance(self):
-        cat = fock.cat_state(1.5, 30)
+        cat = fock.cat_state(1.5)
         for theta in (0.3, 1.0, 2.7):
             rotated = fock.FockVector(cat.amplitudes * np.exp(1j * theta))
             rho = fock.density_from_pure(rotated)
@@ -63,13 +61,12 @@ class TestCatFidelity:
 
 class TestCoherenceMetric:
     def test_pure_cat_is_one(self):
-        rho = fock.density_from_pure(fock.cat_state(2.0, 40))
+        rho = fock.density_from_pure(fock.cat_state(2.0))
         assert abs(analysis.coherence_metric(rho, 2.0, 0.0, 0.0) - 1.0) < 1e-9
 
     def test_incoherent_mixture_is_small(self):
-        n = 40
-        plus = fock.density_from_pure(fock.coherent_state(2.0, n)).elements
-        minus = fock.density_from_pure(fock.coherent_state(-2.0, n)).elements
+        plus = fock.density_from_pure(fock.coherent_state(2.0)).elements
+        minus = fock.density_from_pure(fock.coherent_state(-2.0)).elements
         rho = fock.DensityOperator(0.5 * (plus + minus))
         got = analysis.coherence_metric(rho, 2.0, 0.0, 0.0)
         g = math.exp(-2.0 * 4.0)
@@ -177,8 +174,7 @@ class TestFit:
 
         c_analytic = [analysis.coherence_metric(density(t, sys_), a0, t, gamma) for t in times]
 
-        n = fock.series_order(a0)
-        rho0 = fock.density_from_pure(fock.coherent_state(a0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(a0))
         states = lindblad.evolve(sys_, rho0, times)
         c_numeric = [analysis.coherence_metric(r, a0, t, gamma) for t, r in zip(times, states)]
 
@@ -204,7 +200,7 @@ class TestWignerSlice:
             assert ws.max() == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     def test_cat_fringes_against_dense_oracle(self):
-        rho = fock.density_from_pure(fock.cat_state(2.0, 40))
+        rho = fock.density_from_pure(fock.cat_state(2.0))
         xs = np.linspace(-2.0, 2.0, 41)
         ws = fock.wigner(rho, 1j * xs)
         for x, w in zip(xs[::5], ws[::5]):
@@ -214,7 +210,7 @@ class TestWignerSlice:
     def test_fringe_period(self):
         # imaginary-axis oscillation period pi / (2 |a0|) for real a0
         a0 = 2.0
-        rho = fock.density_from_pure(fock.cat_state(a0, 40))
+        rho = fock.density_from_pure(fock.cat_state(a0))
         xs = np.linspace(-1.5, 1.5, 601)
         ws = fock.wigner(rho, 1j * xs)
         zero_crossings = np.nonzero(np.diff(np.sign(ws)))[0]
@@ -223,9 +219,8 @@ class TestWignerSlice:
         assert abs(np.median(gaps) - math.pi / (4.0 * a0)) < 0.02
 
     def test_mixture_is_fringe_free(self):
-        n = 40
-        plus = fock.density_from_pure(fock.coherent_state(2.0, n)).elements
-        minus = fock.density_from_pure(fock.coherent_state(-2.0, n)).elements
+        plus = fock.density_from_pure(fock.coherent_state(2.0)).elements
+        minus = fock.density_from_pure(fock.coherent_state(-2.0)).elements
         rho = fock.DensityOperator(0.5 * (plus + minus))
         xs = np.linspace(-2.0, 2.0, 21)
         for x, w in zip(xs, fock.wigner(rho, 1j * xs)):
@@ -240,7 +235,7 @@ class TestWignerSlice:
     def test_macroscopic_cat_stays_bounded(self, a0):
         # validate's lines at |alpha0| = 16 and 20, where x = |2 alpha|^2 reaches
         # 1444 and 2116 and e^{-x/2} underflows; any overflow warning is an error
-        rho = fock.density_from_pure(fock.cat_state(a0, fock.series_order(a0)))
+        rho = fock.density_from_pure(fock.cat_state(a0))
         line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
         across = 1j * np.linspace(-math.pi / a0, math.pi / a0, 65)
         ws = fock.wigner(rho, np.concatenate([1j * line, line, across]))

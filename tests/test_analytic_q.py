@@ -161,7 +161,7 @@ class TestQValue:
 
     def test_cat_formation_matches_fock(self):
         sys_ = make_sys(gamma=0.0)
-        rho = fock.density_from_pure(fock.cat_state(2.0, 40))
+        rho = fock.density_from_pure(fock.cat_state(2.0))
         points = [0.0, 0.5 + 0.3j, 2.0, -2.0, 1.0j, -1.5 + 2.2j]
         for a, q in zip(points, q_at(points, math.pi / 2, sys_)):
             assert abs(q - oracles.husimi_brute(rho.elements, a)) < 1e-8
@@ -200,7 +200,7 @@ class TestQValue:
         assert 2.0 * math.sqrt(pdtrc(n - 1, mean)) <= fock.TAIL_TOL
         assert 2.0 * math.sqrt(pdtrc(n - 2, mean)) > fock.TAIL_TOL
         # the state the rule admits is normalized after truncation to double precision
-        v = fock.coherent_state(alpha0, n)
+        v = fock.coherent_state(alpha0)
         assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_series_order_matches_pdtrc_cut(self):
@@ -282,7 +282,7 @@ class TestQSurface:
         res = 1001
         grid = PhaseGrid(center=0j, half_extent=7.0, resolution=res)
         sys_ = make_sys()
-        rho = fock.density_from_pure(fock.coherent_state(sys_.alpha0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
         tracemalloc.start()
         try:
             q_surface(grid, density(0.9, sys_) if backend == "analytic" else rho)

@@ -311,7 +311,7 @@ class TestTruncationRule:
         ids=["qsurface_numeric", "evolve", "validate"],
     )
     def test_vacuum_kick_runs(self, tmp_path, a0, argv):
-        # a one-level |0> would hold all its weight in the top level, a cutoff leak
+        # |0> on series_order's two levels, through each command that propagates it
         cfg = write_config(tmp_path, dimensionless_doc(alpha0=(a0, 0.0), res=11))
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
 
@@ -710,7 +710,7 @@ def expected_csv(doc, columns, rows) -> bytes:
 
 def evolve_rows(sys_, rho0, times):
     """evolve.csv's cells: t, <n>, purity, |tr rho - 1|, cat fidelity and coherence per state."""
-    cat = fock.cat_state(sys_.alpha0, rho0.cutoff)
+    cat = fock.cat_state(sys_.alpha0)
     return [
         [repr(float(x)) for x in
          (t, fock.expectation_n(rho), fock.purity(rho),
@@ -738,7 +738,7 @@ class TestCsvExport:
         if backend == "analytic":
             rho = analytic_q.density(0.7, sys_)
         else:
-            rho0 = fock.density_from_pure(fock.coherent_state(2.0, fock.series_order(2.0)))
+            rho0 = fock.density_from_pure(fock.coherent_state(2.0))
             rho = lindblad.evolve(sys_, rho0, (0.7,))[-1]
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
@@ -756,7 +756,7 @@ class TestCsvExport:
         argv = ["evolve", "--t-final", "2.0", "--samples", "5"]
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
         sys_ = analytic_q.KerrSystem(alpha0=2.0, mu=1.0, gamma=0.1)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, fock.series_order(2.0)))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         rows = evolve_rows(sys_, rho0, np.linspace(0.0, 2.0, 5))
         columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
         assert (tmp_path / "evolve.csv").read_bytes() == expected_csv(doc, columns, rows)
@@ -768,10 +768,10 @@ class TestCsvExport:
         assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 0
         rows = []
         for a0 in (1.0, 1.5):
-            rho0 = fock.density_from_pure(fock.coherent_state(a0, fock.series_order(a0)))
+            rho0 = fock.density_from_pure(fock.coherent_state(a0))
             sys_ = analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=0.0)
             rho = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
-            values = (a0, 0.0, math.pi / 2, fock.fidelity(rho, fock.cat_state(a0, rho0.cutoff)),
+            values = (a0, 0.0, math.pi / 2, fock.fidelity(rho, fock.cat_state(a0)),
                       fock.wigner(rho, 0.0), analysis.coherence_metric(rho, a0, math.pi / 2, 0.0),
                       math.inf, math.inf)
             rows.append([repr(float(x)) for x in values] + ["no_damping"])
@@ -892,9 +892,8 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
     doc = dimensionless_doc(alpha0=(alpha0.real, alpha0.imag), gamma=gamma, extent=extent, res=res)
     cfg = write_config(tmp_path, doc)
     sys_ = analytic_q.KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
-    cutoff = fock.series_order(alpha0)
     grid = analytic_q.PhaseGrid(center=0j, half_extent=extent, resolution=res)
-    rho0 = fock.density_from_pure(fock.coherent_state(alpha0, cutoff))
+    rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
 
     def run(*argv, code=0):
         out = tmp_path / "_".join(argv)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_laguerre
 
 from kerrcat import fock
-from kerrcat.errors import CutoffTooSmall, DimensionMismatch, SeriesNotConverged
+from kerrcat.errors import DimensionMismatch, SeriesNotConverged
 
 import oracles
 
@@ -49,54 +49,57 @@ def husimi(rho, points):
 
 class TestCoherentState:
     def test_vacuum(self):
-        v = fock.coherent_state(0.0, 8)
+        v = fock.coherent_state(0.0)
         assert v.amplitudes[0] == 1.0
         assert np.all(v.amplitudes[1:] == 0.0)
 
     def test_ground_amplitude(self):
-        v = fock.coherent_state(1.0, 40)
+        v = fock.coherent_state(1.0)
         assert abs(v.amplitudes[0] - math.exp(-0.5)) < 1e-12
 
     def test_poisson_weights(self):
-        v = fock.coherent_state(2.0, 40)
+        v = fock.coherent_state(2.0)
         pops = np.abs(v.amplitudes) ** 2
-        assert np.max(np.abs(pops - oracles.poisson_pmf(np.arange(40), 4.0))) < 1e-12
+        assert np.max(np.abs(pops - oracles.poisson_pmf(np.arange(len(pops)), 4.0))) < 1e-12
 
     def test_matches_factorial_formula(self):
         alpha = 1.3 - 0.7j
-        v = fock.coherent_state(alpha, 40)
-        brute = oracles.coherent_amplitudes_factorial(alpha, 40)
+        v = fock.coherent_state(alpha)
+        brute = oracles.coherent_amplitudes_factorial(alpha, len(v.amplitudes))
         assert np.max(np.abs(v.amplitudes - brute)) < 1e-13
 
-    def test_cutoff_too_small(self):
-        with pytest.raises(CutoffTooSmall):
-            fock.coherent_state(2.0, 10)
+    @pytest.mark.parametrize("alpha", [0.0, 1e-11, 1.0, 2.0, 1.3 - 0.7j, -6.0j, 20.0])
+    def test_levels_from_series_order(self, alpha):
+        # the constructor's N is the rule's, and its bits those of a vector built at that N
+        v = fock.coherent_state(alpha)
+        assert v.cutoff == fock.series_order(alpha)
+        assert np.array_equal(v.amplitudes, oracles.coherent_vector(alpha, v.cutoff).amplitudes)
 
 
 class TestCatState:
     def test_degenerate_alpha0_is_vacuum(self):
-        cat = fock.cat_state(0.0, 8)
+        cat = fock.cat_state(0.0)
         assert abs(abs(cat.amplitudes[0]) - 1.0) < 1e-12
 
     def test_overlap_with_branch(self):
         # |<a0|cat>|^2 = (1 + e^{-4 |a0|^2}) / 2 including the small correction
-        cat = fock.cat_state(2.0, 40)
-        coh = fock.coherent_state(2.0, 40)
+        cat = fock.cat_state(2.0)
+        coh = fock.coherent_state(2.0)
         overlap = abs(np.vdot(coh.amplitudes, cat.amplitudes)) ** 2
         exact = (1.0 + math.exp(-16.0)) / 2.0
         assert abs(overlap - exact) < 1e-12
         assert abs(overlap - 0.5) < 1e-6
 
     def test_matches_direct_expansion(self):
-        cat = fock.cat_state(2.0, 40)
-        brute = oracles.paper_cat_amplitudes(2.0, 40)
+        cat = fock.cat_state(2.0)
+        brute = oracles.paper_cat_amplitudes(2.0, cat.cutoff)
         # compare populations; the global phase is convention dependent
         assert np.max(np.abs(np.abs(cat.amplitudes) ** 2 - np.abs(brute) ** 2)) < 1e-14
         assert abs(abs(np.vdot(cat.amplitudes, brute)) - 1.0) < 1e-12
 
     def test_even_odd_population_ratio(self):
-        cat = fock.cat_state(2.0, 40)
-        brute = oracles.paper_cat_amplitudes(2.0, 40)
+        cat = fock.cat_state(2.0)
+        brute = oracles.paper_cat_amplitudes(2.0, cat.cutoff)
         pops = np.abs(cat.amplitudes) ** 2
         ref = np.abs(brute) ** 2
         assert abs(pops[::2].sum() / pops[1::2].sum() - ref[::2].sum() / ref[1::2].sum()) < 1e-10
@@ -109,8 +112,15 @@ class TestCatState:
 
     def test_unit_norm_for_any_alpha0(self):
         for a0 in (0.3, 1.0, 2.5 + 1.0j):
-            cat = fock.cat_state(a0, fock.series_order(a0))
+            cat = fock.cat_state(a0)
             assert abs(np.sum(np.abs(cat.amplitudes) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("a0", [0.0, 1.0, 2.0, 2.5 + 1.0j, 16.0])
+    def test_levels_from_series_order(self, a0):
+        # the cat has |a0>'s populations, so the rule's N for |a0> holds it too
+        cat = fock.cat_state(a0)
+        assert cat.cutoff == fock.series_order(a0)
+        assert np.array_equal(cat.amplitudes, oracles.cat_vector(a0, cat.cutoff).amplitudes)
 
 
 class TestDensityOperator:
@@ -120,12 +130,12 @@ class TestDensityOperator:
         assert np.count_nonzero(rho.elements) == 1
 
     def test_unit_trace_and_purity(self):
-        rho = fock.density_from_pure(fock.coherent_state(1.5, 35))
+        rho = fock.density_from_pure(fock.coherent_state(1.5))
         assert abs(np.trace(rho.elements) - 1.0) < 1e-12
         assert abs(fock.purity(rho) - 1.0) < 1e-12
 
     def test_coherent_off_diagonal(self):
-        rho = fock.density_from_pure(fock.coherent_state(1.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(1.0))
         assert abs(rho.elements[0, 1] - math.exp(-1.0)) < 1e-12
 
     def test_rejects_non_hermitian(self):
@@ -208,11 +218,11 @@ class TestHusimi:
         assert abs(husimi(rho, 0.0)[0] - 1.0) < 1e-14
 
     def test_coherent_projector_on_peak(self):
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         assert abs(husimi(rho, 2.0)[0] - 1.0) < 1e-10
 
     def test_coherent_projector_off_peak(self):
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         assert abs(husimi(rho, 3.0)[0] - math.exp(-1.0)) < 1e-10
 
     def test_gaussian_law_random_points(self):
@@ -221,7 +231,7 @@ class TestHusimi:
         for _ in range(50):
             b = complex(*rng.uniform(-3 / 1.5, 3 / 1.5, 2))
             a = complex(*rng.uniform(-3 / 1.5, 3 / 1.5, 2))
-            rho = fock.density_from_pure(fock.coherent_state(b, 60))
+            rho = fock.density_from_pure(oracles.coherent_vector(b, 60))
             assert abs(husimi(rho, a)[0] - math.exp(-abs(a - b) ** 2)) < 1e-8
 
     def test_matches_brute_force_on_mixed_state(self):
@@ -231,7 +241,7 @@ class TestHusimi:
             assert abs(husimi(rho, a)[0] - oracles.husimi_brute(rho.elements, a)) < 1e-12
 
     def test_grid_normalization(self):
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         xs = np.linspace(-7.0, 7.0, 141)
         w = (xs[1] - xs[0]) ** 2
         total = float(np.sum(fock.q_grid(rho.elements, xs, xs))) * w / math.pi
@@ -295,7 +305,7 @@ class TestWigner:
         assert abs(fock.wigner(rho, 0.0) + 2.0 / math.pi) < 1e-14
 
     def test_cat_against_dense_oracle(self):
-        rho = fock.density_from_pure(fock.cat_state(2.0, 40))
+        rho = fock.density_from_pure(fock.cat_state(2.0))
         for a in (0.0, 0.5j, 1.0 + 0.2j, 2.0):
             assert abs(fock.wigner(rho, a) - oracles.wigner_dense(rho.elements, a)) < 1e-8
 
@@ -305,7 +315,7 @@ class TestWigner:
     def test_dense_oracle_far_from_origin(self, x):
         # points of validate's real-axis slice for the |alpha0| = 10 coherent
         # state, where a fixed 60-level padding left the oracle off by up to 0.64
-        rho = fock.density_from_pure(fock.coherent_state(10.0, fock.series_order(10.0)))
+        rho = fock.density_from_pure(fock.coherent_state(10.0))
         exact = 2.0 / math.pi * math.exp(-2.0 * (x - 10.0) ** 2)
         assert abs(oracles.wigner_dense(rho.elements, x) - exact) < 1e-12
 
@@ -327,7 +337,7 @@ class TestWigner:
 
 class TestFidelityAndMoments:
     def test_self_fidelity(self):
-        psi = fock.coherent_state(1.2 + 0.4j, 35)
+        psi = fock.coherent_state(1.2 + 0.4j)
         assert abs(fock.fidelity(fock.density_from_pure(psi), psi) - 1.0) < 1e-12
 
     def test_orthogonal_states(self):
@@ -362,7 +372,7 @@ class TestFidelityAndMoments:
         assert abs(fock.purity(rho) - 1.0) < 1e-14
 
     def test_coherent_mean_photon_number(self):
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         assert abs(fock.expectation_n(rho) - 4.0) < 1e-10
 
     def test_equal_mix_purity(self):
@@ -415,7 +425,7 @@ class TestWignerKernel:
     def test_large_coherent_state_closed_form(self, a0, margin):
         # a cutoff with margin holds the state to double precision, so the only
         # error left is the kernel's, and W = (2/pi) e^{-2|alpha - a0|^2} exactly
-        rho = fock.density_from_pure(fock.coherent_state(a0, fock.series_order(a0) + margin))
+        rho = fock.density_from_pure(oracles.coherent_vector(a0, fock.series_order(a0) + margin))
         xs = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
         pts = np.concatenate([xs, 1j * xs, a0 + np.linspace(-1.5, 1.5, 21) * (1 + 0.5j)])
         want = 2.0 / np.pi * np.exp(-2.0 * np.abs(pts - a0) ** 2)

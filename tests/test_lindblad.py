@@ -6,7 +6,6 @@ import pytest
 
 from kerrcat import fock, lindblad
 from kerrcat.analytic_q import KerrSystem, PhaseGrid, density, q_surface
-from kerrcat.errors import CutoffLeak
 
 import oracles
 
@@ -71,7 +70,7 @@ class TestEvolve:
     def test_pure_damping_poisson_populations(self):
         sys_ = damping_sys(alpha0=2.0, gamma=0.1)
         n = fock.series_order(2.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         times = (1.5, 4.0)
         for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
             mean = 4.0 * math.exp(-0.1 * t)
@@ -82,7 +81,7 @@ class TestEvolve:
         gamma = 0.05
         n = fock.series_order(2.0)
         sys_ = damping_sys(alpha0=2.0, gamma=gamma)
-        rho0 = fock.density_from_pure(fock.cat_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.cat_state(2.0))
         times = (1.0, 3.0)
         for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
             exact = oracles.damped_cat_density(2.0, gamma, t, n)
@@ -90,17 +89,16 @@ class TestEvolve:
 
     def test_kerr_cat_formation(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        n = fock.series_order(2.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         t_cat = math.pi / 2.0
         rho = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
-        assert fock.fidelity(rho, fock.cat_state(2.0, n)) >= 1.0 - 1e-10
+        assert fock.fidelity(rho, fock.cat_state(2.0)) >= 1.0 - 1e-10
         assert abs(fock.purity(rho) - 1.0) < 1e-10
 
     def test_kerr_phases_against_oracle(self):
         sys_ = KerrSystem(alpha0=1.5, mu=1.0, gamma=0.0)
         n = fock.series_order(1.5)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.5, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.5))
         t = 0.9
         rho = lindblad.evolve(sys_, rho0, (t,))[-1]
         psi = oracles.kerr_amplitudes(1.5, 1.0, t, n)
@@ -108,8 +106,7 @@ class TestEvolve:
         assert np.max(np.abs(rho.elements - exact)) < 1e-10
 
     def test_mean_decay_independent_of_mu(self):
-        n = fock.series_order(2.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         times = (0.5, 1.5)
         means = {}
         for mu in (0.0, 1.0):
@@ -127,8 +124,7 @@ class TestEvolve:
             (2.0, 0.02, 0.0), (6.0 * np.exp(1j), 0.1, 0.3), (12.0, 1.0, -0.3), (12.0j, 1e-3, 0.3)
         ):
             sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
-            n = fock.series_order(alpha0)
-            for psi in (fock.coherent_state(alpha0, n), fock.cat_state(alpha0, n)):
+            for psi in (fock.coherent_state(alpha0), fock.cat_state(alpha0)):
                 rho0 = fock.density_from_pure(psi)
                 for rho in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
                     assert abs(float(np.trace(rho.elements).real) - 1.0) <= 1e-13
@@ -153,12 +149,29 @@ class TestEvolve:
         ratio = errs[0.05] / errs[0.025]
         assert 13.0 < ratio < 22.0
 
-    def test_cutoff_leak_raises(self):
-        n = 12
-        sys_ = damping_sys(alpha0=0.0, gamma=0.5)
-        rho0 = fock.density_from_pure(fock.FockVector(np.eye(n)[n - 1]))
-        with pytest.raises(CutoffLeak):
-            lindblad.evolve(sys_, rho0, (0.5,))
+    @pytest.mark.parametrize(
+        "sys_",
+        [KerrSystem(alpha0=0.0, mu=1.0, gamma=0.5, detuning=0.3),
+         damping_sys(alpha0=0.0, gamma=0.5),
+         KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0)],
+        ids=["damped_detuned_kerr", "damping_only", "undamped"],
+    )
+    def test_truncation_is_exact(self, sys_):
+        # d rho_mn/dt reads only rho_mn and rho_{m+1,n+1}, so levels that start
+        # empty stay empty: the N-level run is the leading block of the run
+        # padded with zeros, bit for bit, even for |11><11|, all in the top level
+        rng = np.random.default_rng(6)
+        top = fock.density_from_pure(fock.FockVector(np.eye(12)[11])).elements
+        times = (0.0, 0.5, 2.0)
+        for mat in (top, oracles.random_density(rng, 12), oracles.random_density(rng, 35)):
+            n = mat.shape[0]
+            padded = np.zeros((n + 3, n + 3), dtype=complex)
+            padded[:n, :n] = mat
+            states = lindblad.evolve(sys_, fock.DensityOperator(mat), times)
+            wider = lindblad.evolve(sys_, fock.DensityOperator(padded), times)
+            for rho, big in zip(states, wider):
+                assert np.array_equal(big.elements[:n, :n], rho.elements)
+                assert not big.elements[n:].any() and not big.elements[:, n:].any()
 
 
 class TestBandStructure:
@@ -220,7 +233,7 @@ class TestBatchedTimes:
         # 23 times at N = 35 span four blocks of EVOLVE_BLOCK elements
         n = fock.series_order(2.0)
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.05)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         times = tuple(float(t) for t in np.linspace(0.0, 2.0, 23))
         assert len(times) > lindblad.EVOLVE_BLOCK // n**2
         batched = lindblad.evolve(sys_, rho0, times)
@@ -264,9 +277,8 @@ class TestBatchedTimes:
     def test_block_memory_bounded(self):
         # the transient above what the states keep stays at a few blocks,
         # whatever the number of samples
-        n = 40
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         times = np.linspace(0.0, math.pi / 2.0, 201)
         tracemalloc.start()
         try:
@@ -281,13 +293,13 @@ class TestBatchedTimes:
 class TestSpecValidation:
     def test_unsorted_sample_times(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, fock.series_order(1.0)))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0))
         with pytest.raises(ValueError):
             lindblad.evolve(sys_, rho0, (0.5, 0.2))
 
     def test_sample_time_out_of_range(self):
         sys_ = KerrSystem(alpha0=1.0, mu=1.0, gamma=0.0)
-        rho0 = fock.density_from_pure(fock.coherent_state(1.0, fock.series_order(1.0)))
+        rho0 = fock.density_from_pure(fock.coherent_state(1.0))
         for t in (-0.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 lindblad.evolve(sys_, rho0, (0.0, t))
@@ -303,7 +315,7 @@ class TestQFromRho:
         assert np.max(np.abs(surf.values - np.exp(-np.abs(grid.points()) ** 2))) < 1e-12
 
     def test_coherent_gaussian(self):
-        rho = fock.density_from_pure(fock.coherent_state(2.0, 40))
+        rho = fock.density_from_pure(fock.coherent_state(2.0))
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
         surf = q_surface(grid, rho)
         gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
@@ -321,8 +333,7 @@ class TestQFromRho:
 
     def test_dual_path_agreement(self):
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
-        n = 40
-        rho0 = fock.density_from_pure(fock.coherent_state(2.0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         t_cat = math.pi / 2.0
         times = (0.25 * t_cat, 0.5 * t_cat, t_cat)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=41)
@@ -336,8 +347,7 @@ class TestQFromRho:
     def test_dual_path_agreement_detuned(self, delta, gamma):
         alpha0 = 1.5 + 0.5j
         sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
-        n = fock.series_order(alpha0)
-        rho0 = fock.density_from_pure(fock.coherent_state(alpha0, n))
+        rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
         times = (0.7, 1.9, 3.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)
         for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):

@@ -54,14 +54,13 @@ def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
 @given(alpha0=alpha0s, mu=mus, gamma=gammas, delta=deltas, t=times)
 def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
-    n = fock.series_order(alpha0)
-    num = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0, n)), (t,))[-1]
+    num = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))[-1]
     ana = density(t, sys_)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
     assert np.max(np.abs(q_surface(grid, ana).values - q_surface(grid, num).values)) <= 1e-6
 
     # both states through the same diagnostics
-    cat = fock.cat_state(alpha0, n)
+    cat = fock.cat_state(alpha0)
     for observable in (fock.expectation_n, fock.purity, lambda rho: fock.fidelity(rho, cat)):
         assert abs(observable(ana) - observable(num)) <= 1e-13
     c_ana, c_num = (analysis.coherence_metric(rho, alpha0, t, gamma) for rho in (ana, num))
