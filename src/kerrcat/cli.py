@@ -1,20 +1,19 @@
 """Command-line front end: params, qsurface, evolve, validate, sweep.
 
 Configuration is a single JSON document (schema below); every output file
-embeds the artifact version and a digest of that document, with any
---grid-extent or --grid-res override written into it (--out, a path, is
-left out), so repeated runs are byte-identical. One writer stamps both into
-params.json and validate.json, keys sorted, and returns the text that is
-printed. Every CSV cell is Python's repr of the value, made by
-csvtext's array kernel once every value in the file is computed;
-qsurface.csv is formatted a block of grid rows at a time, so its whole text
-is never in memory. Each file is written under a temporary name beside it
-and renamed into place when complete, so a failed run leaves no file. Exit
-codes: 0 success, 2 configuration error (including wrong-typed or
-non-finite numbers, an integer past sys.maxsize, a grid too large to
-allocate, a cutoff that is not null, physical inputs whose derived rates
-overflow or underflow, and an output that cannot be written), 3 numerical
-failure (failed check, broken invariant, a state that is not finite or not
+embeds the artifact version and a digest of that document (--out, a path,
+is left out), so repeated runs are byte-identical. One writer stamps both
+into params.json and validate.json, keys sorted, and returns the text that
+is printed. Every CSV cell is Python's repr of the value, made by csvtext's
+array kernel once every value in the file is computed; qsurface.csv is
+formatted a block of grid rows at a time, so its whole text is never in
+memory. Each file is written under a temporary name beside it and renamed
+into place when complete, so a failed run leaves no file. Exit codes: 0
+success, 2 configuration error (including wrong-typed or non-finite
+numbers, an integer past sys.maxsize, a grid too large to allocate, a
+cutoff that is not null, physical inputs whose derived rates overflow or
+underflow, and an output that cannot be written), 3 numerical failure
+(failed check, broken invariant, a state that is not finite or not
 positive, a Q outside [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid
 point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 
@@ -138,8 +137,8 @@ def _finite_number(token: str) -> float:
     return value
 
 
-def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunConfig:
-    """Parse and validate the JSON config, applying CLI overrides."""
+def load_config(path: str, out: str | None = None) -> RunConfig:
+    """Parse and validate the JSON config; ``out``, when given, replaces its output_dir."""
     try:
         raw = json.loads(
             Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
@@ -206,9 +205,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             raise ConfigError(f"physical section missing field {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if trap.alpha0_override is not None:  # before derive squares it
-            z = trap.alpha0_override
-            fock.check_probe_range(math.hypot(z.real, z.imag))
         try:
             derived = trap_params.derive(trap)
         except (OverflowError, ZeroDivisionError) as exc:  # e.g. omega_c^2 overflows, mu is 0
@@ -219,13 +215,14 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             "gamma": trap.gamma,
             "detuning": derived.detuning,
         }
+    # before anything squares |alpha0|: a Python float overflows past 1.3e154,
+    # and abs() of a complex raises where hypot() gives inf (or nan, from a kick inf * 0)
+    z = rates["alpha0"]
+    fock.check_probe_range(math.hypot(z.real, z.imag))
     try:
         sys_ = KerrSystem(**rates)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # before anything squares |alpha0|: a Python float overflows past 1.3e154,
-    # and abs() of a complex raises where hypot() gives inf
-    fock.check_probe_range(math.hypot(sys_.alpha0.real, sys_.alpha0.imag))
 
     gsec = {} if raw.get("grid") is None else raw["grid"]
     if not isinstance(gsec, dict):
@@ -233,13 +230,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
     resolution = _integer(gsec.get("resolution", 101), "grid.resolution")
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
-    # an override is written into the document, so the digest covers it
-    if getattr(overrides, "grid_extent", None) is not None:
-        half_extent = gsec["half_extent"] = overrides.grid_extent
-    if getattr(overrides, "grid_res", None) is not None:
-        resolution = gsec["resolution"] = overrides.grid_res
-    if gsec:
-        raw["grid"] = gsec
     try:
         grid = PhaseGrid(center=center, half_extent=half_extent, resolution=resolution)
     except ValueError as exc:
@@ -248,12 +238,11 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     if raw.get("cutoff") is not None:  # the digest would record an N the run does not use
         raise ConfigError(f"cutoff is derived from alpha0 and must be null, got {raw['cutoff']!r}")
 
-    out = raw.get("output_dir")
-    if not isinstance(out, (str, type(None))):
-        raise ConfigError(f"output_dir must be a string or null, got {out!r}")
-    out = out or "."
-    if getattr(overrides, "out", None) is not None:  # a path, so not in the digest
-        out = overrides.out
+    output_dir = raw.get("output_dir")
+    if not isinstance(output_dir, (str, type(None))):
+        raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
+    if out is None:  # --out is a path, so not in the digest
+        out = output_dir or "."
     _integer(raw.get("seed", 0), "seed")  # read by no command, but in schema v1 and the digest
 
     digest_src = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -347,12 +336,10 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     _check_time(t, "--time")
     if backend == "analytic":
         rho = density(t, config.sys)
-    elif backend == "numeric":
+    else:  # "numeric", the one other choice the parser allows
         rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0))
         if t > 0:
             rho = lindblad.evolve(config.sys, rho, (t,))[-1]
-    else:
-        raise ConfigError(f"backend must be 'analytic' or 'numeric', got {backend!r}")
     values = q_surface(config.grid, rho).values
     re, im = config.grid.axes()
     re_cells = csvtext.packed(csvtext.cells(re))
@@ -404,12 +391,14 @@ def cmd_validate(config: RunConfig) -> dict:
     checks = []
     t_cat = math.pi / (2.0 * sys_.mu)
 
-    def coherent_q(beta: complex) -> np.ndarray:
-        """Q of the coherent state |beta> on the grid: exactly exp(-|alpha - beta|^2)."""
-        return np.exp(-np.abs(config.grid.points() - beta) ** 2)
-
     # the surface checks the grid's probe range before the Gaussian squares it
     surf0 = q_surface(config.grid, density(0.0, sys_))
+    points = config.grid.points()
+
+    def coherent_q(beta: complex) -> np.ndarray:
+        """Q of the coherent state |beta> on the grid: exactly exp(-|alpha - beta|^2)."""
+        return np.exp(-np.abs(points - beta) ** 2)
+
     gaussian = coherent_q(sys_.alpha0)
     checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
@@ -419,7 +408,8 @@ def cmd_validate(config: RunConfig) -> dict:
     sample_times = (0.5 * t_cat, t_cat)
     states = lindblad.evolve(sys_, rho0, sample_times)
     for label, t, rho in zip(("t_cat_half", "t_cat"), sample_times, states):
-        ana = q_surface(config.grid, density(t, sys_))
+        closed = density(t, sys_)  # density(t_cat, sys_) after the loop, for q_normalization
+        ana = q_surface(config.grid, closed)
         num = q_surface(config.grid, rho)
         checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
 
@@ -430,7 +420,7 @@ def cmd_validate(config: RunConfig) -> dict:
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
 
     norm_grid = PhaseGrid(center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201)
-    norm = grid_normalization(q_surface(norm_grid, density(t_cat, sys_)))
+    norm = grid_normalization(q_surface(norm_grid, closed))
     checks.append(_check("q_normalization", abs(norm - 1.0), 1e-3))
 
     # the imaginary and real axes, then the fringes across the branch axis: two
@@ -518,7 +508,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
             t_dec_fitted = analysis.decoherence_fit(times, coherences).time
             status = "ok"
         except InsufficientDecay as exc:
-            t_dec_fitted = exc.lower_bound if exc.lower_bound is not None else math.inf
+            t_dec_fitted = exc.lower_bound
             status = "lower_bound"
     else:
         t_dec_fitted = math.inf
@@ -573,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON config")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--grid-extent", type=float, default=None)
-    common.add_argument("--grid-res", type=int, default=None)
     common.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -595,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, overrides=args)
+        config = load_config(args.config, out=args.out)
         if args.command == "params":
             print(_write_json(config, "params", cmd_params(config)), end="")
         elif args.command == "qsurface":

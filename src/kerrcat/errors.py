@@ -5,10 +5,6 @@ class KerrcatError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(KerrcatError):
-    """Operands live in Fock spaces of different cutoff."""
-
-
 class SeriesNotConverged(KerrcatError):
     """A phase-space value cannot be computed to tolerance (probe weight underflow)."""
 
@@ -18,13 +14,9 @@ class InvariantViolation(KerrcatError):
 
 
 class InsufficientDecay(KerrcatError):
-    """Coherence never dropped below 1/e; only a lower bound is known.
+    """Coherence never dropped below 1/e; ``lower_bound``, always given, bounds the decay time."""
 
-    The ``lower_bound`` attribute carries the largest time for which the
-    supplied samples still show coherence above 1/e.
-    """
-
-    def __init__(self, message, lower_bound=None):
+    def __init__(self, message, lower_bound):
         super().__init__(message)
         self.lower_bound = lower_bound
 

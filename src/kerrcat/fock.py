@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SeriesNotConverged
+from .errors import SeriesNotConverged
 
 #: largest truncation error allowed in any Q value (see series_order)
 TAIL_TOL = 1e-10
@@ -311,11 +311,9 @@ def _displaced_parity(mat: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def fidelity(rho: DensityOperator, psi: FockVector) -> float:
-    """<psi| rho |psi>, in [0, 1] up to numerical slack."""
+    """<psi| rho |psi>, in [0, 1] up to numerical slack; a cutoff mismatch is a ValueError."""
     if rho.cutoff != psi.cutoff:
-        raise DimensionMismatch(
-            f"density operator cutoff {rho.cutoff} != state cutoff {psi.cutoff}"
-        )
+        raise ValueError(f"density operator cutoff {rho.cutoff} != state cutoff {psi.cutoff}")
     val = np.vdot(psi.amplitudes, rho.elements @ psi.amplitudes)
     return float(val.real)
 

@@ -78,9 +78,7 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
 
 
 def _make_record(t: float, mat: np.ndarray) -> fock.DensityOperator:
-    """rho(t) as a validated DensityOperator; a state that is not finite or not positive raises."""
-    if not np.isfinite(mat).all():
-        raise InvariantViolation(f"propagated state at t = {t} is not finite")
+    """rho(t) as a validated DensityOperator; one it rejects, non-finite ones first, raises."""
     try:
         return fock.DensityOperator(mat)
     except ValueError as exc:

@@ -118,10 +118,10 @@ def derive(config: TrapConfig) -> DerivedParams:
 
     t_cat = math.pi / (2.0 * mu)
     t_revival = 2.0 * math.pi / mu
-    if config.gamma > 0 and abs(alpha0) > 0:
+    if config.gamma > 0 and alpha0 != 0:
         try:
             t_dec = 1.0 / (config.gamma * abs(alpha0) ** 2)
-        except OverflowError:  # an oversized kick, reported by the probe-range check
+        except OverflowError:  # abs() or its square of a finite oversized kick, which cli rejects
             t_dec = 0.0
     else:
         t_dec = math.inf  # no damping (or no excitation): nothing to decohere

@@ -496,18 +496,21 @@ class TestBadInput:
          ("physical", 1.7e308 + 1.7e308j, ["params"]),
          ("physical", 38.0, ["evolve", "--t-final", "1", "--samples", "2"]),
          ("kick", 1e150, ["params"]),
-         ("kick", 1e300, ["params"])],
+         ("kick", 1e300, ["params"]),
+         ("kick", 1.7e308, ["params"]),
+         ("kick", 1.7e308, ["qsurface", "--time", "0"])],
         ids=["analytic", "numeric", "evolve", "params", "params_huge", "evolve_huge_cutoff",
              "sweep_huge_damped", "sweep_huge_undamped", "params_modulus_overflow",
              "physical_params_huge", "physical_modulus_overflow", "physical_evolve",
-             "kick_huge", "kick_squares_past_float"],
+             "kick_huge", "kick_squares_past_float", "kick_inf", "kick_inf_qsurface"],
     )
     def test_alpha0_underflow_exits_4(self, tmp_path, capsys, mode, alpha0, argv):
         # e^{-38^2/2} is subnormal: no command can build |alpha0>, so all exit
         # alike, also where |alpha0|^2 or even |alpha0| would overflow a Python
-        # float (in physical mode, alpha0_override is checked before derive
-        # squares it; a kick, here drive_amplitude in V/m for 1 ps, gives
-        # |alpha0| ~ 1e145 and 1e295, and derive never squares it)
+        # float (derive's decoherence time catches that overflow, and the one
+        # range check runs after derive, before KerrSystem; a kick, here
+        # drive_amplitude in V/m for 1 ps, gives |alpha0| ~ 1e145 and 1e295,
+        # and at 1.7e308 V/m it overflows to inf)
         pair = [complex(alpha0).real, complex(alpha0).imag]
         if mode == "physical":
             doc = physical_doc()
@@ -676,28 +679,6 @@ class TestDeterminism:
 
         assert first.startswith(f"# kerrcat {__version__} config=")
         assert len(first.split("config=")[1]) == 16
-
-
-class TestOverrides:
-    @pytest.mark.parametrize(
-        "argv, flag, field, value",
-        [(["qsurface"], "--grid-res", "grid.resolution", 5),
-         (["qsurface"], "--grid-extent", "grid.half_extent", 3.0)],
-        ids=["grid_res", "grid_extent"],
-    )
-    def test_flag_equals_config_field(self, tmp_path, argv, flag, field, value):
-        # the flag and the same field in the config file give the same bytes,
-        # so the header digest covers the override
-        def run(tag, doc, *extra):
-            cfg = write_config(tmp_path, doc, name=f"{tag}.json")
-            assert cli.main([*argv, *extra, "--config", cfg, "--out", str(tmp_path / tag)]) == 0
-            return (tmp_path / tag / f"{argv[0]}.csv").read_text()
-
-        flagged = run("flagged", dimensionless_doc(res=11), flag, str(value))
-        edited = run("edited", set_fields(dimensionless_doc(res=11), {field: value}))
-        plain = run("plain", dimensionless_doc(res=11))
-        assert flagged == edited
-        assert flagged.splitlines()[0] != plain.splitlines()[0]
 
 
 def expected_csv(doc, columns, rows) -> bytes:

@@ -130,6 +130,12 @@ class TestKick:
         cfg = paper_config(alpha0_override=None, drive_amplitude=173.0, drive_duration=1e-9)
         assert 0.5 < abs(trap_params.derive(cfg).alpha0) < 5.0
 
+    def test_oversized_override_decoheres_at_once(self):
+        # |alpha0| overflows a float, so 1 / (gamma |alpha0|^2) is 0; the
+        # probe-range check in cli.load_config rejects the kick afterwards
+        cfg = paper_config(alpha0_override=complex(1.7e308, 1.7e308), gamma=1.0)
+        assert trap_params.derive(cfg).t_dec == 0.0
+
     def test_slow_kick_warns(self):
         cfg = paper_config(alpha0_override=None, drive_amplitude=10.0, drive_duration=1e-7)
         with pytest.warns(UserWarning):
