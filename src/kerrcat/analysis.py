@@ -25,11 +25,9 @@ import numpy as np
 from . import fock
 from .errors import InsufficientDecay
 
-#: fit window ends once ln C has dropped by this much (or C < 1e-4);
-#: shallow enough that the exponential approximation holds for the
-#: smallest amplitudes of interest
+#: fit window ends once ln C has dropped by this much; shallow enough that
+#: the exponential approximation holds for the smallest amplitudes of interest
 WINDOW_DEPTH = 0.02
-WINDOW_FLOOR = 1e-4
 
 _DENOMINATOR_FLOOR = 1e-15
 
@@ -68,15 +66,16 @@ def decoherence_fit(times, coherences) -> FitResult:
     """Least-squares slope of ln C over the initial decay window.
 
     ``coherences`` holds C at each of the ascending ``times``. The window
-    runs from the first sample until C drops below
-    max(exp(-WINDOW_DEPTH), WINDOW_FLOOR), read at call time. Raises
+    runs from the first sample until C drops below exp(-WINDOW_DEPTH), read
+    at call time. The slope is fitted in times scaled by the window's end
+    and centered, so it holds at any time scale the floats reach. Raises
     InsufficientDecay (carrying a lower bound on the decay time) when the
     samples never reach the window threshold, or the fitted time is not
     finite, i.e. when no decay rate can be certified.
     """
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
-    threshold = max(math.exp(-WINDOW_DEPTH), WINDOW_FLOOR)
+    threshold = math.exp(-WINDOW_DEPTH)
     below = np.nonzero(cs < threshold)[0]
     if below.size == 0:
         bound = float(times[-1]) if times.size else 0.0
@@ -97,14 +96,16 @@ def decoherence_fit(times, coherences) -> FitResult:
             lower_bound=float(times[-1]),
         )
     y = np.log(c_win)
-    design = np.vstack([np.ones_like(t_win), t_win]).T
-    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    slope = float(coef[1])
-    time = -1.0 / slope if slope < 0 else math.inf  # a subnormal slope overflows to inf too
+    t_end = float(t_win[-1])
+    s = t_win / t_end
+    s -= s.mean()
+    scaled_slope = float(s @ y) / float(s @ s)
+    slope = scaled_slope / t_end  # Python floats: a subnormal slope overflows to inf below
+    time = -1.0 / slope if slope < 0 else math.inf
     if time == math.inf:
         raise InsufficientDecay(
             "coherence does not decay at a finite rate over the fit window",
             lower_bound=float(times[-1]),
         )
-    residual = float(np.sqrt(res[0] / t_win.size)) if res.size else 0.0
+    residual = float(np.sqrt(np.mean((y - y.mean() - scaled_slope * s) ** 2)))
     return FitResult(time=time, residual=residual, n_points=int(t_win.size))

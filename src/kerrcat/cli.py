@@ -9,13 +9,15 @@ array kernel once every value in the file is computed; qsurface.csv is
 formatted a block of grid rows at a time, so its whole text is never in
 memory. Each file is written under a temporary name beside it and renamed
 into place when complete, so a failed run leaves no file. Exit codes: 0
-success, 2 configuration error (including wrong-typed or non-finite
-numbers, an integer past sys.maxsize, a grid too large to allocate, a
-cutoff that is not null, physical inputs whose derived rates overflow or
-underflow, and an output that cannot be written), 3 numerical failure
+success, 2 configuration error: any ValueError, OSError or MemoryError
+(including wrong-typed or non-finite numbers, an integer past 2^53 - 1, a
+config that is not UTF-8, a grid too large to allocate, a cutoff that is
+not null, physical inputs whose derived rates overflow or underflow, and
+an output that cannot be written), 3 numerical failure
 (failed check, broken invariant, a state that is not finite or not
 positive, a Q outside [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid
 point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
+A warning raised while the config is read is printed as one "warning:" line.
 
 Each command computes the observables it writes from the validated states
 that lindblad.evolve and analytic_q.density return, both at the derived
@@ -63,6 +65,7 @@ import json
 import math
 import os
 import sys as _sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -70,12 +73,7 @@ import numpy as np
 
 from . import __version__, analysis, csvtext, fock, lindblad, trap_params
 from .analytic_q import KerrSystem, PhaseGrid, density, grid_normalization, q_surface
-from .errors import (
-    ConfigError,
-    InsufficientDecay,
-    InvariantViolation,
-    SeriesNotConverged,
-)
+from .errors import InsufficientDecay, InvariantViolation, SeriesNotConverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,6 +81,9 @@ EXIT_NUMERICAL = 3
 EXIT_CONVERGENCE = 4
 
 SCHEMA_VERSION = 1
+
+#: the largest config or flag integer: RFC 8259's interoperable range, exact as a linspace count
+_MAX_INTEGER = 2**53 - 1
 
 #: Q values per block of qsurface.csv text, whose arrays (about 400 bytes a value) stay this small
 _CSV_BLOCK = 8192
@@ -106,19 +107,19 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; text, a bool or an int past the float range is a ConfigError."""
+    """A JSON number as a float; text, a bool or an int past the float range is a ValueError."""
     if not _is_number(value):
-        raise ConfigError(f"{name} must be of type float, got {value!r}")
+        raise ValueError(f"{name} must be of type float, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"config numbers must be finite, got {name} = {value}") from exc
+        raise ValueError(f"config numbers must be finite, got {name} = {value}") from exc
 
 
 def _integer(value, name: str) -> int:
-    """An integral JSON number (3, 3.0) up to sys.maxsize; 3.9, 1e300, bools, text: ConfigError."""
-    if not _is_number(value) or value != int(value) or value > _sys.maxsize:
-        raise ConfigError(f"{name} must be an integer up to {_sys.maxsize}, got {value!r}")
+    """An integral JSON number (3, 3.0) up to 2^53 - 1; 3.9, 1e300, bools, text: ValueError."""
+    if not _is_number(value) or value != int(value) or value > _MAX_INTEGER:
+        raise ValueError(f"{name} must be an integer up to {_MAX_INTEGER}, got {value!r}")
     return int(value)
 
 
@@ -127,13 +128,13 @@ def _as_complex_field(value, name: str) -> complex:
         return complex(_number(value, name))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], name), _number(value[1], name))
-    raise ConfigError(f"{name} must be a number or [re, im] pair, got {value!r}")
+    raise ValueError(f"{name} must be a number or [re, im] pair, got {value!r}")
 
 
 def _finite_number(token: str) -> float:
     value = float(token)
     if not math.isfinite(value):
-        raise ConfigError(f"config numbers must be finite, got {token}")
+        raise ValueError(f"config numbers must be finite, got {token}")
     return value
 
 
@@ -144,28 +145,28 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
             Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
         )
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise OSError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
+        raise ValueError(
             f"unsupported schema_version {raw.get('schema_version')!r}; expected {SCHEMA_VERSION}"
         )
     mode = raw.get("mode")
     if mode not in ("dimensionless", "physical"):
-        raise ConfigError(f"mode must be 'dimensionless' or 'physical', got {mode!r}")
+        raise ValueError(f"mode must be 'dimensionless' or 'physical', got {mode!r}")
     if mode == "dimensionless" and "physical" in raw:
-        raise ConfigError("dimensionless mode must not carry a 'physical' section")
+        raise ValueError("dimensionless mode must not carry a 'physical' section")
     if mode == "physical" and "dimensionless" in raw:
-        raise ConfigError("physical mode must not carry a 'dimensionless' section")
+        raise ValueError("physical mode must not carry a 'dimensionless' section")
 
     derived = None
     if mode == "dimensionless":
         sec = raw.get("dimensionless")
         if not isinstance(sec, dict):
-            raise ConfigError("dimensionless mode requires a 'dimensionless' section")
+            raise ValueError("dimensionless mode requires a 'dimensionless' section")
         rates = {
             "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
             "mu": 1.0,
@@ -175,7 +176,7 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
     else:
         sec = raw.get("physical")
         if not isinstance(sec, dict):
-            raise ConfigError("physical mode requires a 'physical' section")
+            raise ValueError("physical mode requires a 'physical' section")
 
         def number(key, default=None):
             value = sec[key] if default is None else sec.get(key, default)
@@ -202,13 +203,11 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
                 ),
             )
         except KeyError as exc:
-            raise ConfigError(f"physical section missing field {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError(f"physical section missing field {exc}") from exc
         try:
             derived = trap_params.derive(trap)
         except (OverflowError, ZeroDivisionError) as exc:  # e.g. omega_c^2 overflows, mu is 0
-            raise ConfigError(f"physical inputs out of range: {exc}") from exc
+            raise ValueError(f"physical inputs out of range: {exc}") from exc
         rates = {
             "alpha0": derived.alpha0,
             "mu": derived.mu,
@@ -219,28 +218,22 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
     # and abs() of a complex raises where hypot() gives inf (or nan, from a kick inf * 0)
     z = rates["alpha0"]
     fock.check_probe_range(math.hypot(z.real, z.imag))
-    try:
-        sys_ = KerrSystem(**rates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sys_ = KerrSystem(**rates)
 
     gsec = {} if raw.get("grid") is None else raw["grid"]
     if not isinstance(gsec, dict):
-        raise ConfigError(f"grid must be an object, got {gsec!r}")
+        raise ValueError(f"grid must be an object, got {gsec!r}")
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
     resolution = _integer(gsec.get("resolution", 101), "grid.resolution")
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
-    try:
-        grid = PhaseGrid(center=center, half_extent=half_extent, resolution=resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = PhaseGrid(center=center, half_extent=half_extent, resolution=resolution)
 
     if raw.get("cutoff") is not None:  # the digest would record an N the run does not use
-        raise ConfigError(f"cutoff is derived from alpha0 and must be null, got {raw['cutoff']!r}")
+        raise ValueError(f"cutoff is derived from alpha0 and must be null, got {raw['cutoff']!r}")
 
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, (str, type(None))):
-        raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
+        raise ValueError(f"output_dir must be a string or null, got {output_dir!r}")
     if out is None:  # --out is a path, so not in the digest
         out = output_dir or "."
     _integer(raw.get("seed", 0), "seed")  # read by no command, but in schema v1 and the digest
@@ -274,7 +267,7 @@ def _write_file(path: Path, chunks) -> None:
     """Write the byte ``chunks`` to a temporary file beside ``path``, then rename it to ``path``.
 
     A run that fails, in computing a chunk or in writing it, leaves neither
-    file; an OSError is a ConfigError that names the path.
+    file; an OSError is raised again naming the path.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -284,7 +277,7 @@ def _write_file(path: Path, chunks) -> None:
                 fh.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
     finally:
         if tmp.exists():
             tmp.unlink()
@@ -328,7 +321,7 @@ def cmd_params(config: RunConfig) -> dict:
 
 def _check_time(t: float, flag: str) -> None:
     if not 0 <= t < math.inf:
-        raise ConfigError(f"{flag} must be finite and non-negative, got {t!r}")
+        raise ValueError(f"{flag} must be finite and non-negative, got {t!r}")
 
 
 def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
@@ -355,8 +348,9 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     """Write evolve.csv, the timeseries of the numeric observables."""
     _check_time(t_final, "--t-final")
+    samples = _integer(samples, "--samples")
     if samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
+        raise ValueError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_final, samples) if t_final > 0 else (0.0,)
     sys_ = config.sys
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
@@ -452,7 +446,7 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
     damped row without a finite decoherence window (_damping_window).
     """
     if config.sys.detuning != 0:
-        raise ConfigError(
+        raise ValueError(
             f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
         )
     for a0 in alpha0_values:
@@ -477,7 +471,7 @@ def _damping_window(a0: float, gamma: float) -> float:
     rate = a0**2 * gamma
     t_fin = 2.0 * analysis.WINDOW_DEPTH / rate if rate > 0 else math.inf
     if not 0 < t_fin < math.inf:
-        raise ConfigError(
+        raise ValueError(
             f"alpha0 = {a0!r}, gamma = {gamma!r}: no finite decoherence window to fit"
         )
     return t_fin
@@ -490,10 +484,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
     coherence at t_cat, the fitted and formula decoherence times, and the fit status.
     """
     t_cat = math.pi / 2.0
-    try:
-        sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     rho0 = fock.density_from_pure(fock.coherent_state(a0))
     cat = fock.cat_state(a0)
     rho = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
@@ -549,9 +540,9 @@ def _parse_float_list(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse float list {text!r}") from exc
+        raise ValueError(f"cannot parse float list {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"list values must be finite, got {text!r}")
+        raise ValueError(f"list values must be finite, got {text!r}")
     return values
 
 
@@ -583,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, out=args.out)
+        with warnings.catch_warnings():  # a warning (the slow kick's) as one stderr line
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=_sys.stderr)
+            config = load_config(args.config, out=args.out)
         if args.command == "params":
             print(_write_json(config, "params", cmd_params(config)), end="")
         elif args.command == "qsurface":
@@ -600,7 +593,7 @@ def main(argv=None) -> int:
         if args.gnuplot and args.command in _GNUPLOT_TEMPLATES:
             script = _GNUPLOT_TEMPLATES[args.command].format(csv=f"{args.command}.csv")
             _write_text(config.output_dir / f"{args.command}.gp", script)
-    except (ConfigError, MemoryError) as exc:  # MemoryError: a grid too large
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a grid too large
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except SeriesNotConverged as exc:

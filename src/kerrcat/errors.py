@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a rejected input value is a plain ValueError."""
 
 
 class KerrcatError(Exception):
@@ -19,7 +19,3 @@ class InsufficientDecay(KerrcatError):
     def __init__(self, message, lower_bound):
         super().__init__(message)
         self.lower_bound = lower_bound
-
-
-class ConfigError(KerrcatError):
-    """A run configuration failed validation."""

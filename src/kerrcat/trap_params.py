@@ -90,7 +90,7 @@ class DerivedParams:
 
 
 def derive(config: TrapConfig) -> DerivedParams:
-    """Evaluate all trap formulas for one configuration."""
+    """Evaluate all trap formulas for one configuration; OverflowError if 2 pi/mu overflows."""
     e, m = ELEMENTARY_CHARGE, ELECTRON_MASS
     rest_energy_2 = 2.0 * m * SPEED_OF_LIGHT**2
 
@@ -118,6 +118,8 @@ def derive(config: TrapConfig) -> DerivedParams:
 
     t_cat = math.pi / (2.0 * mu)
     t_revival = 2.0 * math.pi / mu
+    if math.isinf(t_revival):  # mu is subnormal; a finite t_revival keeps t_cat finite
+        raise OverflowError(f"2 pi / mu overflows at mu = {mu!r}")
     if config.gamma > 0 and alpha0 != 0:
         try:
             t_dec = 1.0 / (config.gamma * abs(alpha0) ** 2)

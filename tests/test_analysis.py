@@ -108,6 +108,16 @@ class TestFit:
         fitted = analysis.decoherence_fit(times, np.exp(-times / tau0)).time
         assert abs(fitted - tau0) / tau0 < 1e-6
 
+    @pytest.mark.parametrize("length", [1e-13, 1e298])
+    def test_window_length_extremes(self, length):
+        # a decay that starts at the first sample, t = length, and leaves the
+        # window (depth 0.02) at twice that: 401 of the 801 samples are fitted
+        tau = length / analysis.WINDOW_DEPTH
+        times = np.linspace(length, 3.0 * length, 801)
+        result = analysis.decoherence_fit(times, np.exp(-(times - length) / tau))
+        assert result.n_points == 402
+        assert abs(result.time - tau) / tau < 1e-9
+
     def test_fit_reports_residual(self):
         times = np.linspace(0.0, 0.2, 200)
         result = analysis.decoherence_fit(times, np.exp(-times / 3.0))

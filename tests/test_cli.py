@@ -99,6 +99,17 @@ class TestParams:
         assert doc["params"]["t_dec"] == "inf"
         assert doc["params"]["ratio"] == "inf"
 
+    def test_slow_kick_warns_in_one_line(self, tmp_path, capsys):
+        # a 1 ms kick against a ~16 ns axial period
+        doc = physical_doc()
+        del doc["physical"]["alpha0_override"]
+        doc["physical"].update(drive_amplitude=1e-3, drive_duration=1e-3)
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["params", "--config", cfg, "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: kick duration") and err.count("\n") == 1
+        assert "cli.py" not in err
+
 
 class TestQSurface:
     def test_t0_both_backends_are_gaussian(self, tmp_path):
@@ -342,6 +353,9 @@ class TestBadInput:
             ({"physical.b_field": 1e160}, ["params"]),
             ({"physical.b_field": 1e-170}, ["params"]),
             ({"physical.b_field": 1e-300}, ["evolve", "--t-final", "1"]),
+            # mu ~ 2e-309 is subnormal, and 2 pi / mu overflows without raising
+            ({"physical.b_field": 1e-155}, ["params"]),
+            ({"physical.b_field": 1e-155}, ["validate"]),
             # a number is a JSON int or float, never text or a bool
             ({"dimensionless.gamma_over_mu": "0.5"}, ["params"]),
             ({"dimensionless.gamma_over_mu": " 0.5 "}, ["params"]),
@@ -360,23 +374,30 @@ class TestBadInput:
             ({"grid": []}, ["params"]),
             ({"grid": 0}, ["params"]),
             ({"grid": ""}, ["params"]),
-            # sizes past sys.maxsize, or too large to allocate, fail before any work;
+            # sizes past 2^53 - 1, or too large to allocate, fail before any work;
             # so does a cutoff of any value (test_cutoff_field_is_rejected)
             ({"cutoff": 10**13}, ["evolve", "--t-final", "1"]),
             ({"grid.resolution": 10**7 + 1}, ["qsurface", "--time", "0"]),
             ({"cutoff": 1e300}, ["evolve", "--t-final", "1"]),
+            ({"grid.resolution": 2**63 - 1}, ["qsurface", "--time", "0"]),
+            ({"grid.resolution": 2**62 + 1}, ["qsurface", "--time", "0"]),
+            ({}, ["evolve", "--t-final", "1", "--samples", str(2**63 - 1)]),
+            ({"seed": 2**53}, ["params"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
              "text_cutoff", "text_resolution", "text_seed", "text_b_field", "text_grid",
              "fractional_resolution", "fractional_cutoff", "fractional_seed",
              "bool_resolution", "bool_cutoff", "bool_seed", "overflowing_b_field",
-             "mu_underflow_b_field", "underflowing_b_field",
+             "mu_underflow_b_field", "underflowing_b_field", "subnormal_mu_params",
+             "subnormal_mu_validate",
              "numeric_text_gamma", "padded_text_gamma", "exponent_text_gamma", "bool_gamma",
              "numeric_text_b_field", "bool_alpha0", "overflowing_int_gamma",
              "overflowing_int_alpha0", "int_output_dir", "list_output_dir", "object_output_dir",
              "bool_output_dir", "empty_list_grid", "zero_grid", "empty_text_grid",
-             "unallocatable_cutoff", "unallocatable_resolution", "huge_cutoff"],
+             "unallocatable_cutoff", "unallocatable_resolution", "huge_cutoff",
+             "int64_max_resolution", "too_big_resolution", "int64_max_samples",
+             "seed_past_2_53"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -528,6 +549,14 @@ class TestBadInput:
         assert err.startswith("convergence failure:") and "underflows" in err
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(dimensionless_doc(seed="?")).encode().replace(b"?", b"\xff"))
+        code = cli.main(["params", "--config", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: 'utf-8' codec")
+        assert not (tmp_path / "params.json").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         cfg = write_config(tmp_path, dimensionless_doc(res=3.0, seed=1.0))
         assert cli.load_config(cfg).grid.resolution == 3
@@ -602,6 +631,18 @@ class TestSweep:
         assert row["fit_status"] == "ok"
         # the initial 1/e time 1/(2 gamma |alpha0|^2), multiplied out in range
         assert abs(float(row["t_dec_fitted"]) * 2.225073858507203e-309 * 8.0 - 1.0) < 0.05
+
+    def test_fast_damping_row(self, tmp_path):
+        # the fit window is ~3e-14 long, shorter than a fit in unscaled times resolves
+        cfg = write_config(tmp_path, dimensionless_doc())
+        code = cli.main(
+            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", "2",
+             "--gamma", "1e11"]
+        )
+        assert code == 0
+        row = read_csv(tmp_path / "sweep.csv")[0]
+        assert row["fit_status"] == "ok"
+        assert abs(float(row["t_dec_fitted"]) * 1e11 * 8.0 - 1.0) < 0.05
 
     def test_unresolvable_rate_is_a_lower_bound(self, tmp_path):
         # at alpha0 = 1 the fitted 1/e time 1/(2 gamma) is past the float
