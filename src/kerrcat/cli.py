@@ -10,10 +10,11 @@ formatted a block of grid rows at a time, so its whole text is never in
 memory. Each file is written under a temporary name beside it and renamed
 into place when complete, so a failed run leaves no file. Exit codes: 0
 success, 2 configuration error: any ValueError, OSError or MemoryError
-(including wrong-typed or non-finite numbers, an integer past 2^53 - 1, a
-config that is not UTF-8, a grid too large to allocate, a cutoff that is
-not null, physical inputs whose derived rates overflow or underflow, and
-an output that cannot be written), 3 numerical failure
+(including a key the schema does not name, wrong-typed or non-finite
+numbers, an integer of magnitude past 2^53 - 1, a config that is not
+UTF-8, a grid too large to allocate, a cutoff that is not null, physical
+inputs whose derived rates are not finite or underflow, and an output
+that cannot be written), 3 numerical failure
 (failed check, broken invariant, a state that is not finite or not
 positive, a Q outside [-1e-9, 1 + 1e-9]), 4 convergence failure (a grid
 point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
@@ -33,19 +34,24 @@ Config schema (schema_version 1)::
       "mode": "dimensionless" | "physical",
       "dimensionless": {"alpha0": [re, im] | number,
                         "gamma_over_mu": number,
-                        "detuning_over_mu": number (optional)},
+                        "detuning_over_mu": number},
       "physical": {"b_field": tesla, "v0": volt, "d": meter,
                    "temperature": kelvin, "drive_amplitude": volt/meter,
-                   "drive_duration": second,
-                   "pump_frequency": rad/s | null,
-                   "detuning": rad/s | null,
-                   "gamma": 1/s, "alpha0_override": [re, im] | null},
+                   "drive_duration": second, "pump_frequency": rad/s,
+                   "detuning": rad/s, "gamma": 1/s,
+                   "alpha0_override": [re, im] | number},
       "grid": {"center": [re, im] | number, "half_extent": number,
                "resolution": odd int},
       "cutoff": null,
-      "output_dir": str | null,
+      "output_dir": str,
       "seed": int
     }
+
+Only the section that ``mode`` names may appear, and a key the schema does
+not name, at any level, is a configuration error. Every field but
+schema_version, mode, that section and the physical b_field, v0 and d has
+a default (the physical ones are trap_params.TrapConfig's) and may be left
+out or set to null, which means that default.
 
 In dimensionless mode mu = 1 and all times are in units of 1/mu. ``sweep``
 always works in those units at resonance, in either mode, and rejects a
@@ -66,7 +72,7 @@ import math
 import os
 import sys as _sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -107,19 +113,24 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; text, a bool or an int past the float range is a ValueError."""
+    """A finite JSON number as a float; text, a bool, NaN, an infinity or 1e400: ValueError."""
     if not _is_number(value):
-        raise ValueError(f"{name} must be of type float, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError(f"config numbers must be finite, got {name} = {value}") from exc
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config numbers must be finite, got {name} = {value}")
+    return number
 
 
 def _integer(value, name: str) -> int:
-    """An integral JSON number (3, 3.0) up to 2^53 - 1; 3.9, 1e300, bools, text: ValueError."""
-    if not _is_number(value) or value != int(value) or value > _MAX_INTEGER:
-        raise ValueError(f"{name} must be an integer up to {_MAX_INTEGER}, got {value!r}")
+    """An integral JSON number (3, 3.0) of magnitude up to 2^53 - 1; 3.9, -1e300: ValueError."""
+    number = _number(value, name)
+    if number != int(number) or abs(value) > _MAX_INTEGER:
+        raise ValueError(f"{name} must be an integer of magnitude up to {_MAX_INTEGER}, "
+                         f"got {value!r}")
     return int(value)
 
 
@@ -131,79 +142,58 @@ def _as_complex_field(value, name: str) -> complex:
     raise ValueError(f"{name} must be a number or [re, im] pair, got {value!r}")
 
 
-def _finite_number(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"config numbers must be finite, got {token}")
-    return value
+def _fields(value, name: str, keys) -> dict:
+    """The non-null fields of the JSON object ``value``; a key not in ``keys`` is a ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = value.keys() - set(keys)
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {sorted(unknown)}; it takes {list(keys)}")
+    return {key: field for key, field in value.items() if field is not None}
 
 
 def load_config(path: str, out: str | None = None) -> RunConfig:
     """Parse and validate the JSON config; ``out``, when given, replaces its output_dir."""
     try:
-        raw = json.loads(
-            Path(path).read_text(), parse_float=_finite_number, parse_constant=_finite_number
-        )
+        doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if _integer(doc.get("schema_version"), "schema_version") != SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported schema_version {raw.get('schema_version')!r}; expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {doc['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
-    mode = raw.get("mode")
+    mode = doc.get("mode")
     if mode not in ("dimensionless", "physical"):
         raise ValueError(f"mode must be 'dimensionless' or 'physical', got {mode!r}")
-    if mode == "dimensionless" and "physical" in raw:
-        raise ValueError("dimensionless mode must not carry a 'physical' section")
-    if mode == "physical" and "dimensionless" in raw:
-        raise ValueError("physical mode must not carry a 'dimensionless' section")
+    raw = _fields(doc, "config", ("schema_version", "mode", mode, "grid", "cutoff",
+                                  "output_dir", "seed"))
+    if mode not in raw:
+        raise ValueError(f"{mode} mode requires a '{mode}' section")
 
     derived = None
     if mode == "dimensionless":
-        sec = raw.get("dimensionless")
-        if not isinstance(sec, dict):
-            raise ValueError("dimensionless mode requires a 'dimensionless' section")
+        sec = _fields(raw[mode], mode, ("alpha0", "gamma_over_mu", "detuning_over_mu"))
         rates = {
             "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
             "mu": 1.0,
             "gamma": _number(sec.get("gamma_over_mu", 0.0), "gamma_over_mu"),
             "detuning": _number(sec.get("detuning_over_mu", 0.0), "detuning_over_mu"),
         }
-    else:
-        sec = raw.get("physical")
-        if not isinstance(sec, dict):
-            raise ValueError("physical mode requires a 'physical' section")
-
-        def number(key, default=None):
-            value = sec[key] if default is None else sec.get(key, default)
-            return _number(value, f"physical.{key}")
-
-        def optional(key):
-            return number(key) if sec.get(key) is not None else None
-
-        try:
-            trap = trap_params.TrapConfig(
-                b_field=number("b_field"),
-                v0=number("v0"),
-                d=number("d"),
-                temperature=number("temperature", 4.0),
-                drive_amplitude=number("drive_amplitude", 0.0),
-                drive_duration=number("drive_duration", 0.0),
-                pump_frequency=optional("pump_frequency"),
-                detuning=optional("detuning"),
-                gamma=number("gamma", 1.0),
-                alpha0_override=(
-                    _as_complex_field(sec["alpha0_override"], "alpha0_override")
-                    if sec.get("alpha0_override") is not None
-                    else None
-                ),
-            )
-        except KeyError as exc:
-            raise ValueError(f"physical section missing field {exc}") from exc
+    else:  # every default is TrapConfig's
+        trap_fields = fields(trap_params.TrapConfig)
+        sec = _fields(raw[mode], mode, [field.name for field in trap_fields])
+        for field in trap_fields:
+            if field.default is MISSING and field.name not in sec:
+                raise ValueError(f"physical section missing field {field.name!r}")
+        trap = trap_params.TrapConfig(**{
+            key: (_as_complex_field if key == "alpha0_override" else _number)(
+                value, f"physical.{key}")
+            for key, value in sec.items()
+        })
         try:
             derived = trap_params.derive(trap)
         except (OverflowError, ZeroDivisionError) as exc:  # e.g. omega_c^2 overflows, mu is 0
@@ -220,25 +210,23 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
     fock.check_probe_range(math.hypot(z.real, z.imag))
     sys_ = KerrSystem(**rates)
 
-    gsec = {} if raw.get("grid") is None else raw["grid"]
-    if not isinstance(gsec, dict):
-        raise ValueError(f"grid must be an object, got {gsec!r}")
+    gsec = _fields(raw.get("grid", {}), "grid", ("center", "half_extent", "resolution"))
     half_extent = _number(gsec.get("half_extent", abs(sys_.alpha0) + 5.0), "grid.half_extent")
     resolution = _integer(gsec.get("resolution", 101), "grid.resolution")
     center = _as_complex_field(gsec.get("center", 0.0), "grid.center")
     grid = PhaseGrid(center=center, half_extent=half_extent, resolution=resolution)
 
-    if raw.get("cutoff") is not None:  # the digest would record an N the run does not use
+    if "cutoff" in raw:  # the digest would record an N the run does not use
         raise ValueError(f"cutoff is derived from alpha0 and must be null, got {raw['cutoff']!r}")
 
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, (str, type(None))):
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
         raise ValueError(f"output_dir must be a string or null, got {output_dir!r}")
     if out is None:  # --out is a path, so not in the digest
-        out = output_dir or "."
+        out = output_dir
     _integer(raw.get("seed", 0), "seed")  # read by no command, but in schema v1 and the digest
 
-    digest_src = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    digest_src = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:16]
     return RunConfig(
         mode=mode,

@@ -90,7 +90,11 @@ class DerivedParams:
 
 
 def derive(config: TrapConfig) -> DerivedParams:
-    """Evaluate all trap formulas for one configuration; OverflowError if 2 pi/mu overflows."""
+    """Evaluate all trap formulas for one configuration.
+
+    OverflowError if a derived rate, k or 2 pi/mu is not finite; a kick
+    alpha0 past the float range is left for the caller's probe-range check.
+    """
     e, m = ELEMENTARY_CHARGE, ELECTRON_MASS
     rest_energy_2 = 2.0 * m * SPEED_OF_LIGHT**2
 
@@ -114,12 +118,15 @@ def derive(config: TrapConfig) -> DerivedParams:
         omega_p = omega_m
 
     k = (e / (HBAR * omega_p)) * math.sqrt(HBAR * omega_c / (2.0 * m))
-    alpha0 = _kick(config, omega_z, k)
+    t_revival = 2.0 * math.pi / mu  # inf at a subnormal mu; a finite one keeps t_cat finite
+    rates = {"omega_c": omega_c, "omega_z": omega_z, "omega_m": omega_m, "mu": mu, "k": k,
+             "detuning": delta, "t_revival": t_revival}
+    for name, value in rates.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} = {value!r} is not finite")
 
+    alpha0 = _kick(config, omega_z, k)
     t_cat = math.pi / (2.0 * mu)
-    t_revival = 2.0 * math.pi / mu
-    if math.isinf(t_revival):  # mu is subnormal; a finite t_revival keeps t_cat finite
-        raise OverflowError(f"2 pi / mu overflows at mu = {mu!r}")
     if config.gamma > 0 and alpha0 != 0:
         try:
             t_dec = 1.0 / (config.gamma * abs(alpha0) ** 2)

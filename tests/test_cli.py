@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,18 @@ class TestBadInput:
             ({"grid.resolution": 2**62 + 1}, ["qsurface", "--time", "0"]),
             ({}, ["evolve", "--t-final", "1", "--samples", str(2**63 - 1)]),
             ({"seed": 2**53}, ["params"]),
+            # every key is one the schema names, at every level
+            ({"grids": {"half_extent": 3.0}}, ["params"]),
+            ({"dimensionless.gamma_over_nu": 0.5}, ["params"]),
+            ({"physical.temprature": 300.0}, ["params"]),
+            ({"grid.resolutoin": 11}, ["qsurface", "--time", "0"]),
+            ({"schema_version": True}, ["params"]),
+            # the integer range is symmetric
+            ({"seed": -2**53}, ["params"]),
+            ({"seed": -1e300}, ["params"]),
+            # every derived rate is finite: omega_m is -inf, then omega_z is inf
+            ({"physical.temperature": 1e308}, ["params"]),
+            ({"physical.v0": 1.7e308, "physical.d": 1e-10}, ["params"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
@@ -397,7 +410,10 @@ class TestBadInput:
              "bool_output_dir", "empty_list_grid", "zero_grid", "empty_text_grid",
              "unallocatable_cutoff", "unallocatable_resolution", "huge_cutoff",
              "int64_max_resolution", "too_big_resolution", "int64_max_samples",
-             "seed_past_2_53"],
+             "seed_past_2_53", "unknown_top_level_key", "unknown_dimensionless_key",
+             "unknown_physical_key", "unknown_grid_key", "bool_schema_version",
+             "seed_below_minus_2_53", "huge_negative_seed", "infinite_omega_m",
+             "infinite_omega_z"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -408,6 +424,45 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize("field", ["b_field", "v0", "d"])
+    @pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
+    def test_missing_physical_field_is_named(self, tmp_path, capsys, field, null):
+        doc = physical_doc()
+        if null:
+            doc["physical"][field] = None
+        else:
+            del doc["physical"][field]
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["params", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: physical section missing field '{field}'\n"
+        assert "__init__" not in err
+
+    @pytest.mark.parametrize(
+        "path",
+        ["grid", "output_dir", "cutoff", "seed", "dimensionless.alpha0",
+         "dimensionless.gamma_over_mu", "dimensionless.detuning_over_mu", "grid.center",
+         "grid.half_extent", "grid.resolution", "physical.temperature",
+         "physical.drive_amplitude", "physical.drive_duration", "physical.pump_frequency",
+         "physical.detuning", "physical.gamma", "physical.alpha0_override"],
+    )
+    def test_null_is_absent(self, tmp_path, path):
+        # a null field reads as the default its key has when left out; only
+        # the digest, taken over the document as written, tells them apart
+        def doc():
+            return physical_doc() if path.startswith("physical.") else dimensionless_doc(res=11)
+
+        *parents, key = path.split(".")
+        absent = doc()
+        section = absent
+        for name in parents:
+            section = section[name]
+        section.pop(key, None)
+        loaded = cli.load_config(write_config(tmp_path, absent, "absent.json"))
+        null = cli.load_config(write_config(tmp_path, set_fields(doc(), {path: None})))
+        assert null.digest != loaded.digest
+        assert replace(null, digest=loaded.digest) == loaded
 
     @pytest.mark.parametrize(
         "fields, argv",

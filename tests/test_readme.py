@@ -1,9 +1,15 @@
-"""README's library example runs as written, and its Command line section names the parser's flags."""
+"""README's examples run as written, and the documented flags and schema match the code.
 
+The Command line section names the parser's flags, its config examples load,
+and cli's schema names every field of the physical section.
+"""
+
+import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from kerrcat import cli
+from kerrcat import cli, trap_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +45,20 @@ def parser_flags() -> set[str]:
 def test_command_line_section_names_every_flag():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section("Command line")))
     assert documented == parser_flags()
+
+
+def test_command_line_configs_load(tmp_path):
+    text = section("Command line")
+    path = tmp_path / "config.json"
+    path.write_text(re.search(r"cat > config.json <<'EOF'\n(.*?)EOF", text, re.DOTALL).group(1))
+    assert cli.load_config(str(path)).mode == "dimensionless"
+    block = re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1)
+    doc = {"schema_version": 1, "mode": "physical", **json.loads("{" + block + "}")}
+    path.write_text(json.dumps(doc))
+    assert cli.load_config(str(path)).mode == "physical"
+
+
+def test_schema_names_every_physical_field():
+    block = re.search(r'"physical": \{(.*?)\}', cli.__doc__, re.DOTALL).group(1)
+    documented = set(re.findall(r'"(\w+)":', block))
+    assert documented == {field.name for field in fields(trap_params.TrapConfig)}
