@@ -13,7 +13,8 @@ subject to Q(alpha, 0) = exp(-|alpha - a0|^2). Since Re x_k <= x_0, no
 exponent of K has a positive real part: nothing overflows where the same
 matrix as <q|a0> <a0|p> Z_pq(t) carries e^{|a0|^2 (1 - e^{-gamma t})}.
 density returns it as a fock.DensityOperator, the type the numeric backend
-returns too; q_surface turns either one into Q through fock.q_grid. The
+returns too; q_surface turns either one into Q through fock.q_grid, one probe
+product per retained eigenvector of rho: a single one while rho is pure. The
 matrix is truncated by fock.series_order, the rule both backends share,
 where the Poisson tail of |a0|^2 bounds the error below fock.TAIL_TOL,
 independently of the grid; the degenerate lam -> 0 denominator is evaluated

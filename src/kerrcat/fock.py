@@ -3,8 +3,9 @@
 States are stored in the number basis |0>, ..., |N-1>. Coherent amplitudes
 are built by the stable recurrence c_{n+1} = c_n * alpha / sqrt(n+1) starting
 from c_0 = exp(-|alpha|^2 / 2), which avoids explicit factorials; it also
-builds the probes of ``q_grid``, the quadratic form <alpha|rho|alpha>
-behind every Q surface. Phase-space functions use the conventions
+builds the probes of ``q_grid``, <alpha|rho|alpha> behind every Q surface,
+which projects them on the eigenvectors of rho that rounding does not hide
+(one for a pure state). Phase-space functions use the conventions
 
     Q(alpha) = <alpha| rho |alpha>        (no 1/pi factor)
     W(alpha) = (2/pi) sum_n (-1)^n <n| D(alpha)^dag rho D(alpha) |n>
@@ -230,22 +231,30 @@ def _probes(points: np.ndarray, out: np.ndarray) -> np.ndarray:
 def q_grid(mat: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Q = Re <alpha|mat|alpha> at alpha = re[j] + i im[i], shape (im.size, re.size).
 
-    PROBE_CHUNK points at a time are built from the axes, into probe and
-    product buffers allocated once, not per chunk, so the result, 8 bytes a
-    point, is the only array that grows with the grid. A point beyond
-    check_probe_range raises SeriesNotConverged.
+    That is <alpha|H|alpha> for H = (mat + mat^H)/2 = sum_j w_j v_j v_j^H, which eigh
+    factors for any mat, signed w included: Q = sum_j w_j |v_j^H k|^2 at the probe
+    k = <n|alpha>. The smallest |w_j| are dropped while their sum is at most N eps sum |w|
+    (eps the machine epsilon), the rounding scale of the N x N product they replace; r
+    rows remain, 1 for a pure state. PROBE_CHUNK points at a time are built from the
+    axes into (N x points) probe and (r x points) product buffers allocated once, not per
+    chunk, so the result, 8 bytes a point, is the only array that grows with the grid. A
+    point beyond check_probe_range raises SeriesNotConverged.
     """
     out = np.empty((im.size, re.size))
     if out.size:  # the largest |alpha| on the grid, rounded as np.abs rounds each point
         check_probe_range(float(np.abs(np.max(np.abs(re)) + 1j * np.max(np.abs(im)))))
     flat, n = out.reshape(-1), mat.shape[0]
-    bufs = np.empty((2, n * min(flat.size, PROBE_CHUNK)), dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    small = np.argsort(np.abs(w))
+    keep = small[np.cumsum(np.abs(w[small])) > n * np.finfo(float).eps * np.sum(np.abs(w))]
+    w, vh = w[keep], v[:, keep].conj().T
+    kets_buf, prod_buf = (np.empty(m * min(flat.size, PROBE_CHUNK), complex) for m in (n, w.size))
     for start in range(0, flat.size, PROBE_CHUNK):
-        stop = min(start + PROBE_CHUNK, flat.size)
-        rows, cols = np.divmod(np.arange(start, stop), re.size)
-        kets, prod = (buf[: n * (stop - start)].reshape(n, -1) for buf in bufs)
-        np.matmul(mat, _probes(re[cols] + 1j * im[rows], kets), out=prod)
-        flat[start:stop] = np.einsum("mg,mg->g", np.conjugate(kets, out=kets), prod).real
+        size = min(PROBE_CHUNK, flat.size - start)
+        rows, cols = np.divmod(np.arange(start, start + size), re.size)
+        kets = _probes(re[cols] + 1j * im[rows], kets_buf[: n * size].reshape(n, size))
+        prod = np.matmul(vh, kets, out=prod_buf[: w.size * size].reshape(-1, size)).view(float)
+        flat[start : start + size] = (w @ np.square(prod, out=prod)).reshape(-1, 2).sum(axis=1)
     return out
 
 

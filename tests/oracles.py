@@ -8,7 +8,9 @@ integrator instead of the exact propagator, the closed-form Q as a log-space
 double series instead of the Fock-matrix quadratic form, and <n> from the
 second moment of Q instead of the number-basis diagonal. coherent_vector and
 cat_vector are not oracles: they repeat fock.coherent_state's and
-fock.cat_state's arithmetic at a level count the test chooses.
+fock.cat_state's arithmetic at a level count the test chooses. q_grid_gemm
+shares fock.q_grid's probes and differs only in the product: the full N x N
+matrix on every probe instead of an eigen-factor of the matrix.
 """
 
 import cmath
@@ -106,6 +108,18 @@ def husimi_brute(rho_matrix, alpha):
     """<alpha| rho |alpha> with factorial-formula probe amplitudes."""
     probe = coherent_amplitudes_factorial(alpha, rho_matrix.shape[0])
     return float(np.vdot(probe, rho_matrix @ probe).real)
+
+
+def q_grid_gemm(mat, re, im):
+    """Re <alpha|mat|alpha> over the grid of fock.q_grid, one N x N GEMM and einsum per chunk."""
+    out = np.empty((im.size, re.size))
+    flat, n = out.reshape(-1), mat.shape[0]
+    for start in range(0, flat.size, fock.PROBE_CHUNK):
+        stop = min(start + fock.PROBE_CHUNK, flat.size)
+        rows, cols = np.divmod(np.arange(start, stop), re.size)
+        kets = fock._probes(re[cols] + 1j * im[rows], np.empty((n, stop - start), dtype=complex))
+        flat[start:stop] = np.einsum("mg,mg->g", kets.conj(), mat @ kets).real
+    return out
 
 
 def q_moment_mean_n(points, values, spacing):

@@ -629,6 +629,20 @@ class TestBadInput:
         assert code == cli.EXIT_NUMERICAL
         assert "InvariantViolation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["qsurface", "validate"])
+    def test_failed_eigensolver_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # LinAlgError subclasses ValueError: q_surface must report it as a
+        # numerical failure of a valid state, not as a config error
+        def failing(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(fock.np.linalg, "eigh", failing)
+        cfg = write_config(tmp_path, dimensionless_doc(res=11))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert "InvariantViolation: Q of a valid state: Eigenvalues" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_empty_lists_header_only(self, tmp_path):
@@ -872,8 +886,9 @@ class TestCsvExport:
         assert not out.exists()
 
     def test_qsurface_memory_per_grid_point(self, tmp_path):
-        # the peak is the Q kernel's arrays, about 40 bytes a point; holding
-        # the CSV text (56 bytes a point here) at once took about 180
+        # the peak, about 20 bytes a point here, is the Q array with one block
+        # of CSV text (the Q kernel's own peak is about 16); holding the CSV
+        # text (56 bytes a point here) at once took about 180
         res = 501
         cfg = write_config(tmp_path, dimensionless_doc(extent=7.0, res=res))
         tracemalloc.start()

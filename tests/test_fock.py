@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -256,6 +257,30 @@ class TestHusimi:
 CHUNK_EDGES = [1, fock.PROBE_CHUNK - 1, fock.PROBE_CHUNK, fock.PROBE_CHUNK + 1]
 
 
+def _gaussian(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _indefinite(rng, n):
+    """Hermitian, with eigenvalues of both signs."""
+    m = _gaussian(rng, n)
+    return m + m.conj().T
+
+
+def _graded_spectrum(rng, n):
+    """Eigenvalues 1 ... 1e-17 in a random unitary basis: the smallest fall below rounding."""
+    v, _ = np.linalg.qr(_gaussian(rng, n))
+    return (v * np.logspace(0.0, -17.0, n)) @ v.conj().T
+
+
+#: matrices that are not states, whose quadratic form q_grid evaluates all the same
+MATRICES = {
+    "indefinite": _indefinite,
+    "non_hermitian": _gaussian,  # only the Hermitian part enters Re <alpha|mat|alpha>
+    "graded_spectrum": _graded_spectrum,
+}
+
+
 class TestCoherentForm:
     """The coherent quadratic form of fock.q_grid, Q = Re <alpha|mat|alpha> over a grid."""
 
@@ -279,6 +304,24 @@ class TestCoherentForm:
         want = np.array([[oracles.husimi_brute(rho, x + 1j * y) for x in re] for y in im])
         assert got.shape == (45, 46)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    def test_any_matrix_matches_brute_force(self, kind):
+        rng = np.random.default_rng(9)
+        mat = MATRICES[kind](rng, 9)
+        re, im = rng.uniform(-3.0, 3.0, 21), rng.uniform(-3.0, 3.0, 21)
+        want = np.array([[oracles.husimi_brute(mat, x + 1j * y) for x in re] for y in im])
+        assert np.max(np.abs(fock.q_grid(mat, re, im) - want)) < 1e-12
+
+    def test_macroscopic_coherent_projector(self):
+        # |alpha0| 12 on N = 272 levels: a rank-one rho, so Q is one probe product a point
+        a0 = cmath.rect(12.0, 0.7)
+        rho = fock.density_from_pure(fock.coherent_state(a0)).elements
+        assert rho.shape == (272, 272)
+        re, im = a0.real + np.linspace(-5.0, 5.0, 41), a0.imag + np.linspace(-5.0, 5.0, 41)
+        got = fock.q_grid(rho, re, im)
+        want = np.exp(-np.abs(re[np.newaxis, :] + 1j * im[:, np.newaxis] - a0) ** 2)
+        assert np.max(np.abs(got - want)) < 1e-13
 
     def test_empty_points(self):
         empty, one = np.array([]), np.array([0.0])

@@ -101,3 +101,22 @@ def test_validate_passes(alpha0, gamma, delta, grid):
         report = json.loads(Path(tmp, "validate.json").read_text())
     assert [c["name"] for c in report["checks"] if not c["pass"]] == []
     assert code == cli.EXIT_OK
+
+
+@PROPERTY
+@given(
+    alpha0=st.builds(cmath.rect, st.floats(0.0, 6.0), st.floats(0.0, 2.0 * math.pi)),
+    gamma=st.one_of(st.just(0.0), gammas),
+    t=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    backend=st.sampled_from(["analytic", "numeric"]),
+)
+def test_q_grid_matches_gemm_oracle(alpha0, gamma, t, backend):
+    # the eigen-factor drops only eigenvalues below the GEMM's own rounding
+    sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
+    if backend == "analytic":
+        rho = density(t, sys_)
+    else:
+        rho = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))[-1]
+    re, im = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21).axes()
+    got = fock.q_grid(rho.elements, re, im)
+    assert np.max(np.abs(got - oracles.q_grid_gemm(rho.elements, re, im))) <= 1e-14
