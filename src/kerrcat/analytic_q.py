@@ -61,6 +61,11 @@ class KerrSystem:
         if self.mu == 0 and self.gamma == 0:
             raise ValueError("mu and gamma cannot both vanish")
 
+    def angles(self, t):
+        """(mu t, delta t) mod 2 pi: every phase of both backends is one times an integer."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite product gives NaN
+            return np.fmod(self.mu * t, 2 * np.pi), np.fmod(self.detuning * t, 2 * np.pi)
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -156,17 +161,15 @@ def _kernel(order: int, t: float, sys: KerrSystem) -> np.ndarray:
 
     The phase e^{i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
     the rotation that H = hbar delta n gives the master equation. K(0) = 1
-    exactly, where an overflowing mu (p - q) would give inf * 0 = NaN.
+    exactly: sys.angles(0) are 0, as is lam t for every finite lam.
     """
-    if t == 0:
-        return np.ones((order + 1, order + 1), dtype=complex)
+    kerr_t, det_t = sys.angles(t)
     d = np.arange(-order, order + 1)
-    kerr = 2j * sys.mu * d
-    x = _lam_integral(sys.gamma + kerr, t)
-    log_v = abs(sys.alpha0) ** 2 * (sys.gamma * (x - x[order])) + 1j * sys.detuning * d * t
+    x = _lam_integral(sys.gamma + 2j * sys.mu * d, t)
+    log_v = abs(sys.alpha0) ** 2 * (sys.gamma * (x - x[order])) + 1j * det_t * d
     qq, pp = np.indices((order + 1, order + 1))
     band = pp - qq + order
-    return np.exp(-0.5 * (pp + qq) * kerr[band] * t + log_v[band])
+    return np.exp(-0.5 * (pp + qq) * (2j * d)[band] * kerr_t + log_v[band])
 
 
 def density(t: float, sys: KerrSystem) -> fock.DensityOperator:

@@ -7,7 +7,7 @@ In the number basis the master equation is elementwise,
                     + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1},
 
 so anti-diagonals (fixed k = m - n) form independent bidiagonal linear
-systems. In the frame that removes the diagonal rates e^{coef_mn t}, the
+systems. In the frame that removes the diagonal rates, the
 gain term carries only the band-constant factor e^{-lam_k t},
 lam_k = gamma - 2 i mu k, so the solution is a finite power series in the
 nilpotent weighted shift (the damped-Kerr result of Milburn & Holmes,
@@ -43,13 +43,14 @@ EVOLVE_BLOCK = 8192
 def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) -> np.ndarray:
     """Exact propagation of an arbitrary matrix to time ``t``, no state validation.
 
-    rho(t) = e^{coef t} o sum_j (gamma x_k)^j S^j rho(0) / j!, where S is the
+    rho(t) = phase o sum_j (gamma x_k)^j S^j rho(0) / j!, where S is the
     weighted shift rho_mn -> sqrt((m+1)(n+1)) rho_{m+1,n+1} and
     x_k = (1 - e^{-lam_k t}) / lam_k with lam_k = gamma - 2 i mu k on the band
     k = m - n. S^j leaves only the leading (N-j) x (N-j) block, so the sum
     ends after N terms and each term is built from the previous one. At
     gamma = 0 every weight, and so every term, is exactly zero: no term is
-    built and the result is e^{coef t} o mat.
+    built and the result is phase o mat. The phase holds the diagonal rates
+    (module docstring) times t, with mu t and delta t from sys.angles(t).
 
     A scalar ``t`` gives the (N, N) matrix; a 1-d array of S times gives the
     (S, N, N) stack, every time carried on a leading axis through the same
@@ -60,21 +61,24 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     times = np.asarray(t, dtype=float)
     n = mat.shape[0]
     mm, nn = np.indices((n, n))
-    coef = (1j * sys.mu * (mm**2 - nn**2) - 1j * sys.detuning * (mm - nn)
-            - 0.5 * sys.gamma * (mm + nn))
-    if sys.gamma == 0:
-        return (np.exp(coef * times.reshape(-1, 1, 1)) * mat).reshape(times.shape + (n, n))
-    k = np.arange(1 - n, n)
-    x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
-    gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
-    weight = gain * x[:, mm - nn + n - 1]
-    total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)
-    term = total
-    for j in range(1, n):
-        term = weight[:, : n - j, : n - j] * term[:, 1:, 1:] / j
-        total[:, : n - j, : n - j] += term
-    phase = np.exp(coef * times.reshape(-1, 1, 1))
-    return np.multiply(phase, total, out=total).reshape(times.shape + (n, n))
+    col = times.reshape(-1, 1, 1)
+    total = mat
+    if sys.gamma != 0:
+        k = np.arange(1 - n, n)
+        x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
+        gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
+        weight = gain * x[:, mm - nn + n - 1]
+        total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)
+        term = total
+        for j in range(1, n):
+            term = weight[:, : n - j, : n - j] * term[:, 1:, 1:] / j
+            total[:, : n - j, : n - j] += term
+    kerr_t, det_t = sys.angles(col)
+    phase = np.empty((col.size, n, n), dtype=complex)
+    np.multiply(-0.5 * sys.gamma * (mm + nn), col, out=phase.real)
+    np.subtract(kerr_t * (mm**2 - nn**2), det_t * (mm - nn), out=phase.imag)
+    np.exp(phase, out=phase)
+    return np.multiply(phase, total, out=phase).reshape(times.shape + (n, n))
 
 
 def _make_record(t: float, mat: np.ndarray) -> fock.DensityOperator:

@@ -97,3 +97,24 @@ def test_propagator_sits_below_the_diagnostics():
         elif isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
     assert imported & {"analysis", "cli"} == set()
+
+
+def test_detuning_is_multiplied_only_in_angles():
+    # KerrSystem.angles reduces delta t once for both backends and validate; a
+    # product of the detuning elsewhere would round each phase on its own
+    angles = next(
+        node for tree in TREES for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "KerrSystem"
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "angles"
+    )
+    inside = set(ast.walk(angles))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in zip(PATHS, TREES)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and any(isinstance(side, ast.Attribute) and side.attr == "detuning"
+                for side in (node.left, node.right))
+        and node not in inside
+    ]
+    assert found == []

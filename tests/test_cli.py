@@ -194,6 +194,23 @@ class TestEvolve:
         rows = read_csv(tmp_path / "evolve.csv")
         assert float(rows[-1]["cat_fidelity"]) >= 1.0 - 1e-10
 
+    def test_detuning_leaves_the_branch_columns(self, tmp_path):
+        # the branch and cat probes turn with alpha0 e^{-i delta t}, as the
+        # state does, so both columns read the same rotating-frame state
+        columns = {}
+        for delta in (0.0, 0.3, 1.0, -0.8):
+            doc = set_fields(dimensionless_doc(), {"dimensionless.detuning_over_mu": delta})
+            out = tmp_path / repr(delta)
+            cfg = write_config(tmp_path, doc, f"{delta!r}.json")
+            argv = ["evolve", "--config", cfg, "--out", str(out), "--t-final", repr(math.pi / 2),
+                    "--samples", "5"]
+            assert cli.main(argv) == 0
+            rows = read_csv(out / "evolve.csv")
+            columns[delta] = np.array([[float(r["coherence"]), float(r["cat_fidelity"])]
+                                       for r in rows])
+        for delta in (0.3, 1.0, -0.8):
+            assert np.max(np.abs(columns[delta] - columns[0.0])) <= 1e-12
+
     def test_t_final_zero_single_row(self, tmp_path):
         cfg = write_config(tmp_path, dimensionless_doc())
         cli.main(["evolve", "--config", cfg, "--out", str(tmp_path), "--t-final", "0"])
@@ -263,6 +280,37 @@ class TestValidate:
         )
         assert code == cli.EXIT_CONVERGENCE
         assert "convergence" in capsys.readouterr().err
+
+
+#: a trap like README's, undamped, with mu about 690 rad/s
+LONG_PHASE_TRAP = {"b_field": 5.87, "v0": 10.2, "d": 3.35e-3, "gamma": 0.0,
+                   "alpha0_override": 1.2}
+
+
+class TestLongPhases:
+    @pytest.mark.parametrize(
+        "pump, argv",
+        [
+            (1.0043e12, ["qsurface", "--time", "0.7"]),
+            (1.0043e12, ["qsurface", "--time", "0.7", "--backend", "numeric"]),
+            (1.0043e12, ["evolve", "--t-final", "1.5"]),
+            (1.0043e12, ["validate"]),
+            (None, ["qsurface", "--time", "1e5"]),
+            (None, ["qsurface", "--time", "1e5", "--backend", "numeric"]),
+        ],
+        ids=["detuned_analytic", "detuned_numeric", "detuned_evolve", "detuned_validate",
+             "resonant_analytic", "resonant_numeric"],
+    )
+    def test_physical_times_stay_positive(self, tmp_path, capsys, pump, argv):
+        # delta t reaches 4.2e10 rad (a detuning of 2.8e10 rad/s) and mu t
+        # 6.9e7 rad: each is reduced mod 2 pi once, so every element's phase is
+        # the same angle times an integer and rho is a rotation of a positive matrix
+        doc = {"schema_version": 1, "mode": "physical",
+               "physical": {**LONG_PHASE_TRAP, "pump_frequency": pump},
+               "grid": {"resolution": 11}}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 class TestTruncationRule:
@@ -470,21 +518,22 @@ class TestBadInput:
             ({"dimensionless.gamma_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
             ({"dimensionless.gamma_over_mu": 1e308}, ["qsurface", "--time", "1",
                                                        "--backend", "numeric"]),
-            ({"dimensionless.detuning_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
-            ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "1",
+            ({"dimensionless.detuning_over_mu": 1e308}, ["evolve", "--t-final", "10"]),
+            ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "10",
                                                          "--backend", "numeric"]),
-            ({"dimensionless.detuning_over_mu": 1e18}, ["validate"]),
             ({"dimensionless.gamma_over_mu": 1e308}, ["validate"]),
-            ({"dimensionless.detuning_over_mu": 1e308}, ["validate"]),
+            ({"dimensionless.detuning_over_mu": 1e308, "dimensionless.gamma_over_mu": 0.0},
+             ["validate"]),
         ],
         ids=["gamma_evolve", "gamma_qsurface", "detuning_evolve", "detuning_qsurface",
-             "detuning_validate", "gamma_validate", "detuning_overflow_validate"],
+             "gamma_validate", "detuning_overflow_validate"],
     )
     def test_extreme_rates_exit_3(self, tmp_path, capsys, fields, argv):
-        # rates of 1e308 overflow the propagator's sum, or the closed form's
-        # exponent, to a non-finite state; at 1e18 mu (m^2 - n^2) is lost
-        # next to delta (m - n) and the state is not positive: all are
-        # numerical failures, without a warning or a traceback
+        # a damping rate of 1e308 overflows the propagator's sum, or the
+        # closed form's exponent, to a non-finite state; a detuning of 1e308
+        # at t = 10, or at the undamped revival t = 2 pi, makes delta t
+        # infinite, whose NaN angle leaves a NaN state: all are numerical
+        # failures, without a warning or a traceback
         doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11), fields)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
@@ -493,6 +542,27 @@ class TestBadInput:
         assert err.startswith("numerical failure: InvariantViolation:")
         assert err.count("\n") == 1
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize(
+        "delta, argv",
+        [
+            (1e18, ["validate"]),
+            (1e308, ["evolve", "--t-final", "1"]),
+            (1e308, ["qsurface", "--time", "1", "--backend", "numeric"]),
+            (1e308, ["qsurface", "--time", "1"]),
+            (1e308, ["validate"]),
+        ],
+        ids=["validate_1e18", "evolve", "qsurface_numeric", "qsurface_analytic",
+             "validate_damped"],
+    )
+    def test_finite_detuning_phase_runs(self, tmp_path, capsys, delta, argv):
+        # delta t is finite up to the damped validate's largest time t_cat, and
+        # reduced mod 2 pi it is an ordinary rotation: the run succeeds
+        doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11),
+                         {"dimensionless.detuning_over_mu": delta})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_overflowing_damping_decays_to_vacuum(self, tmp_path):
         # at gamma = 1e308 the closed form's exponent overflows to -inf, whose

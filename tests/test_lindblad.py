@@ -249,12 +249,14 @@ class TestBatchedTimes:
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0, detuning=0.3)
         m, k = np.indices((n, n))
-        coef = 1j * (m**2 - k**2) - 0.3j * (m - k)  # i mu (m^2 - k^2) - i delta (m - k)
         times = np.array([0.0, 0.7, 40.0])
+        # mu t and delta t, each reduced mod 2 pi once, times its level difference
+        mu_t, delta_t = (np.fmod(rate * times, 2 * np.pi)[:, None, None] for rate in (1.0, 0.3))
+        angle = mu_t * (m**2 - k**2) - delta_t * (m - k)
         out = lindblad.integrate_matrix(mat, sys_, times)
         # phase first, as integrate_matrix multiplies: NumPy's complex
         # product does not commute bit for bit
-        assert np.array_equal(out, np.exp(coef * times[:, None, None]) * mat)
+        assert np.array_equal(out, np.exp(1j * angle) * mat)
 
     def test_blocking_cannot_change_a_record(self, monkeypatch):
         # one time per call, the default blocks and one call for all must
