@@ -5,14 +5,16 @@ The branch-coherence observable is the normalized cross element
     C = |<a_t| rho |-a_t>| / sqrt(<a_t|rho|a_t> <-a_t|rho|-a_t>),
     a_t = alpha0 e^{-gamma t / 2},
 
-which is exactly 1 for every pure state and decays, for a damped balanced
-cat, as exp[-2 |alpha0|^2 (1 - e^{-gamma t})]. Its initial 1/e time is
-therefore 1/(2 gamma |alpha0|^2): the decoherence-time scaling with a
-factor-2 offset from the bare (gamma |alpha0|^2)^{-1} estimate. The decay
-law is exponential only while gamma t << 1, so the fitted time comes from a
-least-squares slope over a shallow initial window of ln C. C reads a
-fock.DensityOperator from either backend, and each command computes it for
-the states it writes.
+which is exactly 1 for every pure state whose branch populations both
+exceed 1e-15, and decays, for a damped balanced cat, as
+exp[-2 |alpha0|^2 (1 - e^{-gamma t})]. At or below that floor C is NaN:
+|alpha0> holds e^{-4 |alpha0|^2} of |-alpha0>, so from |alpha0| = 2.94 on
+evolve's t = 0 row reads nan. The initial 1/e time is 1/(2 gamma |alpha0|^2):
+the decoherence-time scaling with a factor-2 offset from the bare
+(gamma |alpha0|^2)^{-1} estimate. The decay law is exponential only while
+gamma t << 1, so the fitted time comes from a least-squares slope over a
+shallow initial window of ln C. C reads a fock.DensityOperator from either
+backend, and each command computes it for the states it writes.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     plus = fock.coherent_amplitudes(a_t, rho.cutoff)
     minus = fock.mirror_amplitudes(plus)
     mat = np.asarray(rho.elements)
-    num = abs(np.vdot(plus, mat @ minus))
+    rho_minus = mat @ minus
+    num = abs(np.vdot(plus, rho_minus))
     d_plus = float(np.vdot(plus, mat @ plus).real)
-    d_minus = float(np.vdot(minus, mat @ minus).real)
+    d_minus = float(np.vdot(minus, rho_minus).real)
     if d_plus <= _DENOMINATOR_FLOOR or d_minus <= _DENOMINATOR_FLOOR:
         return math.nan
     return float(num / math.sqrt(d_plus * d_minus))

@@ -21,11 +21,11 @@ point or alpha0 beyond |alpha| = 37.6, where e^{-|alpha|^2/2} underflows).
 A warning raised while the config is read is printed as one "warning:" line.
 
 Each command computes the observables it writes from the validated states
-that lindblad.evolve and analytic_q.density return, both at the derived
-fock.series_order(alpha0) levels. validate compares independent
-computations: each backend's initial Q with the Gaussian, the backends at
-t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and, undamped,
-revival and parity; not the types' invariants.
+that lindblad.evolve yields, one at a time, and analytic_q.density returns,
+both at the derived fock.series_order(alpha0) levels. validate compares
+independent computations: each backend's initial Q with the Gaussian, the
+backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and,
+undamped, revival and parity; not the types' invariants.
 
 Config schema (schema_version 1)::
 
@@ -65,6 +65,7 @@ positive. Each of these is a configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -320,7 +321,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     else:  # "numeric", the one other choice the parser allows
         rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0))
         if t > 0:
-            rho = lindblad.evolve(config.sys, rho, (t,))[-1]
+            rho, = lindblad.evolve(config.sys, rho, (t,))
     values = q_surface(config.grid, rho).values
     re, im = config.grid.axes()
     re_cells = csvtext.packed(csvtext.cells(re))
@@ -342,14 +343,13 @@ def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     times = np.linspace(0.0, t_final, samples if t_final > 0 else 1)
     sys_ = config.sys
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
-    states = lindblad.evolve(sys_, rho0, times)
     branches = sys_.alpha0 * np.exp(-1j * sys_.angles(times)[1])
-    cats = {b: fock.cat_state(b) for b in set(branches)}  # a single one at resonance
+    cat = functools.cache(fock.cat_state)  # one at resonance, built once its row's state validates
     table = np.array([
         (t, fock.expectation_n(rho), fock.purity(rho),
-         abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cats[b]),
+         abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cat(b)),
          analysis.coherence_metric(rho, b, t, sys_.gamma))
-        for t, b, rho in zip(times, branches, states)
+        for t, b, rho in zip(times, branches, lindblad.evolve(sys_, rho0, times))
     ])
     _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence",
                [csvtext.lines(*csvtext.cells(table.T))])
@@ -390,16 +390,14 @@ def cmd_validate(config: RunConfig) -> dict:
 
     sample_times = (0.5 * t_cat, t_cat)
     states = lindblad.evolve(sys_, rho0, sample_times)
+    decay_err = 0.0
     for label, t, rho in zip(("t_cat_half", "t_cat"), sample_times, states):
-        closed = density(t, sys_)  # density(t_cat, sys_) after the loop, for q_normalization
+        closed = density(t, sys_)  # closed and rho hold t_cat's states after the loop
         ana = q_surface(config.grid, closed)
         num = q_surface(config.grid, rho)
         checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
-
-    decay_err = max(
-        abs(fock.expectation_n(rho) - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * t))
-        for t, rho in zip(sample_times, states)
-    )
+        err = abs(fock.expectation_n(rho) - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * t))
+        decay_err = max(decay_err, err)
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
 
     norm_grid = PhaseGrid(center=0j, half_extent=abs(sys_.alpha0) + 5.0, resolution=201)
@@ -412,7 +410,7 @@ def cmd_validate(config: RunConfig) -> dict:
     line = np.linspace(-(a0 + 3.0), a0 + 3.0, 41)
     reach = math.pi / max(a0, 1.0)
     across = (1j * sys_.alpha0 / a0 if a0 else 1j) * np.linspace(-reach, reach, 65)
-    w_vals = fock.wigner(states[-1], np.concatenate([1j * line, line, across]))
+    w_vals = fock.wigner(rho, np.concatenate([1j * line, line, across]))
     checks.append(_check("wigner_bound", float(np.max(np.abs(w_vals))) - 2.0 / math.pi, 1e-9))
 
     # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu,
@@ -476,7 +474,7 @@ def _one_cat_report(a0: float, gamma: float) -> tuple:
     sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     rho0 = fock.density_from_pure(fock.coherent_state(a0))
     cat = fock.cat_state(a0)
-    rho = lindblad.evolve(sys_kerr, rho0, (t_cat,))[-1]
+    rho, = lindblad.evolve(sys_kerr, rho0, (t_cat,))
 
     t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 and a0 != 0 else math.inf
     if gamma > 0:

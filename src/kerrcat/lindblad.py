@@ -17,17 +17,18 @@ itself exact: d rho_mn/dt reads only rho_mn and rho_{m+1,n+1}, so levels
 >= N that start empty stay empty, and the N-level solution is the leading
 block of the solution at any larger N. It also conserves trace exactly.
 
-Every sample time is propagated from rho(0) on its own, so integrate_matrix
-takes a scalar time or a 1-d array of times, carried on a leading axis
-through the same sum, and evolve passes its sample times in blocks of
-EVOLVE_BLOCK matrix elements and returns each state as a validated
-fock.DensityOperator, as analytic_q.density does; the observables are the
-callers'. At gamma = 0 every term of the sum vanishes and none is built.
+Every sample time is propagated from rho(0) on its own, in any order, so
+integrate_matrix takes a scalar time or a 1-d array of times, carried on a
+leading axis through the same sum, and evolve yields a validated
+fock.DensityOperator per time, as analytic_q.density returns one, from
+blocks of EVOLVE_BLOCK matrix elements; the observables are the callers'.
+At gamma = 0 every term of the sum vanishes and none is built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -89,18 +90,17 @@ def _make_record(t: float, mat: np.ndarray) -> fock.DensityOperator:
         raise InvariantViolation(f"propagated state at t = {t}: {exc}") from exc
 
 
-def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[fock.DensityOperator]:
-    """Propagate ``rho0`` to each of the ascending ``times``: one validated state per time.
+def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> Iterator[fock.DensityOperator]:
+    """Propagate ``rho0`` to each of ``times``: yields one validated state per time, in order.
 
-    The cutoff is ``rho0``'s.
+    The cutoff is ``rho0``'s, and each block is propagated when its first state is asked for.
     """
     times = tuple(float(t) for t in times)
-    if not all(0 <= t < math.inf for t in times) or list(times) != sorted(times):
-        raise ValueError(f"times must be finite, non-negative and ascending, got {times}")
+    if not all(0 <= t < math.inf for t in times):
+        raise ValueError(f"times must be finite and non-negative, got {times}")
     n = rho0.cutoff
     mat0 = np.asarray(rho0.elements)
     block = max(1, EVOLVE_BLOCK // n**2)
-    states = []
     for start in range(0, len(times), block):
         chunk = times[start : start + block]
         # rates that overflow the sum leave a non-finite state, which
@@ -108,5 +108,4 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> list[fock.Dens
         with np.errstate(over="ignore", invalid="ignore"):
             stack = integrate_matrix(mat0, sys, np.array(chunk))
         for t, mat in zip(chunk, stack):
-            states.append(_make_record(t, mat))
-    return states
+            yield _make_record(t, mat)

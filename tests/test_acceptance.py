@@ -85,7 +85,7 @@ def test_criterion_3_dual_path_agreement(report):
 def test_criterion_4_cat_formation(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
     t_cat = math.pi / 2.0
-    rho = lindblad.evolve(sys_, coherent_density(2.0), (t_cat,))[-1]
+    rho, = lindblad.evolve(sys_, coherent_density(2.0), (t_cat,))
     fidelity_gap = 1.0 - fock.fidelity(rho, fock.cat_state(2.0))
 
     grid = PhaseGrid(center=0j, half_extent=5.0, resolution=101)

@@ -38,7 +38,7 @@ class TestCatFidelity:
         sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.0)
         rho0 = fock.density_from_pure(fock.coherent_state(2.0))
         t_cat = math.pi / 2.0
-        rho = lindblad.evolve(sys_, rho0, (t_cat,))[-1]
+        rho, = lindblad.evolve(sys_, rho0, (t_cat,))
         assert cat_fidelity(rho, 2.0) >= 1.0 - 1e-10
 
     def test_single_branch_fidelity(self):

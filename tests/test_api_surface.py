@@ -118,3 +118,23 @@ def test_detuning_is_multiplied_only_in_angles():
         and node not in inside
     ]
     assert found == []
+
+
+def test_no_list_of_evolved_states():
+    # lindblad.evolve yields one state at a time, so that a run holds one
+    # block of them whatever its number of samples; an index or a len() of
+    # its result needs them all kept
+    def is_evolve(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "evolve" or getattr(node.func, "id", None) == "evolve"
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in zip(PATHS, TREES)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and is_evolve(node.value)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("len", "list", "tuple")
+        and any(is_evolve(arg) for arg in node.args)
+    ]
+    assert found == []

@@ -218,6 +218,23 @@ class TestEvolve:
         assert len(rows) == 1
         assert float(rows[0]["mean_n"]) == pytest.approx(4.0, abs=1e-12)
 
+    def test_memory_flat_in_samples(self, tmp_path):
+        # rows are computed from one state at a time, so 1900 more samples add
+        # only their table and CSV text, about 1.7 MiB; keeping the states
+        # (19.6 KiB each at N = 35) added 38 MiB
+        cfg = write_config(tmp_path, dimensionless_doc(gamma=0.01))
+        peaks = {}
+        for samples in (101, 2001):
+            argv = ["evolve", "--config", cfg, "--out", str(tmp_path / str(samples)),
+                    "--t-final", "3", "--samples", str(samples)]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2001] - peaks[101] <= 4 * 2**20
+
 
 VALIDATE_CHECKS = [
     "initial_condition_analytic", "initial_condition_numeric", "dual_path_t_cat_half",
@@ -900,7 +917,7 @@ class TestCsvExport:
             rho = analytic_q.density(0.7, sys_)
         else:
             rho0 = fock.density_from_pure(fock.coherent_state(2.0))
-            rho = lindblad.evolve(sys_, rho0, (0.7,))[-1]
+            rho, = lindblad.evolve(sys_, rho0, (0.7,))
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [
@@ -931,7 +948,7 @@ class TestCsvExport:
         for a0 in (1.0, 1.5):
             rho0 = fock.density_from_pure(fock.coherent_state(a0))
             sys_ = analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=0.0)
-            rho = lindblad.evolve(sys_, rho0, (math.pi / 2,))[-1]
+            rho, = lindblad.evolve(sys_, rho0, (math.pi / 2,))
             values = (a0, 0.0, math.pi / 2, fock.fidelity(rho, fock.cat_state(a0)),
                       fock.wigner(rho, 0.0), analysis.coherence_metric(rho, a0, math.pi / 2, 0.0),
                       math.inf, math.inf)
@@ -1067,7 +1084,7 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         if backend == "analytic":
             rho = analytic_q.density(t, sys_)
         else:
-            rho = lindblad.evolve(sys_, rho0, (t,))[-1] if t > 0 else rho0
+            rho = next(lindblad.evolve(sys_, rho0, (t,))) if t > 0 else rho0
         q = analytic_q.q_surface(grid, rho).values
         re_axis, im_axis = grid.axes()
         rows = [[repr(float(re)), repr(float(im)), repr(float(q[i, j]))]

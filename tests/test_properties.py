@@ -54,7 +54,7 @@ def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
 @given(alpha0=alpha0s, mu=mus, gamma=gammas, delta=deltas, t=times)
 def test_backends_agree(alpha0, mu, gamma, delta, t):
     sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
-    num = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))[-1]
+    num, = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))
     ana = density(t, sys_)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
     assert np.max(np.abs(q_surface(grid, ana).values - q_surface(grid, num).values)) <= 1e-6
@@ -116,7 +116,7 @@ def test_q_grid_matches_gemm_oracle(alpha0, gamma, t, backend):
     if backend == "analytic":
         rho = density(t, sys_)
     else:
-        rho = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))[-1]
+        rho, = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))
     re, im = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21).axes()
     got = fock.q_grid(rho.elements, re, im)
     assert np.max(np.abs(got - oracles.q_grid_gemm(rho.elements, re, im))) <= 1e-14
@@ -141,7 +141,7 @@ def test_detuning_is_a_rotation(alpha0, mu, gamma, delta, t, backend):
         if backend == "analytic":
             return density(t, sys_).elements
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
-        return lindblad.evolve(sys_, rho0, (t,))[-1].elements
+        return next(lindblad.evolve(sys_, rho0, (t,))).elements
 
     rho = state(KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta))
     rho_0 = state(KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma))
