@@ -13,8 +13,10 @@ evolve's t = 0 row reads nan. The initial 1/e time is 1/(2 gamma |alpha0|^2):
 the decoherence-time scaling with a factor-2 offset from the bare
 (gamma |alpha0|^2)^{-1} estimate. The decay law is exponential only while
 gamma t << 1, so the fitted time comes from a least-squares slope over a
-shallow initial window of ln C. C reads a fock.DensityOperator from either
-backend, and each command computes it for the states it writes.
+shallow initial window of ln C. A fit that cannot certify a finite rate
+returns an infinite time, not an error; sweep then writes its window end as
+a lower bound. C reads a fock.DensityOperator from either backend, and each
+command computes it for the states it writes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InsufficientDecay
 
 #: fit window ends once ln C has dropped by this much; shallow enough that
 #: the exponential approximation holds for the smallest amplitudes of interest
@@ -36,9 +37,10 @@ _DENOMINATOR_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class FitResult:
-    """Decoherence-time fit: the 1/e time, the rms residual of ln C, the samples fitted.
+    """Decoherence-time fit: the 1/e time, the rms residual of ln C, the usable samples.
 
-    No command reads residual or n_points yet; they stay so that a run report
+    time is inf and residual NaN when the samples certify no finite rate. No
+    command reads residual or n_points yet; they stay so that a run report
     can give each fit's quality.
     """
 
@@ -70,45 +72,28 @@ def decoherence_fit(times, coherences) -> FitResult:
 
     ``coherences`` holds C at each of the ascending ``times``. The window
     runs from the first sample until C drops below exp(-WINDOW_DEPTH), read
-    at call time. The slope is fitted in times scaled by the window's end
-    and centered, so it holds at any time scale the floats reach. Raises
-    InsufficientDecay (carrying a lower bound on the decay time) when the
-    samples never reach the window threshold, or the fitted time is not
-    finite, i.e. when no decay rate can be certified.
+    at call time, and fits the samples in it with C > 1e-6. The slope is
+    fitted in times scaled by the window's end and centered, so it holds at
+    any time scale the floats reach. When no decay rate can be certified,
+    time is inf and residual NaN: C never drops below the threshold, fewer
+    than 5 samples are usable, or the slope gives no finite time. The decay
+    time then exceeds the last of ``times``.
     """
     times = np.asarray(times, dtype=float)
     cs = np.asarray(coherences, dtype=float)
-    threshold = math.exp(-WINDOW_DEPTH)
-    below = np.nonzero(cs < threshold)[0]
-    if below.size == 0:
-        bound = float(times[-1]) if times.size else 0.0
-        raise InsufficientDecay(
-            f"coherence never dropped below {threshold!r}; "
-            f"decay time exceeds {bound!r}",
-            lower_bound=bound,
-        )
-    end = int(below[0])  # first sample past the window closes it
-    t_win = times[: end + 1]
-    c_win = cs[: end + 1]
-    usable = c_win > 1e-6
-    t_win, c_win = t_win[usable], c_win[usable]
-    if t_win.size < 5:
-        raise InsufficientDecay(
-            f"only {t_win.size} usable samples inside the fit window; "
-            "sample the evolution more densely",
-            lower_bound=float(times[-1]),
-        )
-    y = np.log(c_win)
-    t_end = float(t_win[-1])
-    s = t_win / t_end
-    s -= s.mean()
-    scaled_slope = float(s @ y) / float(s @ s)
-    slope = scaled_slope / t_end  # Python floats: a subnormal slope overflows to inf below
-    time = -1.0 / slope if slope < 0 else math.inf
-    if time == math.inf:
-        raise InsufficientDecay(
-            "coherence does not decay at a finite rate over the fit window",
-            lower_bound=float(times[-1]),
-        )
-    residual = float(np.sqrt(np.mean((y - y.mean() - scaled_slope * s) ** 2)))
-    return FitResult(time=time, residual=residual, n_points=int(t_win.size))
+    below = np.nonzero(cs < math.exp(-WINDOW_DEPTH))[0]
+    end = int(below[0]) + 1 if below.size else cs.size  # the first sample past it closes the window
+    usable = cs[:end] > 1e-6
+    t_win = times[:end][usable]
+    if below.size and t_win.size >= 5:
+        y = np.log(cs[:end][usable])
+        t_end = float(t_win[-1])
+        s = t_win / t_end
+        s -= s.mean()
+        scaled_slope = float(s @ y) / float(s @ s)
+        slope = scaled_slope / t_end  # Python floats: a subnormal slope overflows to inf below
+        time = -1.0 / slope if slope < 0 else math.inf
+        if time < math.inf:
+            residual = float(np.sqrt(np.mean((y - y.mean() - scaled_slope * s) ** 2)))
+            return FitResult(time=time, residual=residual, n_points=int(t_win.size))
+    return FitResult(time=math.inf, residual=math.nan, n_points=int(t_win.size))

@@ -1,21 +1,14 @@
-"""Exception types shared across the package; a rejected input value is a plain ValueError."""
+"""The exception types that cli.main maps to exit codes.
+
+SeriesNotConverged exits 4 and InvariantViolation exits 3. A rejected input
+value is a plain ValueError, which exits 2 with OSError and MemoryError. No
+type here is caught anywhere else, so none is raised only to become data.
+"""
 
 
-class KerrcatError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class SeriesNotConverged(KerrcatError):
+class SeriesNotConverged(Exception):
     """A phase-space value cannot be computed to tolerance (probe weight underflow)."""
 
 
-class InvariantViolation(KerrcatError):
+class InvariantViolation(Exception):
     """A computed value broke a bound that the closed form guarantees."""
-
-
-class InsufficientDecay(KerrcatError):
-    """Coherence never dropped below 1/e; ``lower_bound``, always given, bounds the decay time."""
-
-    def __init__(self, message, lower_bound):
-        super().__init__(message)
-        self.lower_bound = lower_bound

@@ -5,7 +5,6 @@ import pytest
 
 from kerrcat import analysis, fock, lindblad
 from kerrcat.analytic_q import KerrSystem, density
-from kerrcat.errors import InsufficientDecay
 
 import oracles
 
@@ -143,21 +142,25 @@ class TestFit:
         assert abs(t1 / t2 - 2.0) / 2.0 < 0.10
 
     def test_insufficient_decay(self):
+        # C never leaves the window, so no rate is certified
         times = np.linspace(0.0, 5.0, 50)
-        with pytest.raises(InsufficientDecay) as err:
-            analysis.decoherence_fit(times, np.ones_like(times))
-        assert err.value.lower_bound == 5.0
+        result = analysis.decoherence_fit(times, np.ones_like(times))
+        assert result.time == math.inf
+        assert math.isnan(result.residual)
+        assert result.n_points == 50
 
     def test_unresolvable_rate_is_a_lower_bound(self):
         # the slope -2e-309 is subnormal, and -1 / slope overflows to inf
         times = np.linspace(0.0, 1.8e307, 161)
-        with pytest.raises(InsufficientDecay) as err:
-            analysis.decoherence_fit(times, np.exp(-2e-309 * times))
-        assert err.value.lower_bound == 1.8e307
+        result = analysis.decoherence_fit(times, np.exp(-2e-309 * times))
+        assert result.time == math.inf
+        assert math.isnan(result.residual)
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientDecay):
-            analysis.decoherence_fit((0.0, 1.0, 2.0), (1.0, 0.5, 0.25))
+        result = analysis.decoherence_fit((0.0, 1.0, 2.0), (1.0, 0.5, 0.25))
+        assert result.time == math.inf
+        assert math.isnan(result.residual)
+        assert result.n_points == 2
 
     def test_rate_linear_in_alpha0_squared(self):
         gamma = 0.01

@@ -73,7 +73,7 @@ def test_allowlist_is_current():
 
 def test_every_error_type_is_raised():
     # a type that nothing raises is an except clause and an exit code that
-    # can never fire; the KerrcatError base is only caught
+    # can never fire
     errors = TREES[[path.name for path in PATHS].index("errors.py")]
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     raised = set()
@@ -82,7 +82,27 @@ def test_every_error_type_is_raised():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
-    assert defined - raised == {"KerrcatError"}
+    assert defined - raised == set()
+
+
+def test_every_error_type_is_caught_only_by_main():
+    # errors.py is the exit-code table: each type ends a run with its code in
+    # cli.main, and a type caught anywhere else would turn a failure into data
+    errors = TREES[[path.name for path in PATHS].index("errors.py")]
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    cli = TREES[[path.name for path in PATHS].index("cli.py")]
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = set(ast.walk(main))
+    caught = defaultdict(list)
+    for path, tree in zip(PATHS, TREES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, (ast.Name, ast.Attribute)):
+                        where = "main" if node in in_main else f"{path.name}:{node.lineno}"
+                        caught[getattr(name, "id", None) or name.attr].append(where)
+    assert {name: caught[name] for name in defined} == {name: ["main"] for name in defined}
 
 
 def test_propagator_sits_below_the_diagnostics():

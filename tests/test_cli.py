@@ -211,6 +211,24 @@ class TestEvolve:
         for delta in (0.3, 1.0, -0.8):
             assert np.max(np.abs(columns[delta] - columns[0.0])) <= 1e-12
 
+    def test_detuned_cat_keeps_the_state_levels(self, tmp_path):
+        # the last alpha0 at 35 levels: a turned alpha0 e^{-i delta t} differs in
+        # its last bit and may get 36, so the target turns the cat of alpha0 itself
+        alpha0 = 2.0019453395698115
+        assert fock.series_order(alpha0) == 35 < fock.series_order(math.nextafter(alpha0, 3.0))
+        fidelities = {}
+        for delta in (0.0, 1.0):
+            doc = set_fields(dimensionless_doc(alpha0=(alpha0, 0.0)),
+                             {"dimensionless.detuning_over_mu": delta})
+            out = tmp_path / repr(delta)
+            cfg = write_config(tmp_path, doc, f"{delta!r}.json")
+            argv = ["evolve", "--config", cfg, "--out", str(out), "--t-final", "6.28",
+                    "--samples", "201"]
+            assert cli.main(argv) == cli.EXIT_OK
+            fidelities[delta] = np.array([float(r["cat_fidelity"])
+                                          for r in read_csv(out / "evolve.csv")])
+        assert np.max(np.abs(fidelities[1.0] - fidelities[0.0])) <= 1e-12
+
     def test_t_final_zero_single_row(self, tmp_path):
         cfg = write_config(tmp_path, dimensionless_doc())
         cli.main(["evolve", "--config", cfg, "--out", str(tmp_path), "--t-final", "0"])
