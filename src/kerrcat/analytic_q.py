@@ -175,11 +175,11 @@ def _kernel(order: int, t: float, sys: KerrSystem) -> np.ndarray:
 def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
     """Closed-form rho(t) on the first series_order(sys.alpha0) levels, validated as a state.
 
-    rho_qp(t) = <q|a_t> <a_t|p> K_qp(t), a_t = alpha0 e^{-gamma t/2}. A matrix
-    that DensityOperator rejects raises InvariantViolation.
+    rho_qp(t) = <q|a_t> <a_t|p> K_qp(t), a_t = alpha0 e^{-gamma t/2}, for t in
+    [0, inf). A matrix that DensityOperator rejects raises InvariantViolation.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t!r}")
     n = series_order(sys.alpha0)
     c = fock.coherent_amplitudes(sys.alpha0 * math.exp(-0.5 * sys.gamma * t), n)
     # rates near the float limit overflow a phase, and DensityOperator rejects

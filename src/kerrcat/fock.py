@@ -13,7 +13,9 @@ which projects them on the eigenvectors of rho that rounding does not hide
 so that Q of a coherent state |beta> is exactly exp(-|alpha - beta|^2).
 W sums rho's diagonals against displacement matrix elements that a
 normalized, rescaled Laguerre recurrence builds for a whole batch of points
-at once, finite at every |alpha| (NumPy and the standard library only).
+at once, finite at every |alpha| (NumPy and the standard library only). At
+the origin, and where |alpha|^2 underflows, the same recurrence gives the
+parity sum (2/pi) sum_n (-1)^n rho_nn.
 """
 
 from __future__ import annotations
@@ -261,31 +263,14 @@ def q_grid(mat: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def wigner(rho: DensityOperator, points) -> np.ndarray:
     """Displaced-parity Wigner values W(alpha) at every point, in the shape of ``points``.
 
-    W(alpha) = (2/pi) Tr[rho D(2 alpha) Pi], exact for states supported inside
-    the cutoff, so |W| <= 2/pi. The origin is the parity sum
-    (2/pi) sum_n (-1)^n rho_nn; every other point comes from _displaced_parity.
-    """
-    pts = np.asarray(points, dtype=complex)
-    beta = 2.0 * pts.ravel()
-    x = beta.real**2 + beta.imag**2
-    origin = x == 0
-    out = np.empty(beta.size)
-    diag = np.diag(rho.elements).real
-    out[origin] = np.dot(np.where(np.arange(diag.size) % 2 == 0, 1.0, -1.0), diag)
-    if not origin.all():
-        out[~origin] = _displaced_parity(rho.elements, beta[~origin], x[~origin, np.newaxis])
-    return ((2.0 / np.pi) * out).reshape(pts.shape)
-
-
-def _displaced_parity(mat: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tr[mat D(beta) Pi] for each beta, from mat's diagonals alone; x = |beta|^2 > 0, as a column.
-
-    With theta = arg beta and the displacement elements
+    W(alpha) = (2/pi) Tr[rho D(beta) Pi] at beta = 2 alpha, exact for states
+    supported inside the cutoff, so |W| <= 2/pi. With theta = arg beta,
+    x = |beta|^2 and the displacement elements
     g_j^k = (-1)^j sqrt(j!/(j+k)!) x^{k/2} e^{-x/2} L_j^(k)(x), |g| <= 1,
 
-        Tr[mat D Pi] = sum_k (2 - [k = 0]) Re[e^{ik theta} sum_j mat_{j,j+k} g_j^k]
+        Tr[rho D Pi] = sum_k (2 - [k = 0]) Re[e^{ik theta} sum_j rho_{j,j+k} g_j^k]
 
-    for Hermitian mat: one diagonal of mat per k, as in the Wigner sum of
+    for Hermitian rho: one diagonal of rho per k, as in the Wigner sum of
     Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013). g runs
     up in j, for every k and point at once, by the normalized Laguerre recurrence
 
@@ -293,12 +278,17 @@ def _displaced_parity(mat: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.nd
 
     It starts at 1 and carries g_0^k = e^{-x/2} x^{k/2} / sqrt(k!) as a log
     scale, dividing by _RESCALE wherever it grows past it, so no |beta|
-    overflows or underflows it.
+    overflows or underflows it. At x = 0, the origin or an underflowing
+    |beta|^2, x^{k/2} is [k = 0] and g_j^0 = (-1)^j exactly, so W is the
+    parity sum (2/pi) sum_n (-1)^n rho_nn, summed in order of n.
     """
-    n = mat.shape[0]
+    beta = 2.0 * np.asarray(points, dtype=complex)
+    x = (beta.real**2 + beta.imag**2).reshape(-1, 1)
+    mat, n = rho.elements, rho.cutoff
     k = np.arange(n)
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(n)])
-    log_scale = 0.5 * (k * np.log(x) - x - log_fact)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: x^{k/2} = 0 for k > 0
+        log_scale = 0.5 * (k * np.log(np.where(k > 0, x, 1.0)) - x - log_fact)
     acc = np.zeros((beta.size, n), dtype=complex)
     g_prev, g = np.zeros((beta.size, n)), np.ones((beta.size, n))
     for j in range(n):
@@ -314,9 +304,9 @@ def _displaced_parity(mat: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.nd
             for arr in (g, g_prev, acc[:, : m - 1]):
                 arr[big] /= _RESCALE
             log_scale[:, : m - 1][big] += math.log(_RESCALE)
-    terms = (np.exp(1j * np.angle(beta)[:, np.newaxis] * k) * acc).real * np.exp(log_scale)
+    terms = (np.exp(1j * np.angle(beta).reshape(-1, 1) * k) * acc).real * np.exp(log_scale)
     terms[:, 1:] *= 2.0
-    return terms.sum(axis=1)
+    return ((2.0 / np.pi) * terms.sum(axis=1)).reshape(beta.shape)
 
 
 def fidelity(rho: DensityOperator, psi: FockVector) -> float:

@@ -99,6 +99,17 @@ class TestCoherenceMetric:
         rho = fock.density_from_pure(fock.FockVector(np.eye(10)[5]))
         assert math.isnan(analysis.coherence_metric(rho, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_time_out_of_range(self, t, gamma):
+        # lindblad.evolve's rule, 0 <= t < inf, for each function that takes one time
+        sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=gamma)
+        rho = density(0.0, sys_)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            density(t, sys_)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            analysis.coherence_metric(rho, 2.0, t, gamma)
+
 
 class TestFit:
     def test_exact_exponential(self):

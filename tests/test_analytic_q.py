@@ -296,6 +296,11 @@ class TestQSurface:
         with pytest.raises(ValueError):
             analytic_q.QSurface(grid=grid, values=np.full((11, 11), 1.5))
 
+    def test_surface_shape_validated(self):
+        grid = PhaseGrid(center=0j, half_extent=3.0, resolution=11)
+        with pytest.raises(ValueError, match="does not match grid 11x11"):
+            analytic_q.QSurface(grid=grid, values=np.zeros((11, 9)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected_without_warning(self, bad):
         grid = PhaseGrid(center=0j, half_extent=3.0, resolution=1)

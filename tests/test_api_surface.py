@@ -1,10 +1,12 @@
-"""Every public top-level name in the package is used by the package itself.
+"""Every top-level name in the package is used by the package itself.
 
 A function that only tests call is a second copy of a kernel that the
 commands already run, and it drifts from that kernel unnoticed; a constant
 that nothing reads is a tolerance that no longer bounds anything. So each
-public ``def``/``class`` and module-level assignment in ``src/kerrcat``
-must be referenced by package code outside its own definition; tests reach
+``def``/``class`` and module-level assignment in ``src/kerrcat``, private
+ones included (dunders aside), must be referenced by package code outside
+its own definition: a private helper left behind when its caller goes
+fails too. Tests reach
 the physics through the kernels the commands use, or through
 ``tests/oracles.py``. Nor does the package hold an ``assert``, which
 ``python -O`` strips, or an exception type that it never raises.
@@ -23,8 +25,8 @@ PATHS = sorted(Path(kerrcat.__file__).resolve().parent.glob("*.py"))
 TREES = [ast.parse(path.read_text(), filename=str(path)) for path in PATHS]
 
 
-def _public_definitions():
-    """(name, node) for every public top-level def, class or assigned name."""
+def _definitions():
+    """(name, node) for every top-level def, class or assigned name but dunders."""
     for tree in TREES:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -34,11 +36,11 @@ def _public_definitions():
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            yield from ((name, node) for name in names if not name.startswith("_"))
+            yield from ((name, node) for name in names if not name.startswith("__"))
 
 
 def _unreferenced() -> set[str]:
-    """Public names that no bare name or attribute in package code uses outside their own body."""
+    """Names that no bare name or attribute in package code uses outside their own body."""
     uses = defaultdict(set)
     for tree in TREES:
         for node in ast.walk(tree):
@@ -46,11 +48,17 @@ def _unreferenced() -> set[str]:
                 uses[node.id].add(node)
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].add(node)
-    return {name for name, node in _public_definitions() if uses[name] <= set(ast.walk(node))}
+    return {name for name, node in _definitions() if uses[name] <= set(ast.walk(node))}
 
 
 def test_every_public_name_has_a_package_caller():
-    assert _unreferenced() - set(ALLOWED_UNUSED) == set()
+    public = {name for name in _unreferenced() if not name.startswith("_")}
+    assert public - set(ALLOWED_UNUSED) == set()
+
+
+def test_every_private_name_has_a_package_caller():
+    # no allowlist: a private helper with no caller is dead code
+    assert {name for name in _unreferenced() if name.startswith("_")} == set()
 
 
 def test_no_assert_statements():

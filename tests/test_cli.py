@@ -296,6 +296,17 @@ class TestValidate:
         bound = {c["name"]: c for c in report["checks"]}["wigner_bound"]
         assert bound["measured"] + 2.0 / math.pi >= 0.6
 
+    def test_failed_check_exits_3_with_report(self, tmp_path, capsys, monkeypatch):
+        # a failed check still writes and prints the whole report
+        monkeypatch.setattr(cli, "grid_normalization", lambda surface: 2.0)
+        cfg = write_config(tmp_path, dimensionless_doc(res=11))
+        assert cli.main(["validate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+        text = (tmp_path / "validate.json").read_text()
+        assert capsys.readouterr().out == text
+        report = json.loads(text)
+        assert report["pass"] is False
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["q_normalization"]
+
     def test_malformed_config_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -479,6 +490,10 @@ class TestBadInput:
             # every derived rate is finite: omega_m is -inf, then omega_z is inf
             ({"physical.temperature": 1e308}, ["params"]),
             ({"physical.v0": 1.7e308, "physical.d": 1e-10}, ["params"]),
+            # a mode the schema does not name, or no section for the one it names
+            ({"mode": "quantum"}, ["params"]),
+            ({"dimensionless": None}, ["params"]),
+            ({}, ["evolve", "--t-final", "1", "--samples", "0"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
@@ -496,7 +511,7 @@ class TestBadInput:
              "seed_past_2_53", "unknown_top_level_key", "unknown_dimensionless_key",
              "unknown_physical_key", "unknown_grid_key", "bool_schema_version",
              "seed_below_minus_2_53", "huge_negative_seed", "infinite_omega_m",
-             "infinite_omega_z"],
+             "infinite_omega_z", "unknown_mode", "missing_mode_section", "zero_samples"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -507,6 +522,22 @@ class TestBadInput:
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{argv[0]}.*"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config"), ("[1, 2]", "must be a JSON object"),
+         ('"dimensionless"', "must be a JSON object")],
+        ids=["missing_file", "json_list", "json_string"],
+    )
+    def test_unusable_config_document_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        code = cli.main(["params", "--config", str(path), "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "params.json").exists()
 
     @pytest.mark.parametrize("field", ["b_field", "v0", "d"])
     @pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
@@ -835,9 +866,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "alpha0,gamma",
         [("0", "0.01"), ("1", "-0.1"), ("1", "inf"), ("nan", "0.01"),
-         ("1e-200", "0.01"), ("1", "1e-320")],
+         ("1e-200", "0.01"), ("1", "1e-320"), ("1,x", "0.01")],
         ids=["zero_alpha0_damped", "negative_gamma", "infinite_gamma", "nan_alpha0",
-             "window_underflow_alpha0", "window_underflow_gamma"],
+             "window_underflow_alpha0", "window_underflow_gamma", "text_alpha0"],
     )
     def test_bad_list_exits_2(self, tmp_path, capsys, alpha0, gamma):
         cfg = write_config(tmp_path, dimensionless_doc())

@@ -145,6 +145,11 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             fock.DensityOperator(bad)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            fock.DensityOperator(np.zeros(shape))
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             fock.DensityOperator(2.0 * np.eye(4) / 4.0)
@@ -153,6 +158,11 @@ class TestDensityOperator:
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             fock.DensityOperator(bad)
+
+    @pytest.mark.parametrize("amplitudes", [[], [[1.0]], 1.0], ids=["empty", "2-d", "scalar"])
+    def test_fockvector_requires_a_vector(self, amplitudes):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            fock.FockVector(np.array(amplitudes))
 
     def test_fockvector_requires_normalization(self):
         with pytest.raises(ValueError):
