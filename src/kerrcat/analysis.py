@@ -58,8 +58,7 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     of about 2^-53 e^{4 |alpha0|^2}: 1e-9 at |alpha0| = 2 (README's physical
     trap reads 1.0000000000007239 at t = 0).
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and non-negative, got {t!r}")
+    fock.check_time(t)
     a_t = complex(alpha0) * math.exp(-0.5 * gamma * t)
     plus = fock.coherent_amplitudes(a_t, rho.cutoff)
     minus = fock.mirror_amplitudes(plus)

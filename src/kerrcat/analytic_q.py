@@ -41,7 +41,8 @@ class KerrSystem:
     """Dimensionless kick amplitude plus the two rates of the master equation.
 
     ``detuning`` extends the resonant (omega_p = omega_M) analysis with the
-    linear-in-n phase of the rotating-frame Hamiltonian.
+    linear-in-n phase of the rotating-frame Hamiltonian. It owns alpha0's
+    range: past fock.PROBE_ABS_MAX, inf and NaN included, it raises SeriesNotConverged.
     """
 
     alpha0: complex
@@ -51,9 +52,10 @@ class KerrSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha0", complex(self.alpha0))
-        numbers = (self.alpha0.real, self.alpha0.imag, self.mu, self.gamma, self.detuning)
+        fock.check_probe_range(math.hypot(self.alpha0.real, self.alpha0.imag))
+        numbers = (self.mu, self.gamma, self.detuning)
         if not all(math.isfinite(x) for x in numbers):
-            raise ValueError(f"alpha0, mu, gamma and detuning must be finite, got {numbers}")
+            raise ValueError(f"mu, gamma and detuning must be finite, got {numbers}")
         if self.mu < 0:
             raise ValueError(f"Kerr rate must be non-negative, got {self.mu}")
         if self.gamma < 0:
@@ -178,8 +180,7 @@ def density(t: float, sys: KerrSystem) -> fock.DensityOperator:
     rho_qp(t) = <q|a_t> <a_t|p> K_qp(t), a_t = alpha0 e^{-gamma t/2}, for t in
     [0, inf). A matrix that DensityOperator rejects raises InvariantViolation.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and non-negative, got {t!r}")
+    fock.check_time(t)
     n = series_order(sys.alpha0)
     c = fock.coherent_amplitudes(sys.alpha0 * math.exp(-0.5 * sys.gamma * t), n)
     # rates near the float limit overflow a phase, and DensityOperator rejects

@@ -59,7 +59,7 @@ detuned config. Its ``--alpha0`` and ``--gamma`` lists must hold finite
 numbers and every gamma must be non-negative. A row with gamma > 0 also
 needs a finite decoherence window 2 * 0.02 / (alpha0^2 gamma), so alpha0 = 0
 (no branches, no decoherence time to fit) is rejected when any gamma is
-positive. Each of these is a configuration error.
+positive. Each is a configuration error, found before the first row runs.
 """
 
 from __future__ import annotations
@@ -205,10 +205,6 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
             "gamma": trap.gamma,
             "detuning": derived.detuning,
         }
-    # before anything squares |alpha0|: a Python float overflows past 1.3e154,
-    # and abs() of a complex raises where hypot() gives inf (or nan, from a kick inf * 0)
-    z = rates["alpha0"]
-    fock.check_probe_range(math.hypot(z.real, z.imag))
     sys_ = KerrSystem(**rates)
 
     gsec = _fields(raw.get("grid", {}), "grid", ("center", "half_extent", "resolution"))
@@ -308,14 +304,9 @@ def cmd_params(config: RunConfig) -> dict:
     return {"constants": trap_params.CONSTANTS_VERSION, "mode": config.mode, "params": params}
 
 
-def _check_time(t: float, flag: str) -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError(f"{flag} must be finite and non-negative, got {t!r}")
-
-
 def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
     """Write qsurface.csv, Q over the configured grid at time ``t``, in blocks of grid rows."""
-    _check_time(t, "--time")
+    fock.check_time(t)  # the numeric backend calls evolve, which checks t too, only at t > 0
     if backend == "analytic":
         rho = density(t, config.sys)
     else:  # "numeric", the one other choice the parser allows
@@ -336,7 +327,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
 
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
     """Write evolve.csv, the numeric observables; its cat and branches turn by e^{-i delta t}."""
-    _check_time(t_final, "--t-final")
+    fock.check_time(t_final)  # a t_final <= 0 leaves evolve one time, 0
     samples = _integer(samples, "--samples")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -437,18 +428,16 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
 
     Rows run at resonance in units of mu (mu = 1) in either mode, so a detuned
     config, whose cat target and branch probes differ, is rejected. So is a
-    damped row without a finite decoherence window (_damping_window).
+    damped row without a finite decoherence window (_damping_window). Each row's
+    KerrSystem, then its window (which squares alpha0), is built before any row runs.
     """
     if config.sys.detuning != 0:
         raise ValueError(
             f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
         )
-    for a0 in alpha0_values:
-        fock.check_probe_range(abs(a0))
-        for g in gamma_values:
-            if g > 0:
-                _damping_window(a0, g)
-    rows = [_one_cat_report(float(a0), float(g)) for a0 in alpha0_values for g in gamma_values]
+    plan = [(KerrSystem(alpha0=a0, mu=1.0, gamma=g), _damping_window(a0, g) if g > 0 else None)
+            for a0 in alpha0_values for g in gamma_values]
+    rows = [_one_cat_report(*row) for row in plan]
     table = np.array([row[:-1] for row in rows], dtype=float).reshape(-1, 8)
     status = np.array([row[-1] for row in rows], dtype=bytes)[:, np.newaxis].view(np.uint8)
     _write_csv(config, "sweep", "alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,"
@@ -471,30 +460,30 @@ def _damping_window(a0: float, gamma: float) -> float:
     return t_fin
 
 
-def _one_cat_report(a0: float, gamma: float) -> tuple:
+def _one_cat_report(sys_kerr: KerrSystem, window: float | None) -> tuple:
     """One sweep.csv row: a Kerr run to t_cat plus a damping-only decoherence fit (mu = 1 units).
 
-    Returns |alpha0|, gamma, t_cat, the cat fidelity, W at the origin and the
+    ``sys_kerr`` has a real alpha0 and mu = 1, ``window`` is its _damping_window (None at
+    gamma = 0). Returns |alpha0|, gamma, t_cat, the cat fidelity, W at the origin and the
     coherence at t_cat, the fitted and formula decoherence times, and the fit status.
     """
+    a0, gamma = sys_kerr.alpha0.real, sys_kerr.gamma
     t_cat = math.pi / 2.0
-    sys_kerr = KerrSystem(alpha0=a0, mu=1.0, gamma=gamma)
     rho0 = fock.density_from_pure(fock.coherent_state(a0))
     cat = fock.cat_state(a0)
     rho, = lindblad.evolve(sys_kerr, rho0, (t_cat,))
 
-    t_dec_formula = 1.0 / (gamma * a0**2) if gamma > 0 else math.inf
     if gamma > 0:
+        t_dec_formula = 1.0 / (gamma * a0**2)
         sys_damp = KerrSystem(alpha0=a0, mu=0.0, gamma=gamma)  # damping only
-        times = np.linspace(0.0, _damping_window(a0, gamma), 161)
+        times = np.linspace(0.0, window, 161)
         damped = lindblad.evolve(sys_damp, fock.density_from_pure(cat), times)
         coherences = [analysis.coherence_metric(r, a0, t, gamma) for t, r in zip(times, damped)]
         t_dec_fitted, status = analysis.decoherence_fit(times, coherences).time, "ok"
         if t_dec_fitted == math.inf:  # no certified rate: the decay time exceeds the window
             t_dec_fitted, status = times[-1], "lower_bound"
     else:
-        t_dec_fitted = math.inf
-        status = "no_damping"
+        t_dec_fitted, t_dec_formula, status = math.inf, math.inf, "no_damping"
 
     return (abs(a0), gamma, t_cat, fock.fidelity(rho, cat), fock.wigner(rho, 0.0),
             analysis.coherence_metric(rho, a0, t_cat, gamma), t_dec_fitted, t_dec_formula, status)

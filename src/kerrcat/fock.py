@@ -13,8 +13,8 @@ which projects them on the eigenvectors of rho that rounding does not hide
 so that Q of a coherent state |beta> is exactly exp(-|alpha - beta|^2).
 W sums rho's diagonals against displacement matrix elements that a
 normalized, rescaled Laguerre recurrence builds for a whole batch of points
-at once, finite at every |alpha| (NumPy and the standard library only). At
-the origin, and where |alpha|^2 underflows, the same recurrence gives the
+at once, finite up to |alpha| = 2^149 (NumPy and the standard library only).
+At the origin, and where |alpha|^2 underflows, the same recurrence gives the
 parity sum (2/pi) sum_n (-1)^n rho_nn.
 """
 
@@ -220,6 +220,12 @@ def check_probe_range(max_abs: float) -> None:
         )
 
 
+def check_time(t: float) -> None:
+    """ValueError unless t is finite and non-negative: the one time rule of both backends."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t!r}")
+
+
 def _probes(points: np.ndarray, out: np.ndarray) -> np.ndarray:
     """<k|alpha_g> for k < n into the (n, points) array ``out``, by the amplitude recurrence."""
     out[0] = np.exp(-0.5 * (points.real**2 + points.imag**2))
@@ -277,12 +283,17 @@ def wigner(rho: DensityOperator, points) -> np.ndarray:
         g_{j+1} = -[(2j+k+1-x) g_j + sqrt(j(j+k)) g_{j-1}] / sqrt((j+1)(j+k+1)).
 
     It starts at 1 and carries g_0^k = e^{-x/2} x^{k/2} / sqrt(k!) as a log
-    scale, dividing by _RESCALE wherever it grows past it, so no |beta|
-    overflows or underflows it. At x = 0, the origin or an underflowing
-    |beta|^2, x^{k/2} is [k = 0] and g_j^0 = (-1)^j exactly, so W is the
-    parity sum (2/pi) sum_n (-1)^n rho_nn, summed in order of n.
+    scale, dividing by _RESCALE wherever it grows past it; a step multiplies g
+    by about x, so a point needs |beta| <= sqrt(_RESCALE), else (NaN too) it
+    raises SeriesNotConverged, as q_grid does. At x = 0, the origin or an
+    underflowing |beta|^2, x^{k/2} is [k = 0] and g_j^0 = (-1)^j exactly, so
+    W is the parity sum (2/pi) sum_n (-1)^n rho_nn, summed in order of n.
     """
-    beta = 2.0 * np.asarray(points, dtype=complex)
+    alpha = np.asarray(points, dtype=complex)
+    reach = np.abs(alpha)  # hypot, so nothing is squared; NaN fails the comparison
+    if not np.all(reach <= 0.5 * math.sqrt(_RESCALE)):  # before 2 alpha can overflow
+        raise SeriesNotConverged(f"Wigner needs |alpha| <= 2^149, got {float(np.max(reach))!r}")
+    beta = 2.0 * alpha
     x = (beta.real**2 + beta.imag**2).reshape(-1, 1)
     mat, n = rho.elements, rho.cutoff
     k = np.arange(n)

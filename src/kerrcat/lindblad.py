@@ -27,7 +27,6 @@ At gamma = 0 every term of the sum vanishes and none is built.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -96,8 +95,8 @@ def evolve(sys: KerrSystem, rho0: fock.DensityOperator, times) -> Iterator[fock.
     The cutoff is ``rho0``'s, and each block is propagated when its first state is asked for.
     """
     times = tuple(float(t) for t in times)
-    if not all(0 <= t < math.inf for t in times):
-        raise ValueError(f"times must be finite and non-negative, got {times}")
+    for t in times:  # every time, before the first block is propagated
+        fock.check_time(t)
     n = rho0.cutoff
     mat0 = np.asarray(rho0.elements)
     block = max(1, EVOLVE_BLOCK // n**2)

@@ -93,7 +93,7 @@ def derive(config: TrapConfig) -> DerivedParams:
     """Evaluate all trap formulas for one configuration.
 
     OverflowError if a derived rate, k or 2 pi/mu is not finite; a kick
-    alpha0 past the float range is left for the caller's probe-range check.
+    alpha0 past the float range is left for KerrSystem's range check.
     """
     e, m = ELEMENTARY_CHARGE, ELECTRON_MASS
     rest_energy_2 = 2.0 * m * SPEED_OF_LIGHT**2

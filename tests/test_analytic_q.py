@@ -43,8 +43,16 @@ class TestKerrSystem:
          {"mu": math.inf}, {"gamma": math.nan}, {"detuning": -math.inf}],
     )
     def test_rejects_non_finite(self, fields):
-        with pytest.raises(ValueError):
+        # alpha0's range check runs first, and an inf or NaN |alpha0| is past it
+        expected = SeriesNotConverged if "alpha0" in fields else ValueError
+        with pytest.raises(expected):
             KerrSystem(**{"alpha0": 1.0, "mu": 1.0, "gamma": 0.1, **fields})
+
+    @pytest.mark.parametrize("alpha0", [38.0, 27.0 + 27.0j, 1e200, 1.7e308 + 1.7e308j])
+    def test_owns_alpha0_range(self, alpha0):
+        # past PROBE_ABS_MAX, |alpha0| measured by hypot, so none of these overflows
+        with pytest.raises(SeriesNotConverged, match="underflows"):
+            KerrSystem(alpha0=alpha0, mu=1.0, gamma=0.0)
 
 
 class TestPhaseGrid:
@@ -167,9 +175,9 @@ class TestQValue:
             assert abs(q - oracles.husimi_brute(rho.elements, a)) < 1e-8
 
     def test_series_not_converged(self):
-        sys_ = make_sys(alpha0=40.0, mu=1.0, gamma=2.0)
+        # KerrSystem itself rejects the amplitude, before any Q is computed
         with pytest.raises(SeriesNotConverged):
-            q_at(40.0, 5.0, sys_)
+            q_at(40.0, 5.0, make_sys(alpha0=40.0, mu=1.0, gamma=2.0))
 
     def test_monotone_truncation(self):
         # raising the order beyond the rule moves Q less than the tail bound

@@ -166,3 +166,25 @@ def test_no_list_of_evolved_states():
         and any(is_evolve(arg) for arg in node.args)
     ]
     assert found == []
+
+
+def test_time_rule_is_written_once():
+    # fock.check_time holds the one comparison 0 <= t < inf and its message;
+    # both backends, the diagnostics and the commands call it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in zip(PATHS, TREES)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+        and isinstance(node.left, ast.Constant) and node.left.value == 0
+        and getattr(node.comparators[-1], "attr", None) == "inf"
+    ]
+    assert len(found) == 1 and found[0].startswith("fock.py:"), found
+
+
+def test_cli_leaves_alpha0_range_to_kerrsystem():
+    # KerrSystem checks |alpha0| on construction, so a command that checked it
+    # too would hold a second copy of the rule
+    cli = TREES[[path.name for path in PATHS].index("cli.py")]
+    names = {getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(cli)}
+    assert "check_probe_range" not in names

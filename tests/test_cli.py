@@ -720,7 +720,7 @@ class TestBadInput:
         # e^{-38^2/2} is subnormal: no command can build |alpha0>, so all exit
         # alike, also where |alpha0|^2 or even |alpha0| would overflow a Python
         # float (derive's decoherence time catches that overflow, and the one
-        # range check runs after derive, before KerrSystem; a kick, here
+        # range check is KerrSystem's own, through hypot; a kick, here
         # drive_amplitude in V/m for 1 ps, gives |alpha0| ~ 1e145 and 1e295,
         # and at 1.7e308 V/m it overflows to inf)
         pair = [complex(alpha0).real, complex(alpha0).imag]
@@ -878,6 +878,26 @@ class TestSweep:
         )
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "alpha0, gamma, code, message",
+        [("1,8", "0.01,-0.1", cli.EXIT_CONFIG, "config error: damping rate"),
+         ("8,1e200", "0.01", cli.EXIT_CONVERGENCE, "convergence failure: |alpha| = 1e+200")],
+        ids=["negative_gamma_after_good", "huge_alpha0_after_good"],
+    )
+    def test_bad_row_rejected_before_any_row_runs(self, tmp_path, capsys, monkeypatch,
+                                                   alpha0, gamma, code, message):
+        # every row's KerrSystem and window are built before the first propagation
+        calls = []
+        evolve = lindblad.evolve
+        monkeypatch.setattr(lindblad, "evolve", lambda *args: calls.append(args) or evolve(*args))
+        cfg = write_config(tmp_path, dimensionless_doc())
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", alpha0,
+                "--gamma", gamma]
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert calls == []
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("mode", ["dimensionless", "physical"])
@@ -1157,7 +1177,9 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         run("sweep", "--alpha0", repr(a0), "--gamma", repr(gamma), code=2)
         return
     path = run("sweep", "--alpha0", repr(a0), "--gamma", repr(gamma))
-    *values, status = cli._one_cat_report(a0, gamma)
+    window = cli._damping_window(a0, gamma) if gamma > 0 else None
+    *values, status = cli._one_cat_report(analytic_q.KerrSystem(alpha0=a0, mu=1.0, gamma=gamma),
+                                          window)
     assert_repr_cells(path, text_columns=1)
     columns = ("alpha0,gamma,t_cat,fidelity_at_tcat,wigner_origin,coherence,"
                "t_dec_fitted,t_dec_formula,fit_status")
@@ -1233,17 +1255,20 @@ fuzz_fields = {
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(
     doc=st.fixed_dictionaries({}, optional=fuzz_fields),
-    t=st.sampled_from(["0", "0.5", repr(math.pi / 2), "1e300"]),
+    # a time is passed as --time=<t>: argparse reads a separate "-1" token as an option
+    t=st.sampled_from(["0", "0.5", repr(math.pi / 2), "1e300", "-1", "-0.5", "-0.0", "nan", "inf"]),
     backend=st.sampled_from(["analytic", "numeric"]),
-    sweep=st.sampled_from([("", ""), ("1", "0"), ("0,1.5", "0.1"), ("2", "1e308")]),
+    # a bad gamma after a good one, and an alpha0 past 37.6 after a good one
+    sweep=st.sampled_from([("", ""), ("1", "0"), ("0,1.5", "0.1"), ("2", "1e308"),
+                           ("1,2", "0.01,-0.1"), ("1,40", "0")]),
 )
 def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend, sweep):
     # every run ends in 0, 2, 3 or 4 with at most a one-line message: an
     # exception cli.main does not map, or a RuntimeWarning, fails the test
     tmp_path = tmp_path_factory.mktemp("fuzz")
     cfg = write_config(tmp_path, set_fields(dimensionless_doc(res=3), doc))
-    commands = [["params"], ["qsurface", "--time", t, "--backend", backend],
-                ["evolve", "--t-final", t, "--samples", "3"], ["validate"],
+    commands = [["params"], ["qsurface", f"--time={t}", "--backend", backend],
+                ["evolve", f"--t-final={t}", "--samples", "3"], ["validate"],
                 ["sweep", "--alpha0", sweep[0], "--gamma", sweep[1]]]
     for argv in commands:
         err = io.StringIO()

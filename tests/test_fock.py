@@ -484,6 +484,30 @@ class TestWignerKernel:
         want = 2.0 / np.pi * np.exp(-2.0 * np.abs(pts - a0) ** 2)
         assert np.max(np.abs(fock.wigner(rho, pts) - want)) < 1e-13
 
+    @pytest.mark.parametrize("a0", [2.0, 6.0], ids=["N35", "N107"])
+    @pytest.mark.parametrize(
+        "point", [math.inf, math.nan, complex(math.inf, math.nan), 1e155, 1e49, 2.0**150],
+        ids=["inf", "nan", "inf_nan", "1e155", "1e49", "2^150"],
+    )
+    def test_point_past_range_rejected(self, a0, point):
+        # a rescaled step multiplies g by about |2 alpha|^2, which overflows past
+        # |2 alpha| = sqrt(_RESCALE) = 2^150 (finite points from about 4e48 at
+        # N = 35 already did); q_grid rejects a bad point with the same type
+        rho = fock.density_from_pure(fock.cat_state(a0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesNotConverged):
+                fock.wigner(rho, np.array([0.5, point]))
+
+    @pytest.mark.parametrize("a0", [2.0, 6.0], ids=["N35", "N107"])
+    @pytest.mark.parametrize("point", [50.0, 1e10j, 2.0**149], ids=["50", "1e10j", "2^149"])
+    def test_far_point_in_range_is_zero(self, a0, point):
+        # past check_probe_range's 37.6, which q_grid needs, W is still 0.0
+        rho = fock.density_from_pure(fock.cat_state(a0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fock.wigner(rho, point) == 0.0
+
     def test_batch_equals_single_points_bitwise(self):
         # rescaling takes place at the large points, only in some of the batch's rows
         rng = np.random.default_rng(4)
