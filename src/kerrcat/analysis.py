@@ -59,7 +59,8 @@ def coherence_metric(rho: fock.DensityOperator, alpha0, t: float, gamma: float) 
     trap reads 1.0000000000007239 at t = 0).
     """
     fock.check_time(t)
-    a_t = complex(alpha0) * math.exp(-0.5 * gamma * t)
+    # Python floats: a product past the range is -inf without a warning, and e^{-inf} = 0
+    a_t = complex(alpha0) * math.exp(-0.5 * gamma * float(t))
     plus = fock.coherent_amplitudes(a_t, rho.cutoff)
     minus = fock.mirror_amplitudes(plus)
     mat = np.asarray(rho.elements)

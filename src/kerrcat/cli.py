@@ -53,19 +53,20 @@ schema_version, mode, that section and the physical b_field, v0 and d has
 a default (the physical ones are trap_params.TrapConfig's) and may be left
 out or set to null, which means that default.
 
-In dimensionless mode mu = 1 and all times are in units of 1/mu. ``sweep``
-always works in those units at resonance, in either mode, and rejects a
-detuned config. Its ``--alpha0`` and ``--gamma`` lists must hold finite
-numbers and every gamma must be non-negative. A row with gamma > 0 also
-needs a finite decoherence window 2 * 0.02 / (alpha0^2 gamma), so alpha0 = 0
-(no branches, no decoherence time to fit) is rejected when any gamma is
-positive. Each is a configuration error, found before the first row runs.
+In dimensionless mode mu = 1 and all times are in units of 1/mu. The
+detuning only turns the state by e^{-i delta t n}, so ``evolve`` and
+``sweep`` run at zero detuning, in the frame that rotates with it; ``sweep``
+always works in units of mu, in either mode. Its ``--alpha0`` and
+``--gamma`` lists must hold finite numbers and every gamma must be
+non-negative. A row with gamma > 0 also needs a finite decoherence window
+2 * 0.02 / (alpha0^2 gamma), so alpha0 = 0 (no branches, no decoherence time
+to fit) is rejected when any gamma is positive. Each is a configuration
+error, found before the first row runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -73,7 +74,7 @@ import math
 import os
 import sys as _sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -326,28 +327,24 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
 
 
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
-    """Write evolve.csv, the numeric observables; its cat and branches turn by e^{-i delta t}."""
+    """Write evolve.csv, the numeric observables in the frame that rotates with the detuning.
+
+    The detuning only turns the state by e^{-i delta t n}, so the run propagates without it.
+    """
     fock.check_time(t_final)  # a t_final <= 0 leaves evolve one time, 0
     samples = _integer(samples, "--samples")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    least = 2 if t_final > 0 else 1  # one sample of linspace(0, t_final) is t = 0 alone
+    if samples < least:
+        raise ValueError(f"samples must be at least {least} at t_final {t_final!r}, got {samples}")
     times = np.linspace(0.0, t_final, samples if t_final > 0 else 1)
-    sys_ = config.sys
+    sys_ = replace(config.sys, detuning=0.0)
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
-    turns = sys_.angles(times)[1]
-    branches = sys_.alpha0 * np.exp(-1j * turns)
-    amplitudes = fock.cat_state(sys_.alpha0).amplitudes
-    levels = np.arange(amplitudes.size)
-
-    @functools.lru_cache(maxsize=1)  # one target at resonance, built once its row's state validates
-    def cat(turn):
-        return fock.FockVector(amplitudes * np.exp(-1j * turn * levels))
-
+    cat = fock.cat_state(sys_.alpha0)
     table = np.array([
         (t, fock.expectation_n(rho), fock.purity(rho),
-         abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cat(turn)),
-         analysis.coherence_metric(rho, b, t, sys_.gamma))
-        for t, turn, b, rho in zip(times, turns, branches, lindblad.evolve(sys_, rho0, times))
+         abs(float(np.trace(rho.elements).real) - 1.0), fock.fidelity(rho, cat),
+         analysis.coherence_metric(rho, sys_.alpha0, t, sys_.gamma))
+        for t, rho in zip(times, lindblad.evolve(sys_, rho0, times))
     ])
     _write_csv(config, "evolve", "t,mean_n,purity,trace_err,cat_fidelity,coherence",
                [csvtext.lines(*csvtext.cells(table.T))])
@@ -426,15 +423,11 @@ def cmd_validate(config: RunConfig) -> dict:
 def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
     """Write sweep.csv, cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
 
-    Rows run at resonance in units of mu (mu = 1) in either mode, so a detuned
-    config, whose cat target and branch probes differ, is rejected. So is a
-    damped row without a finite decoherence window (_damping_window). Each row's
+    Rows run in units of mu (mu = 1) in either mode, in the frame that rotates
+    with the detuning, so the config's detuning changes no column. A damped row
+    without a finite decoherence window (_damping_window) is rejected. Each row's
     KerrSystem, then its window (which squares alpha0), is built before any row runs.
     """
-    if config.sys.detuning != 0:
-        raise ValueError(
-            f"sweep runs at resonance in units of mu; detuning {config.sys.detuning!r} must be 0"
-        )
     plan = [(KerrSystem(alpha0=a0, mu=1.0, gamma=g), _damping_window(a0, g) if g > 0 else None)
             for a0 in alpha0_values for g in gamma_values]
     rows = [_one_cat_report(*row) for row in plan]

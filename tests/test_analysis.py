@@ -99,6 +99,16 @@ class TestCoherenceMetric:
         rho = fock.density_from_pure(fock.FockVector(np.eye(10)[5]))
         assert math.isnan(analysis.coherence_metric(rho, 0.0, 0.0, 0.0))
 
+    def test_numpy_time_past_the_range_is_the_vacuum_limit(self):
+        # a NumPy time, as a linspace gives, is taken as a Python float: gamma t
+        # past the range is inf without a RuntimeWarning, and e^{-inf} = 0 probes
+        # the vacuum; a finite product keeps its bits
+        rho = fock.density_from_pure(fock.coherent_state(0.0))
+        assert analysis.coherence_metric(rho, 1.0, np.float64(1e300), 1e9) == 1.0
+        cat = fock.density_from_pure(fock.cat_state(2.0))
+        assert (analysis.coherence_metric(cat, 2.0, np.float64(0.7), 0.1)
+                == analysis.coherence_metric(cat, 2.0, 0.7, 0.1))
+
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_time_out_of_range(self, t, gamma):

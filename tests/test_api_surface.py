@@ -148,6 +148,19 @@ def test_detuning_is_multiplied_only_in_angles():
     assert found == []
 
 
+def test_cli_turns_by_the_detuning_only_in_validate():
+    # evolve and sweep run in the frame that rotates with the detuning, so
+    # validate's revival and parity checks, lab-frame Q surfaces, are the only
+    # command code that reads KerrSystem.angles
+    cli = TREES[[path.name for path in PATHS].index("cli.py")]
+    validate = next(node for node in cli.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_validate")
+    inside = set(ast.walk(validate))
+    reads = [node for node in ast.walk(cli)
+             if isinstance(node, ast.Attribute) and node.attr == "angles"]
+    assert reads and all(node in inside for node in reads), [node.lineno for node in reads]
+
+
 def test_no_list_of_evolved_states():
     # lindblad.evolve yields one state at a time, so that a run holds one
     # block of them whatever its number of samples; an index or a len() of

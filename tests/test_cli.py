@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kerrcat import __version__, analysis, analytic_q, cli, csvtext, fock, lindblad
 from kerrcat.errors import InvariantViolation
@@ -195,8 +195,8 @@ class TestEvolve:
         assert float(rows[-1]["cat_fidelity"]) >= 1.0 - 1e-10
 
     def test_detuning_leaves_the_branch_columns(self, tmp_path):
-        # the branch and cat probes turn with alpha0 e^{-i delta t}, as the
-        # state does, so both columns read the same rotating-frame state
+        # evolve propagates in the frame that rotates with the detuning, at
+        # zero detuning, so both columns are the resonant ones bit for bit
         columns = {}
         for delta in (0.0, 0.3, 1.0, -0.8):
             doc = set_fields(dimensionless_doc(), {"dimensionless.detuning_over_mu": delta})
@@ -209,11 +209,12 @@ class TestEvolve:
             columns[delta] = np.array([[float(r["coherence"]), float(r["cat_fidelity"])]
                                        for r in rows])
         for delta in (0.3, 1.0, -0.8):
-            assert np.max(np.abs(columns[delta] - columns[0.0])) <= 1e-12
+            assert np.array_equal(columns[delta], columns[0.0])
 
     def test_detuned_cat_keeps_the_state_levels(self, tmp_path):
         # the last alpha0 at 35 levels: a turned alpha0 e^{-i delta t} differs in
-        # its last bit and may get 36, so the target turns the cat of alpha0 itself
+        # its last bit and may get 36, but evolve turns nothing, so the state and
+        # the cat of alpha0 keep 35 levels and the resonant fidelities
         alpha0 = 2.0019453395698115
         assert fock.series_order(alpha0) == 35 < fock.series_order(math.nextafter(alpha0, 3.0))
         fidelities = {}
@@ -227,14 +228,35 @@ class TestEvolve:
             assert cli.main(argv) == cli.EXIT_OK
             fidelities[delta] = np.array([float(r["cat_fidelity"])
                                           for r in read_csv(out / "evolve.csv")])
-        assert np.max(np.abs(fidelities[1.0] - fidelities[0.0])) <= 1e-12
+        assert np.array_equal(fidelities[1.0], fidelities[0.0])
 
     def test_t_final_zero_single_row(self, tmp_path):
         cfg = write_config(tmp_path, dimensionless_doc())
-        cli.main(["evolve", "--config", cfg, "--out", str(tmp_path), "--t-final", "0"])
-        rows = read_csv(tmp_path / "evolve.csv")
-        assert len(rows) == 1
-        assert float(rows[0]["mean_n"]) == pytest.approx(4.0, abs=1e-12)
+        for samples in ("1", "51"):
+            out = tmp_path / samples
+            argv = ["evolve", "--config", cfg, "--out", str(out), "--t-final", "0",
+                    "--samples", samples]
+            assert cli.main(argv) == cli.EXIT_OK
+            rows = read_csv(out / "evolve.csv")
+            assert len(rows) == 1
+            assert float(rows[0]["mean_n"]) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.3, -1.0, 1e308], ids=["0.3", "-1", "1e308"])
+    def test_detuned_body_is_the_resonant_body(self, tmp_path, capsys, delta):
+        # the detuning only turns the state by e^{-i delta t n}, so the run in
+        # the rotating frame writes the resonant rows under its own header, even
+        # where delta t overflows
+        bodies = {}
+        for detuning in (0.0, delta):
+            doc = set_fields(dimensionless_doc(), {"dimensionless.detuning_over_mu": detuning})
+            out = tmp_path / repr(detuning)
+            cfg = write_config(tmp_path, doc, f"{detuning!r}.json")
+            argv = ["evolve", "--config", cfg, "--out", str(out), "--t-final", "10",
+                    "--samples", "11"]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            bodies[detuning] = (out / "evolve.csv").read_text().split("\n", 1)[1]
+        assert bodies[delta] == bodies[0.0]
 
     def test_memory_flat_in_samples(self, tmp_path):
         # rows are computed from one state at a time, so 1900 more samples add
@@ -348,9 +370,11 @@ class TestLongPhases:
              "resonant_analytic", "resonant_numeric"],
     )
     def test_physical_times_stay_positive(self, tmp_path, capsys, pump, argv):
-        # delta t reaches 4.2e10 rad (a detuning of 2.8e10 rad/s) and mu t
-        # 6.9e7 rad: each is reduced mod 2 pi once, so every element's phase is
-        # the same angle times an integer and rho is a rotation of a positive matrix
+        # delta t reaches 2e10 rad (a detuning of 2.8e10 rad/s for 0.7 s) and
+        # mu t 6.9e7 rad: each is reduced mod 2 pi once, so every element's phase
+        # is the same angle times an integer and rho is a rotation of a positive
+        # matrix. evolve runs in the rotating frame, so detuned_evolve reaches
+        # only the Kerr phase; the three other detuned cases cover the long delta t
         doc = {"schema_version": 1, "mode": "physical",
                "physical": {**LONG_PHASE_TRAP, "pump_frequency": pump},
                "grid": {"resolution": 11}}
@@ -494,6 +518,7 @@ class TestBadInput:
             ({"mode": "quantum"}, ["params"]),
             ({"dimensionless": None}, ["params"]),
             ({}, ["evolve", "--t-final", "1", "--samples", "0"]),
+            ({}, ["evolve", "--t-final", "10", "--samples", "1"]),
         ],
         ids=["nan_gamma", "inf_alpha0", "negative_time", "negative_t_final",
              "negative_time_numeric", "nan_t_final", "text_gamma", "text_detuning",
@@ -511,7 +536,8 @@ class TestBadInput:
              "seed_past_2_53", "unknown_top_level_key", "unknown_dimensionless_key",
              "unknown_physical_key", "unknown_grid_key", "bool_schema_version",
              "seed_below_minus_2_53", "huge_negative_seed", "infinite_omega_m",
-             "infinite_omega_z", "unknown_mode", "missing_mode_section", "zero_samples"],
+             "infinite_omega_z", "unknown_mode", "missing_mode_section", "zero_samples",
+             "one_sample_past_zero"],
     )
     def test_rejected_with_exit_2(self, tmp_path, capsys, fields, argv):
         # keys are dotted paths into the config; a physical.* key edits the physical one
@@ -584,22 +610,22 @@ class TestBadInput:
             ({"dimensionless.gamma_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
             ({"dimensionless.gamma_over_mu": 1e308}, ["qsurface", "--time", "1",
                                                        "--backend", "numeric"]),
-            ({"dimensionless.detuning_over_mu": 1e308}, ["evolve", "--t-final", "10"]),
             ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "10",
                                                          "--backend", "numeric"]),
             ({"dimensionless.gamma_over_mu": 1e308}, ["validate"]),
             ({"dimensionless.detuning_over_mu": 1e308, "dimensionless.gamma_over_mu": 0.0},
              ["validate"]),
         ],
-        ids=["gamma_evolve", "gamma_qsurface", "detuning_evolve", "detuning_qsurface",
+        ids=["gamma_evolve", "gamma_qsurface", "detuning_qsurface",
              "gamma_validate", "detuning_overflow_validate"],
     )
     def test_extreme_rates_exit_3(self, tmp_path, capsys, fields, argv):
         # a damping rate of 1e308 overflows the propagator's sum, or the
         # closed form's exponent, to a non-finite state; a detuning of 1e308
         # at t = 10, or at the undamped revival t = 2 pi, makes delta t
-        # infinite, whose NaN angle leaves a NaN state: all are numerical
-        # failures, without a warning or a traceback
+        # infinite, whose NaN angle leaves a NaN lab-frame state: all are
+        # numerical failures, without a warning or a traceback. evolve and
+        # sweep turn nothing by delta t (TestEvolve, TestSweep)
         doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11), fields)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
@@ -901,21 +927,40 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("mode", ["dimensionless", "physical"])
-    def test_detuned_config_rejected(self, tmp_path, capsys, mode):
-        if mode == "dimensionless":
-            doc = dimensionless_doc()
-            doc["dimensionless"]["detuning_over_mu"] = 0.7
-        else:
-            doc = physical_doc()
-            doc["physical"]["detuning"] = 5.0
-        cfg = write_config(tmp_path, doc)
-        code = cli.main(
-            ["sweep", "--config", cfg, "--out", str(tmp_path), "--alpha0", "1",
-             "--gamma", "0.01"]
-        )
-        assert code == cli.EXIT_CONFIG
-        assert "resonance" in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
+    def test_detuned_config_writes_the_resonant_rows(self, tmp_path, capsys, mode):
+        # every sweep column is read in the frame that rotates with the
+        # detuning (W at the origin is the parity), so a detuned config is valid
+        # and its rows are the resonant ones
+        bodies = []
+        for detuned in (False, True):
+            if mode == "dimensionless":
+                doc = dimensionless_doc()
+                doc["dimensionless"]["detuning_over_mu"] = 0.7 if detuned else 0.0
+            else:
+                doc = physical_doc()
+                doc["physical"]["detuning"] = 5.0 if detuned else 0.0
+            out = tmp_path / str(detuned)
+            cfg = write_config(tmp_path, doc, f"{detuned}.json")
+            argv = ["sweep", "--config", cfg, "--out", str(out), "--alpha0", "1",
+                    "--gamma", "0,0.01"]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            bodies.append((out / "sweep.csv").read_text().split("\n", 1)[1])
+        assert bodies[1] == bodies[0]
+        assert bodies[0].count("\n") == 3
+
+    @pytest.mark.parametrize("alpha0, gamma", [(1.0, 0.01), (2.0, 0.01), (3.0, 0.5),
+                                               (2.0, 0.0), (8.0, 0.0)])
+    def test_t_cat_columns_match_the_closed_form(self, alpha0, gamma):
+        # the propagated state at t_cat against analytic_q's closed form: the
+        # cat fidelity, W at the origin and the branch coherence
+        sys_ = analytic_q.KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
+        window = cli._damping_window(alpha0, gamma) if gamma > 0 else None
+        row = cli._one_cat_report(sys_, window)
+        closed = analytic_q.density(math.pi / 2, sys_)
+        expected = (fock.fidelity(closed, fock.cat_state(alpha0)), fock.wigner(closed, 0.0),
+                    analysis.coherence_metric(closed, alpha0, math.pi / 2, gamma))
+        assert np.max(np.abs(np.array(row[3:6], dtype=float) - expected)) <= 1e-12
 
 
 class TestDeterminism:
@@ -1161,12 +1206,15 @@ def test_random_configs_write_repr_cells(tmp_path_factory, alpha0, gamma, res, e
         assert_repr_cells(path)
         assert path.read_bytes() == expected_csv(doc, "re_alpha,im_alpha,q", rows)
 
-    path = run("evolve", "--t-final", repr(t), "--samples", str(samples))
-    times = np.linspace(0.0, t, samples) if t > 0 else (0.0,)
-    rows = evolve_rows(sys_, rho0, times)
-    assert_repr_cells(path)
-    columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
-    assert path.read_bytes() == expected_csv(doc, columns, rows)
+    if t > 0 and samples == 1:  # one sample would drop t_final
+        run("evolve", "--t-final", repr(t), "--samples", "1", code=2)
+    else:
+        path = run("evolve", "--t-final", repr(t), "--samples", str(samples))
+        times = np.linspace(0.0, t, samples) if t > 0 else (0.0,)
+        rows = evolve_rows(sys_, rho0, times)
+        assert_repr_cells(path)
+        columns = "t,mean_n,purity,trace_err,cat_fidelity,coherence"
+        assert path.read_bytes() == expected_csv(doc, columns, rows)
 
     # sweep rows are real |alpha0| at resonance; a damped row needs alpha0 != 0,
     # and a subnormal alpha0^2 gamma, whose window 2 WINDOW_DEPTH / (alpha0^2 gamma)
@@ -1193,6 +1241,31 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    # python -m kerrcat.cli raises SystemExit(main()): the process exit code
+    # is main's, and stderr holds at most its one message line
+    runs = {
+        cli.EXIT_OK: ({}, ["params"]),
+        cli.EXIT_CONFIG: ({}, ["evolve", "--t-final=-1"]),
+        cli.EXIT_NUMERICAL: ({"dimensionless.gamma_over_mu": 1e308}, ["evolve", "--t-final", "1"]),
+        cli.EXIT_CONVERGENCE: ({"dimensionless.alpha0": [1e200, 0.0]}, ["params"]),
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    procs = {}
+    for code, (fields, argv) in runs.items():
+        doc = set_fields(dimensionless_doc(res=3), fields)
+        cfg = write_config(tmp_path, doc, f"{code}.json")
+        procs[code] = subprocess.Popen(
+            [sys.executable, "-m", "kerrcat.cli", *argv, "--config", cfg,
+             "--out", str(tmp_path / str(code))],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+    for code, proc in procs.items():
+        err = proc.communicate(timeout=60)[1]
+        assert proc.returncode == code
+        assert err.count("\n") <= 1
 
 
 def test_cli_import_loads_no_scipy():
@@ -1252,28 +1325,79 @@ fuzz_fields = {
 }
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(
-    doc=st.fixed_dictionaries({}, optional=fuzz_fields),
-    # a time is passed as --time=<t>: argparse reads a separate "-1" token as an option
-    t=st.sampled_from(["0", "0.5", repr(math.pi / 2), "1e300", "-1", "-0.5", "-0.0", "nan", "inf"]),
-    backend=st.sampled_from(["analytic", "numeric"]),
-    # a bad gamma after a good one, and an alpha0 past 37.6 after a good one
-    sweep=st.sampled_from([("", ""), ("1", "0"), ("0,1.5", "0.1"), ("2", "1e308"),
-                           ("1,2", "0.01,-0.1"), ("1,40", "0")]),
-)
-def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend, sweep):
-    # every run ends in 0, 2, 3 or 4 with at most a one-line message: an
-    # exception cli.main does not map, or a RuntimeWarning, fails the test
-    tmp_path = tmp_path_factory.mktemp("fuzz")
-    cfg = write_config(tmp_path, set_fields(dimensionless_doc(res=3), doc))
+# a time is passed as --time=<t>: argparse reads a separate "-1" token as an option
+fuzz_times = st.sampled_from(["0", "0.5", repr(math.pi / 2), "1e300", "-1", "-0.5", "-0.0",
+                              "nan", "inf"])
+# a bad gamma after a good one, and an alpha0 past 37.6 after a good one
+fuzz_sweeps = st.sampled_from([("", ""), ("1", "0"), ("0,1.5", "0.1"), ("2", "1e308"),
+                               ("1,2", "0.01,-0.1"), ("1,40", "0")])
+
+
+def run_every_command(tmp_path, doc, t, backend, sweep) -> list[list[str]]:
+    """Each command's stderr lines on ``doc``; every run ends in 0, 2, 3 or 4.
+
+    An exception cli.main does not map, or a RuntimeWarning, fails the caller.
+    """
+    cfg = write_config(tmp_path, doc)
     commands = [["params"], ["qsurface", f"--time={t}", "--backend", backend],
                 ["evolve", f"--t-final={t}", "--samples", "3"], ["validate"],
                 ["sweep", "--alpha0", sweep[0], "--gamma", sweep[1]]]
+    errs = []
     for argv in commands:
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0])])
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_CONVERGENCE)
-        assert err.getvalue().count("\n") <= 1
+        errs.append(err.getvalue().splitlines())
+    return errs
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(doc=st.fixed_dictionaries({}, optional=fuzz_fields), t=fuzz_times,
+       backend=st.sampled_from(["analytic", "numeric"]), sweep=fuzz_sweeps)
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend, sweep):
+    # every run ends in 0, 2, 3 or 4 with at most a one-line message
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    doc = set_fields(dimensionless_doc(res=3), doc)
+    for err in run_every_command(tmp_path, doc, t, backend, sweep):
+        assert len(err) <= 1
+
+
+def mostly(value):
+    """``value`` in about four draws of five, else an extreme or a wrong-typed number."""
+    return st.integers(0, 9).flatmap(
+        lambda i: (extreme, wrong)[i - 8] if i >= 8 else st.just(value))
+
+
+# README's physical trap, with a kick (alpha0 = 0.37) long against the axial
+# period and a detuning given either way; every field is mixed with extreme
+# and wrong-typed values, and |alpha0_override| <= 3 propagates in well under a second
+physical_fields = {f"physical.{key}": mostly(value) for key, value in (
+    ("b_field", 5.715818804605135), ("v0", 10.0), ("d", 3.3e-3))}
+physical_fuzz_fields = {
+    **{f"physical.{key}": mostly(value) for key, value in (
+        ("temperature", 4.0), ("gamma", 1.0), ("drive_amplitude", 1.0),
+        ("drive_duration", 1e-3), ("pump_frequency", 1.0043e12), ("detuning", 5.0))},
+    "physical.alpha0_override": st.one_of(
+        st.complex_numbers(max_magnitude=3.0).map(lambda z: [z.real, z.imag]),
+        st.floats(-3.0, 3.0), extreme.filter(lambda x: abs(x) <= 3.0), wrong,
+    ),
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(doc=st.fixed_dictionaries(physical_fields, optional=physical_fuzz_fields), t=fuzz_times,
+       backend=st.sampled_from(["analytic", "numeric"]), sweep=fuzz_sweeps)
+@example(doc={"physical.b_field": 5.715818804605135, "physical.v0": 10.0, "physical.d": 3.3e-3,
+              "physical.gamma": 1e12, "physical.alpha0_override": [2.0, 0.0]},
+         t="1e300", backend="analytic", sweep=("", ""))
+def test_fuzzed_physical_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend,
+                                                             sweep):
+    # as in dimensionless mode, plus at most the kick's one warning line
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    doc = set_fields({"schema_version": 1, "mode": "physical", "physical": {},
+                      "grid": {"resolution": 3}}, doc)
+    for err in run_every_command(tmp_path, doc, t, backend, sweep):
+        messages = [line for line in err if not line.startswith("warning: kick duration")]
+        assert len(err) - len(messages) <= 1 and len(messages) <= 1

@@ -197,6 +197,14 @@ class TestPositivityGate:
         fock.DensityOperator(mat)
         assert eigvalsh_calls == [(8, 8)]
 
+    def test_rounding_bound_past_the_shift_skips_cholesky(self, monkeypatch):
+        # 2 (n + 4) u (trace + n s) = 1.8e-8 > s/2 at trace 1e7: no factorization
+        # certifies the floor, so eigvalsh decides without a Cholesky call
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda mat: calls.append(mat.shape))
+        assert fock._factors_above_floor(np.eye(4) / 4, 1e7) is False
+        assert calls == []
+
     def test_below_floor_rejected_with_exact_eigenvalue(self):
         mat = density_with_smallest(np.random.default_rng(3), 8, -1.1e-9)
         with pytest.raises(ValueError, match="not positive") as info:
