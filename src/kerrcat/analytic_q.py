@@ -5,20 +5,19 @@ The damped Kerr master equation admits a closed-form Husimi function
 Q(alpha, t) = <alpha| rho(t) |alpha> of the Fock matrix
 
     rho_qp(t) = <q|a_t> <a_t|p> K_qp(t),   a_t = a0 e^{-gamma t/2},
-    K_qp(t) = exp{ -i mu (p+q)(p-q) t + i delta (p-q) t
-                   + gamma |a0|^2 [x_{p-q}(t) - x_0(t)] },
+    K_qp(t) = exp{ -i mu (p+q)(p-q) t + gamma |a0|^2 [x_{p-q}(t) - x_0(t)] },
     x_k(t) = (1 - e^{-lam_k t}) / lam_k,   lam_k = gamma + 2 i mu k,
 
-subject to Q(alpha, 0) = exp(-|alpha - a0|^2). Since Re x_k <= x_0, no
-exponent of K has a positive real part: nothing overflows where the same
-matrix as <q|a0> <a0|p> Z_pq(t) carries e^{|a0|^2 (1 - e^{-gamma t})}.
-density returns it as a fock.DensityOperator, the type the numeric backend
-returns too; q_surface turns either one into Q through fock.q_grid, one probe
-product per retained eigenvector of rho: a single one while rho is pure. The
-matrix is truncated by fock.series_order, the rule both backends share,
-where the Poisson tail of |a0|^2 bounds the error below fock.TAIL_TOL,
-independently of the grid; the degenerate lam -> 0 denominator is evaluated
-by its Taylor series.
+subject to Q(alpha, 0) = exp(-|alpha - a0|^2), at resonance: a detuning only
+turns this state (fock.turn). Since Re x_k <= x_0, no exponent of K has a
+positive real part: nothing overflows where the same matrix as <q|a0> <a0|p>
+Z_pq(t) carries e^{|a0|^2 (1 - e^{-gamma t})}. density returns it as a
+fock.DensityOperator, the type the numeric backend returns too; q_surface
+turns either one into Q through fock.q_grid, one probe product per retained
+eigenvector of rho: a single one while rho is pure. The matrix is truncated by
+fock.series_order, the rule both backends share, where the Poisson tail of
+|a0|^2 bounds the error below fock.TAIL_TOL, independently of the grid; the
+degenerate lam -> 0 denominator is evaluated by its Taylor series.
 """
 
 from __future__ import annotations
@@ -38,24 +37,21 @@ _Q_CEIL = 1.0 + 1e-9
 
 @dataclass(frozen=True)
 class KerrSystem:
-    """Dimensionless kick amplitude plus the two rates of the master equation.
+    """Dimensionless kick amplitude plus the two rates of the resonant master equation.
 
-    ``detuning`` extends the resonant (omega_p = omega_M) analysis with the
-    linear-in-n phase of the rotating-frame Hamiltonian. It owns alpha0's
-    range: past fock.PROBE_ABS_MAX, inf and NaN included, it raises SeriesNotConverged.
+    It owns alpha0's range: past fock.PROBE_ABS_MAX, inf and NaN included, it
+    raises SeriesNotConverged.
     """
 
     alpha0: complex
     mu: float
     gamma: float
-    detuning: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         fock.check_probe_range(math.hypot(self.alpha0.real, self.alpha0.imag))
-        numbers = (self.mu, self.gamma, self.detuning)
-        if not all(math.isfinite(x) for x in numbers):
-            raise ValueError(f"mu, gamma and detuning must be finite, got {numbers}")
+        if not (math.isfinite(self.mu) and math.isfinite(self.gamma)):
+            raise ValueError(f"mu and gamma must be finite, got {(self.mu, self.gamma)}")
         if self.mu < 0:
             raise ValueError(f"Kerr rate must be non-negative, got {self.mu}")
         if self.gamma < 0:
@@ -63,10 +59,10 @@ class KerrSystem:
         if self.mu == 0 and self.gamma == 0:
             raise ValueError("mu and gamma cannot both vanish")
 
-    def angles(self, t):
-        """(mu t, delta t) mod 2 pi: every phase of both backends is one times an integer."""
+    def kerr_angle(self, t):
+        """mu t mod 2 pi: every phase of both backends is this angle times an integer."""
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite product gives NaN
-            return np.fmod(self.mu * t, 2 * np.pi), np.fmod(self.detuning * t, 2 * np.pi)
+            return np.fmod(self.mu * t, 2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,13 @@ class QSurface:
         object.__setattr__(self, "values", vals)
 
 
-def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """(1 - e^{-lam t}) / lam, with the lam -> 0 limit by Taylor series.
+def _lam_integral(sys: KerrSystem, k: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """x_k(t) (module docstring) for integers k, with the lam -> 0 limit by Taylor series.
 
-    ``lam`` and ``t`` broadcast against each other, so a column of times
-    gives one row of values per time.
+    e^{-lam_k t} is e^{-gamma t - 2 i k sys.kerr_angle(t)}, reduced at any t. ``k`` and
+    ``t`` broadcast against each other, so a column of times gives one row per time.
     """
-    lam, t = np.broadcast_arrays(lam, t)
+    lam, t = np.broadcast_arrays(sys.gamma + 2j * sys.mu * k, t)
     x = lam * t
     out = np.empty_like(x)
     small = np.abs(x) < 1e-6
@@ -154,24 +150,19 @@ def _lam_integral(lam: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     sub = ~small & (np.abs(lam) < np.finfo(float).tiny)
     out[sub] = t[sub] * ((1.0 - np.exp(-x[sub])) / x[sub])
     ns = ~small & ~sub
-    out[ns] = (1.0 - np.exp(-x[ns])) / lam[ns]
+    decay = -sys.gamma * t - 2j * k * sys.kerr_angle(t)
+    out[ns] = (1.0 - np.exp(decay[ns])) / lam[ns]
     return out
 
 
 def _kernel(order: int, t: float, sys: KerrSystem) -> np.ndarray:
-    """K_qp(t) for all 0 <= q, p <= order (module docstring): |K| <= 1, K_qq = 1.
-
-    The phase e^{i delta (p-q) t} turns alpha0 into alpha0 e^{-i delta t},
-    the rotation that H = hbar delta n gives the master equation. K(0) = 1
-    exactly: sys.angles(0) are 0, as is lam t for every finite lam.
-    """
-    kerr_t, det_t = sys.angles(t)
+    """K_qp(t), 0 <= q, p <= order (module docstring): |K| <= 1, K_qq = 1, K(0) = 1 exactly."""
     d = np.arange(-order, order + 1)
-    x = _lam_integral(sys.gamma + 2j * sys.mu * d, t)
-    log_v = abs(sys.alpha0) ** 2 * (sys.gamma * (x - x[order])) + 1j * det_t * d
+    x = _lam_integral(sys, d, t)
+    log_v = abs(sys.alpha0) ** 2 * (sys.gamma * (x - x[order]))
     qq, pp = np.indices((order + 1, order + 1))
     band = pp - qq + order
-    return np.exp(-0.5 * (pp + qq) * (2j * d)[band] * kerr_t + log_v[band])
+    return np.exp(-0.5 * (pp + qq) * (2j * d)[band] * sys.kerr_angle(t) + log_v[band])
 
 
 def density(t: float, sys: KerrSystem) -> fock.DensityOperator:

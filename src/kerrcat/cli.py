@@ -25,7 +25,7 @@ that lindblad.evolve yields, one at a time, and analytic_q.density returns,
 both at the derived fock.series_order(alpha0) levels. validate compares
 independent computations: each backend's initial Q with the Gaussian, the
 backends at t_cat/2 and t_cat, <n>'s decay, Q's norm, the Wigner bound and,
-undamped, revival and parity; not the types' invariants.
+undamped, revival at |alpha0> and parity at |-alpha0>; not the types' invariants.
 
 Config schema (schema_version 1)::
 
@@ -54,9 +54,9 @@ a default (the physical ones are trap_params.TrapConfig's) and may be left
 out or set to null, which means that default.
 
 In dimensionless mode mu = 1 and all times are in units of 1/mu. The
-detuning only turns the state by e^{-i delta t n}, so ``evolve`` and
-``sweep`` run at zero detuning, in the frame that rotates with it; ``sweep``
-always works in units of mu, in either mode. Its ``--alpha0`` and
+detuning only turns the state by e^{-i delta t n}, so every command but
+``qsurface``, the one lab-frame output, runs in the frame that rotates with
+it; ``sweep`` always works in units of mu, in either mode. Its ``--alpha0`` and
 ``--gamma`` lists must hold finite numbers and every gamma must be
 non-negative. A row with gamma > 0 also needs a finite decoherence window
 2 * 0.02 / (alpha0^2 gamma), so alpha0 = 0 (no branches, no decoherence time
@@ -74,7 +74,7 @@ import math
 import os
 import sys as _sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +99,11 @@ _CSV_BLOCK = 8192
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved configuration shared by all subcommands."""
+    """Resolved configuration shared by all subcommands; ``detuning`` is read by qsurface alone."""
 
     mode: str
     sys: KerrSystem
+    detuning: float
     derived: trap_params.DerivedParams | None
     grid: PhaseGrid
     output_dir: Path
@@ -183,8 +184,8 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
             "alpha0": _as_complex_field(sec.get("alpha0", 2.0), "alpha0"),
             "mu": 1.0,
             "gamma": _number(sec.get("gamma_over_mu", 0.0), "gamma_over_mu"),
-            "detuning": _number(sec.get("detuning_over_mu", 0.0), "detuning_over_mu"),
         }
+        detuning = _number(sec.get("detuning_over_mu", 0.0), "detuning_over_mu")
     else:  # every default is TrapConfig's
         trap_fields = fields(trap_params.TrapConfig)
         sec = _fields(raw[mode], mode, [field.name for field in trap_fields])
@@ -204,8 +205,8 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
             "alpha0": derived.alpha0,
             "mu": derived.mu,
             "gamma": trap.gamma,
-            "detuning": derived.detuning,
         }
+        detuning = derived.detuning
     sys_ = KerrSystem(**rates)
 
     gsec = _fields(raw.get("grid", {}), "grid", ("center", "half_extent", "resolution"))
@@ -229,6 +230,7 @@ def load_config(path: str, out: str | None = None) -> RunConfig:
     return RunConfig(
         mode=mode,
         sys=sys_,
+        detuning=detuning,
         derived=derived,
         grid=grid,
         output_dir=Path(out),
@@ -306,7 +308,7 @@ def cmd_params(config: RunConfig) -> dict:
 
 
 def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
-    """Write qsurface.csv, Q over the configured grid at time ``t``, in blocks of grid rows."""
+    """Write qsurface.csv, Q at time ``t`` of either backend's state turned to the lab frame."""
     fock.check_time(t)  # the numeric backend calls evolve, which checks t too, only at t > 0
     if backend == "analytic":
         rho = density(t, config.sys)
@@ -314,7 +316,7 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
         rho = fock.density_from_pure(fock.coherent_state(config.sys.alpha0))
         if t > 0:
             rho, = lindblad.evolve(config.sys, rho, (t,))
-    values = q_surface(config.grid, rho).values
+    values = q_surface(config.grid, fock.turn(rho, config.detuning, t)).values
     re, im = config.grid.axes()
     re_cells = csvtext.packed(csvtext.cells(re))
     im_cells = csvtext.packed(csvtext.cells(im))[:, np.newaxis]
@@ -327,17 +329,14 @@ def cmd_qsurface(config: RunConfig, t: float, backend: str) -> None:
 
 
 def cmd_evolve(config: RunConfig, t_final: float, samples: int) -> None:
-    """Write evolve.csv, the numeric observables in the frame that rotates with the detuning.
-
-    The detuning only turns the state by e^{-i delta t n}, so the run propagates without it.
-    """
+    """Write evolve.csv, the numeric observables in the frame that rotates with the detuning."""
     fock.check_time(t_final)  # a t_final <= 0 leaves evolve one time, 0
     samples = _integer(samples, "--samples")
     least = 2 if t_final > 0 else 1  # one sample of linspace(0, t_final) is t = 0 alone
     if samples < least:
         raise ValueError(f"samples must be at least {least} at t_final {t_final!r}, got {samples}")
     times = np.linspace(0.0, t_final, samples if t_final > 0 else 1)
-    sys_ = replace(config.sys, detuning=0.0)
+    sys_ = config.sys
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
     cat = fock.cat_state(sys_.alpha0)
     table = np.array([
@@ -408,13 +407,10 @@ def cmd_validate(config: RunConfig) -> dict:
     w_vals = fock.wigner(rho, np.concatenate([1j * line, line, across]))
     checks.append(_check("wigner_bound", float(np.max(np.abs(w_vals))) - 2.0 / math.pi, 1e-9))
 
-    # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu,
-    # each turned by the detuning's e^{-i delta t}
+    # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu
     if sys_.gamma == 0:
-        for name, turns, sign in (("revival", 2.0, 1), ("parity", 1.0, -1)):
-            t = turns * math.pi / sys_.mu
-            beta = sign * sys_.alpha0 * np.exp(-1j * sys_.angles(t)[1])
-            surf = q_surface(config.grid, density(t, sys_))
+        for name, turns, beta in (("revival", 2.0, sys_.alpha0), ("parity", 1.0, -sys_.alpha0)):
+            surf = q_surface(config.grid, density(turns * math.pi / sys_.mu, sys_))
             checks.append(_check(name, _max_diff(surf.values, coherent_q(beta)), 1e-8))
 
     return {"pass": all(c["pass"] for c in checks), "checks": checks}
@@ -424,7 +420,7 @@ def cmd_sweep(config: RunConfig, alpha0_values, gamma_values) -> None:
     """Write sweep.csv, cat reports for every (alpha0, gamma) pair, alpha0 outer, gamma inner.
 
     Rows run in units of mu (mu = 1) in either mode, in the frame that rotates
-    with the detuning, so the config's detuning changes no column. A damped row
+    with the detuning, which no column reads. A damped row
     without a finite decoherence window (_damping_window) is rejected. Each row's
     KerrSystem, then its window (which squares alpha0), is built before any row runs.
     """

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeriesNotConverged
+from .errors import InvariantViolation, SeriesNotConverged
 
 #: largest truncation error allowed in any Q value (see series_order)
 TAIL_TOL = 1e-10
@@ -207,6 +207,19 @@ def cat_state(alpha0) -> FockVector:
 def density_from_pure(psi: FockVector) -> DensityOperator:
     """Rank-one projector |psi><psi|."""
     return DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def turn(rho: DensityOperator, detuning: float, t: float) -> DensityOperator:
+    """e^{-i theta n} rho e^{i theta n}, theta = detuning t mod 2 pi: the lab-frame state.
+
+    A detuning only turns the resonant state: delta n commutes with the Kerr term, and
+    loss is covariant under the turn. An infinite detuning t raises InvariantViolation.
+    """
+    angle = detuning * t
+    if not math.isfinite(angle):
+        raise InvariantViolation(f"detuning angle {detuning!r} * {t!r} is not finite")
+    m, n = np.indices((rho.cutoff, rho.cutoff))
+    return DensityOperator(np.exp(-1j * math.fmod(angle, 2 * math.pi) * (m - n)) * rho.elements)
 
 
 def check_probe_range(max_abs: float) -> None:

@@ -2,20 +2,20 @@
 
 In the number basis the master equation is elementwise,
 
-    d rho_mn / dt = [ i mu (m^2 - n^2) - i delta (m - n)
-                      - (gamma/2)(m + n) ] rho_mn
-                    + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1},
+    d rho_mn / dt = [ i mu (m^2 - n^2) - (gamma/2)(m + n) ] rho_mn
+                    + gamma sqrt((m+1)(n+1)) rho_{m+1,n+1}
 
-so anti-diagonals (fixed k = m - n) form independent bidiagonal linear
-systems. In the frame that removes the diagonal rates, the
-gain term carries only the band-constant factor e^{-lam_k t},
-lam_k = gamma - 2 i mu k, so the solution is a finite power series in the
-nilpotent weighted shift (the damped-Kerr result of Milburn & Holmes,
-PRL 56, 2237 (1986)). It is exact for any initial matrix and any time,
-needs no step size, and never mixes bands. The truncated equation is
-itself exact: d rho_mn/dt reads only rho_mn and rho_{m+1,n+1}, so levels
->= N that start empty stay empty, and the N-level solution is the leading
-block of the solution at any larger N. It also conserves trace exactly.
+at resonance (a detuning only turns the state: fock.turn), so anti-diagonals
+(fixed k = m - n) form independent bidiagonal linear systems. In the frame
+that removes the diagonal rates, the gain term carries only the
+band-constant factor e^{-lam_k t}, lam_k = gamma - 2 i mu k, so the solution
+is a finite power series in the nilpotent weighted shift (the damped-Kerr
+result of Milburn & Holmes, PRL 56, 2237 (1986)). It is exact for any
+initial matrix and any time, needs no step size, and never mixes bands. The
+truncated equation is itself exact: d rho_mn/dt reads only rho_mn and
+rho_{m+1,n+1}, so levels >= N that start empty stay empty, and the N-level
+solution is the leading block of the solution at any larger N. It also
+conserves trace exactly.
 
 Every sample time is propagated from rho(0) on its own, in any order, so
 integrate_matrix takes a scalar time or a 1-d array of times, carried on a
@@ -50,7 +50,7 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     ends after N terms and each term is built from the previous one. At
     gamma = 0 every weight, and so every term, is exactly zero: no term is
     built and the result is phase o mat. The phase holds the diagonal rates
-    (module docstring) times t, with mu t and delta t from sys.angles(t).
+    (module docstring) times t, with mu t from sys.kerr_angle(t).
 
     A scalar ``t`` gives the (N, N) matrix; a 1-d array of S times gives the
     (S, N, N) stack, every time carried on a leading axis through the same
@@ -65,7 +65,7 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
     total = mat
     if sys.gamma != 0:
         k = np.arange(1 - n, n)
-        x = _lam_integral(sys.gamma - 2j * sys.mu * k, times.reshape(-1, 1))
+        x = _lam_integral(sys, -k, times.reshape(-1, 1))  # analytic_q's lam_{-k}: gamma - 2 i mu k
         gain = sys.gamma * np.sqrt((mm + 1.0) * (nn + 1.0))
         weight = gain * x[:, mm - nn + n - 1]
         total = np.array(np.broadcast_to(mat, weight.shape), dtype=complex)
@@ -73,10 +73,9 @@ def integrate_matrix(mat: np.ndarray, sys: KerrSystem, t: float | np.ndarray) ->
         for j in range(1, n):
             term = weight[:, : n - j, : n - j] * term[:, 1:, 1:] / j
             total[:, : n - j, : n - j] += term
-    kerr_t, det_t = sys.angles(col)
     phase = np.empty((col.size, n, n), dtype=complex)
     np.multiply(-0.5 * sys.gamma * (mm + nn), col, out=phase.real)
-    np.subtract(kerr_t * (mm**2 - nn**2), det_t * (mm - nn), out=phase.imag)
+    np.multiply(sys.kerr_angle(col), mm**2 - nn**2, out=phase.imag)
     np.exp(phase, out=phase)
     return np.multiply(phase, total, out=phase).reshape(times.shape + (n, n))
 

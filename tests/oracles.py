@@ -192,8 +192,8 @@ def eigvalsh_accepts(mat):
     return float(np.linalg.eigvalsh(mat).min()) >= -1e-9
 
 
-def master_generator(sys, n):
-    """Dense generator of the damped Kerr master equation on flattened n x n matrices.
+def master_generator(sys, n, detuning):
+    """Dense generator of the detuned damped Kerr master equation on flattened n x n matrices.
 
     Built entry by entry from the elementwise equation
 
@@ -209,7 +209,7 @@ def master_generator(sys, n):
             row = m * n + k
             gen[row, row] = (
                 1j * sys.mu * (m * m - k * k)
-                - 1j * sys.detuning * (m - k)
+                - 1j * detuning * (m - k)
                 - 0.5 * sys.gamma * (m + k)
             )
             if m + 1 < n and k + 1 < n:
@@ -217,8 +217,8 @@ def master_generator(sys, n):
     return gen
 
 
-def rk4_integrate(mat, sys, t, dt):
-    """Classical fourth-order Runge-Kutta for the damped Kerr master equation.
+def rk4_integrate(mat, sys, t, dt, detuning):
+    """Classical fourth-order Runge-Kutta for the detuned damped Kerr master equation.
 
     The four RK4 stages of master_generator are applied to the identity,
     which gives the one-step map; steps of ``dt`` are composed by matrix
@@ -226,7 +226,7 @@ def rk4_integrate(mat, sys, t, dt):
     """
     n = mat.shape[0]
     size = n * n
-    gen = master_generator(sys, n)
+    gen = master_generator(sys, n, detuning)
     eye = np.eye(size, dtype=complex)
 
     def step(h):
@@ -244,8 +244,19 @@ def rk4_integrate(mat, sys, t, dt):
     return (prop @ np.asarray(mat, dtype=complex).reshape(size)).reshape(n, n)
 
 
-def z_form_density(sys, t, cutoff):
-    """rho_qp(t) = c_q conj(c_p) Z_pq(t) on ``cutoff`` levels, c = <n|alpha0> by factorials.
+def detuning_turn(detuning, t, cutoff):
+    """e^{-i theta (m - n)}, theta = detuning t reduced mod 2 pi, entry by entry.
+
+    The lab-frame factor of rho_mn at any t, as z_form_density's and q_series'
+    unreduced e^{i delta (p-q) t} are at moderate t.
+    """
+    theta = math.fmod(detuning * t, 2.0 * math.pi)
+    return np.array([[cmath.exp(-1j * theta * (m - n)) for n in range(cutoff)]
+                     for m in range(cutoff)])
+
+
+def z_form_density(sys, t, cutoff, detuning):
+    """Detuned rho_qp(t) = c_q conj(c_p) Z_pq(t) on ``cutoff`` levels, c = <n|alpha0>.
 
     The closed form before its damping moved into the amplitudes of
     alpha0 e^{-gamma t/2}: each Z_pq(t) entry by entry as in q_series, finite
@@ -258,13 +269,13 @@ def z_form_density(sys, t, cutoff):
         for q in range(cutoff):
             lam = sys.gamma + 2j * sys.mu * (p - q)
             integral = t if lam == 0 else (1.0 - cmath.exp(-lam * t)) / lam
-            phase = 1j * sys.detuning * (p - q) * t
-            z[p, q] = cmath.exp(-0.5 * (p + q) * lam * t + sys.gamma * g2 * integral + phase)
+            phase = cmath.exp(1j * detuning * (p - q) * t)
+            z[p, q] = cmath.exp(-0.5 * (p + q) * lam * t + sys.gamma * g2 * integral) * phase
     return np.outer(c, c.conj()) * z.T
 
 
-def q_series(alpha, t, sys, order):
-    """Closed-form Q(alpha, t) as the double series over 0 <= p, q <= order.
+def q_series(alpha, t, sys, order, detuning):
+    """Closed-form detuned Q(alpha, t) as the double series over 0 <= p, q <= order.
 
     Q = sum_{p,q} w_p Z_pq conj(w_q), w_p = e^{-(|alpha|^2+|a0|^2)/2} (alpha a0*)^p / p!,
     with each w_p assembled in log space (log magnitude plus phase, gammaln
@@ -289,6 +300,6 @@ def q_series(alpha, t, sys, order):
         for j in range(order + 1):
             lam = sys.gamma + 2j * sys.mu * (i - j)
             integral = t if lam == 0 else (1.0 - cmath.exp(-lam * t)) / lam
-            phase = 1j * sys.detuning * (i - j) * t
+            phase = 1j * detuning * (i - j) * t
             z[i, j] = cmath.exp(-0.5 * (i + j) * lam * t + sys.gamma * g2 * integral + phase)
     return float((row @ z @ row.conj()).real)

@@ -13,13 +13,13 @@ from kerrcat.errors import InvariantViolation, SeriesNotConverged
 import oracles
 
 
-def make_sys(alpha0=2.0, mu=1.0, gamma=0.01, detuning=0.0):
-    return KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=detuning)
+def make_sys(alpha0=2.0, mu=1.0, gamma=0.01):
+    return KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma)
 
 
-def q_at(points, t, sys_):
-    """Closed-form Q(alpha, t) at each point: density(t, sys_) read out by the probe kernel."""
-    mat = density(t, sys_).elements
+def q_at(points, t, sys_, detuning=0.0):
+    """Closed-form Q(alpha, t) at each point: density(t, sys_), turned, read by the probe kernel."""
+    mat = fock.turn(density(t, sys_), detuning, t).elements
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     return np.array([fock.q_grid(mat, np.array([a.real]), np.array([a.imag]))[0, 0] for a in pts])
 
@@ -40,7 +40,7 @@ class TestKerrSystem:
     @pytest.mark.parametrize(
         "fields",
         [{"alpha0": complex(math.inf, 0.0)}, {"alpha0": complex(0.0, math.nan)},
-         {"mu": math.inf}, {"gamma": math.nan}, {"detuning": -math.inf}],
+         {"mu": math.inf}, {"gamma": math.nan}, {"gamma": -math.inf}],
     )
     def test_rejects_non_finite(self, fields):
         # alpha0's range check runs first, and an inf or NaN |alpha0| is past it
@@ -103,16 +103,15 @@ class TestZFactor:
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        sys_ = make_sys(alpha0=2.0, mu=1.0, gamma=0.01, detuning=0.4)
-        g, mu, delta, t = mp.mpf("0.01"), mp.mpf(1), mp.mpf("0.4"), mp.mpf("0.5")
+        sys_ = make_sys(alpha0=2.0, mu=1.0, gamma=0.01)
+        g, mu, t = mp.mpf("0.01"), mp.mpf(1), mp.mpf("0.5")
 
         def x(k):
             lam = g + 2j * mu * k
             return (1 - mp.e ** (-lam * t)) / lam
 
         q, p = 0, 1  # K_qp = K[q, p]
-        want = mp.e ** (-1j * mu * (p + q) * (p - q) * t + 1j * delta * (p - q) * t
-                        + g * 4 * (x(p - q) - x(0)))
+        want = mp.e ** (-1j * mu * (p + q) * (p - q) * t + g * 4 * (x(p - q) - x(0)))
         got = _kernel(1, 0.5, sys_)[q, p]
         assert abs(got - complex(want)) < 1e-14
 
@@ -146,10 +145,11 @@ class TestDampedAmplitudes:
          (5.5, 1.0, 0.05, 0.0, 4.9), (0.7 + 0.2j, 1.0, 2.0, 0.3, 2.5), (3.0, 1.0, 0.0, 0.2, 2.0)],
     )
     def test_matches_z_form(self, alpha0, mu, gamma, delta, t):
-        # rho_qp = c_q conj(c_p) Z_pq, c = <n|alpha0>, where Z_pq is finite
-        sys_ = make_sys(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
-        rho = density(t, sys_).elements
-        ref = oracles.z_form_density(sys_, t, rho.shape[0])
+        # rho_qp = c_q conj(c_p) Z_pq, c = <n|alpha0>, where Z_pq is finite; the
+        # oracle's own delta term pins the sign of the turn
+        sys_ = make_sys(alpha0=alpha0, mu=mu, gamma=gamma)
+        rho = fock.turn(density(t, sys_), delta, t).elements
+        ref = oracles.z_form_density(sys_, t, rho.shape[0], delta)
         assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_q_outside_range_is_invariant_violation(self):
@@ -184,7 +184,8 @@ class TestQValue:
         sys_ = make_sys()
         alpha = 2.5 + 1.0j
         order = fock.series_order(sys_.alpha0) - 1
-        vals = {extra: oracles.q_series(alpha, 0.7, sys_, order + extra) for extra in (0, 10, 25)}
+        vals = {extra: oracles.q_series(alpha, 0.7, sys_, order + extra, 0.0)
+                for extra in (0, 10, 25)}
         bound = 2.0 * math.sqrt(pdtrc(order, abs(sys_.alpha0) ** 2))
         assert bound <= fock.TAIL_TOL
         assert abs(vals[10] - vals[0]) <= bound
@@ -196,10 +197,10 @@ class TestQValue:
          (2.5j, 0.1, 0.0, math.pi / 2), (0.7, 0.02, 1.3, 12.0)],
     )
     def test_matches_series_oracle(self, alpha0, gamma, delta, t):
-        sys_ = make_sys(alpha0=alpha0, gamma=gamma, detuning=delta)
+        sys_ = make_sys(alpha0=alpha0, gamma=gamma)
         points = [0.0, 1.2 - 0.7j, alpha0, -alpha0, 3.0 + 1.0j]
-        for a, q in zip(points, q_at(points, t, sys_)):
-            assert abs(q - oracles.q_series(a, t, sys_, 60)) < 1e-10
+        for a, q in zip(points, q_at(points, t, sys_, delta)):
+            assert abs(q - oracles.q_series(a, t, sys_, 60, delta)) < 1e-10
 
     @pytest.mark.parametrize("alpha0", [0.5, 2.0, 1.0 - 3.0j, 6.0])
     def test_series_order_is_smallest_poisson_cut(self, alpha0):
@@ -359,11 +360,11 @@ class TestCrossElement:
 
 class TestDetuning:
     def test_detuning_rotates_initial_amplitude(self):
-        # H = hbar delta n rotates alpha0 to alpha0 e^{-i delta t}, as the
-        # master equation's -i delta (m - n) phase does
+        # H = hbar delta n rotates alpha0 to alpha0 e^{-i delta t}: the turned
+        # state is the resonant state of the rotated kick
         t = 0.6
         delta = 0.8
-        sys_d = make_sys(alpha0=2.0, detuning=delta)
         sys_rot = make_sys(alpha0=2.0 * np.exp(-1j * delta * t))
         points = [1.0, 0.5 - 1.5j, 2.0 + 0.1j]
-        assert np.max(np.abs(q_at(points, t, sys_d) - q_at(points, t, sys_rot))) < 1e-10
+        turned = q_at(points, t, make_sys(), delta)
+        assert np.max(np.abs(turned - q_at(points, t, sys_rot))) < 1e-10

@@ -127,38 +127,46 @@ def test_propagator_sits_below_the_diagnostics():
     assert imported & {"analysis", "cli"} == set()
 
 
+def _inside(name):
+    """Every node of the top-level function ``name``."""
+    return {node for tree in TREES for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == name for node in ast.walk(top)}
+
+
+def _named(node, name):
+    return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+
+def _nodes_where(test):
+    """(file name, node) for every package node that passes ``test``."""
+    return [(path.name, node) for path, tree in zip(PATHS, TREES)
+            for node in ast.walk(tree) if test(node)]
+
+
 def test_detuning_is_multiplied_only_in_angles():
-    # KerrSystem.angles reduces delta t once for both backends and validate; a
-    # product of the detuning elsewhere would round each phase on its own
-    angles = next(
-        node for tree in TREES for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name == "KerrSystem"
-        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "angles"
-    )
-    inside = set(ast.walk(angles))
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path, tree in zip(PATHS, TREES)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-        and any(isinstance(side, ast.Attribute) and side.attr == "detuning"
-                for side in (node.left, node.right))
-        and node not in inside
-    ]
-    assert found == []
+    # the detuning only turns the resonant state, so no system carries it, and
+    # fock.turn's angle, delta t reduced once, is its one product with a time;
+    # a product of the detuning elsewhere would round each phase on its own
+    kerr = next(cls for tree in TREES for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "KerrSystem")
+    fields = [node.target.id for node in kerr.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["alpha0", "mu", "gamma"]
+    products = _nodes_where(lambda node: isinstance(node, ast.BinOp)
+                            and isinstance(node.op, ast.Mult)
+                            and any(_named(side, "detuning") for side in (node.left, node.right)))
+    inside = _inside("turn")
+    assert products and all(node in inside for _, node in products), \
+        [f"{name}:{node.lineno}" for name, node in products]
 
 
-def test_cli_turns_by_the_detuning_only_in_validate():
-    # evolve and sweep run in the frame that rotates with the detuning, so
-    # validate's revival and parity checks, lab-frame Q surfaces, are the only
-    # command code that reads KerrSystem.angles
-    cli = TREES[[path.name for path in PATHS].index("cli.py")]
-    validate = next(node for node in cli.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "cmd_validate")
-    inside = set(ast.walk(validate))
-    reads = [node for node in ast.walk(cli)
-             if isinstance(node, ast.Attribute) and node.attr == "angles"]
-    assert reads and all(node in inside for node in reads), [node.lineno for node in reads]
+def test_cli_turns_by_the_detuning_only_in_qsurface():
+    # evolve, sweep and validate run in the frame that rotates with the
+    # detuning, so qsurface, the one lab-frame output, is the only command
+    # code that calls fock.turn
+    calls = _nodes_where(lambda node: isinstance(node, ast.Call) and _named(node.func, "turn"))
+    inside = _inside("cmd_qsurface")
+    assert calls and all(node in inside for _, node in calls), \
+        [f"{name}:{node.lineno}" for name, node in calls]
 
 
 def test_no_list_of_evolved_states():

@@ -172,6 +172,42 @@ class TestQSurface:
         script = (tmp_path / "qsurface.gp").read_text()
         assert "qsurface.csv" in script
 
+    def test_detuned_revival_is_turned(self, tmp_path):
+        # qsurface is the one lab-frame output: undamped, the state at 2 pi/mu
+        # is |alpha0> turned by the detuning, |alpha0 e^{-i delta t}>
+        doc = set_fields(dimensionless_doc(alpha0=(1.3, -1.1), gamma=0.0, res=21),
+                         {"dimensionless.detuning_over_mu": 0.7})
+        cfg = write_config(tmp_path, doc)
+        t = 2 * math.pi
+        beta = complex(1.3, -1.1) * np.exp(-0.7j * t)
+        for backend in ("analytic", "numeric"):
+            out = tmp_path / backend
+            assert cli.main(["qsurface", "--config", cfg, "--out", str(out), "--time", repr(t),
+                             "--backend", backend]) == cli.EXIT_OK
+            re, im, q = np.loadtxt(out / "qsurface.csv", delimiter=",", skiprows=2).T
+            assert np.max(np.abs(q - np.exp(-np.abs(re + 1j * im - beta) ** 2))) <= 1e-8
+
+    @pytest.mark.parametrize("t", ["3e306", "1e307", "1e308"])
+    @pytest.mark.parametrize("alpha0, gamma", [((1.3, -1.1), 0.01), ((2.0, 0.0), 0.0)],
+                             ids=["damped", "undamped"])
+    def test_float_limit_times_agree(self, tmp_path, capsys, alpha0, gamma, t):
+        # both backends take e^{-lam_k t} as e^{-gamma t} times a phase of the
+        # reduced mu t, so the closed form's band +-(N - 1), which the
+        # propagator's sum never reads, stays finite at any finite t: both exit
+        # 0 and agree, and the damped state is the vacuum
+        cfg = write_config(tmp_path, dimensionless_doc(alpha0=alpha0, gamma=gamma, res=61))
+        q = {}
+        for backend in ("analytic", "numeric"):
+            out = tmp_path / backend
+            assert cli.main(["qsurface", "--config", cfg, "--out", str(out), "--time", t,
+                             "--backend", backend]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            q[backend] = np.loadtxt(out / "qsurface.csv", delimiter=",", skiprows=2)
+        assert np.max(np.abs(q["analytic"] - q["numeric"])) <= 1e-15
+        if gamma:
+            points = q["analytic"][:, 0] + 1j * q["analytic"][:, 1]
+            assert np.max(np.abs(q["analytic"][:, 2] - np.exp(-np.abs(points) ** 2))) <= 1e-15
+
 
 class TestEvolve:
     def test_mean_decay_column(self, tmp_path):
@@ -195,8 +231,8 @@ class TestEvolve:
         assert float(rows[-1]["cat_fidelity"]) >= 1.0 - 1e-10
 
     def test_detuning_leaves_the_branch_columns(self, tmp_path):
-        # evolve propagates in the frame that rotates with the detuning, at
-        # zero detuning, so both columns are the resonant ones bit for bit
+        # evolve propagates in the frame that rotates with the detuning and reads
+        # none, so both columns are the resonant ones bit for bit
         columns = {}
         for delta in (0.0, 0.3, 1.0, -0.8):
             doc = set_fields(dimensionless_doc(), {"dimensionless.detuning_over_mu": delta})
@@ -338,6 +374,25 @@ class TestValidate:
         cfg = write_config(tmp_path, {"schema_version": 99, "mode": "dimensionless"})
         assert cli.main(["validate", "--config", cfg]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("delta, gamma", [(1e308, 0.0), (0.7, 0.0), (0.7, 0.01)],
+                             ids=["1e308_undamped", "0.7_undamped", "0.7_damped"])
+    def test_detuned_report_is_the_resonant_report(self, tmp_path, capsys, delta, gamma):
+        # every check compares states in the frame that rotates with the
+        # detuning, revival and parity at alpha0 itself, so the detuning changes
+        # only the config digest, even where delta t overflows at t = 2 pi
+        reports = []
+        for detuning in (0.0, delta):
+            doc = set_fields(dimensionless_doc(alpha0=(1.3, -1.1), gamma=gamma, res=21),
+                             {"dimensionless.detuning_over_mu": detuning})
+            out = tmp_path / repr(detuning)
+            cfg = write_config(tmp_path, doc, f"{detuning!r}.json")
+            assert cli.main(["validate", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            reports.append(json.loads((out / "validate.json").read_text()))
+        assert reports[0].pop("config_digest") != reports[1].pop("config_digest")
+        assert reports[1] == reports[0]
+        assert len(reports[0]["checks"]) == len(VALIDATE_CHECKS) + 2 * (gamma == 0)
+
     def test_series_divergence_exits_4(self, tmp_path, capsys):
         # far outside the validated domain the series tail bound blows up
         doc = dimensionless_doc(alpha0=(40.0, 0.0), gamma=0.5, extent=45.0, res=3)
@@ -373,8 +428,9 @@ class TestLongPhases:
         # delta t reaches 2e10 rad (a detuning of 2.8e10 rad/s for 0.7 s) and
         # mu t 6.9e7 rad: each is reduced mod 2 pi once, so every element's phase
         # is the same angle times an integer and rho is a rotation of a positive
-        # matrix. evolve runs in the rotating frame, so detuned_evolve reaches
-        # only the Kerr phase; the three other detuned cases cover the long delta t
+        # matrix. Only qsurface turns its state to the lab frame, so
+        # detuned_analytic and detuned_numeric cover the long delta t, and
+        # detuned_evolve and detuned_validate reach only the Kerr phase
         doc = {"schema_version": 1, "mode": "physical",
                "physical": {**LONG_PHASE_TRAP, "pump_frequency": pump},
                "grid": {"resolution": 11}}
@@ -612,20 +668,19 @@ class TestBadInput:
                                                        "--backend", "numeric"]),
             ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "10",
                                                          "--backend", "numeric"]),
+            ({"dimensionless.detuning_over_mu": 1e308}, ["qsurface", "--time", "10"]),
             ({"dimensionless.gamma_over_mu": 1e308}, ["validate"]),
-            ({"dimensionless.detuning_over_mu": 1e308, "dimensionless.gamma_over_mu": 0.0},
-             ["validate"]),
         ],
         ids=["gamma_evolve", "gamma_qsurface", "detuning_qsurface",
-             "gamma_validate", "detuning_overflow_validate"],
+             "detuning_qsurface_analytic", "gamma_validate"],
     )
     def test_extreme_rates_exit_3(self, tmp_path, capsys, fields, argv):
         # a damping rate of 1e308 overflows the propagator's sum, or the
         # closed form's exponent, to a non-finite state; a detuning of 1e308
-        # at t = 10, or at the undamped revival t = 2 pi, makes delta t
-        # infinite, whose NaN angle leaves a NaN lab-frame state: all are
-        # numerical failures, without a warning or a traceback. evolve and
-        # sweep turn nothing by delta t (TestEvolve, TestSweep)
+        # at t = 10 makes delta t infinite, which qsurface's turn to the lab
+        # frame, on either backend, refuses: all are numerical failures,
+        # without a warning or a traceback. No other command reads the
+        # detuning (TestEvolve, TestValidate, TestSweep)
         doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11), fields)
         cfg = write_config(tmp_path, doc)
         code = cli.main(argv + ["--config", cfg, "--out", str(tmp_path)])
@@ -648,8 +703,8 @@ class TestBadInput:
              "validate_damped"],
     )
     def test_finite_detuning_phase_runs(self, tmp_path, capsys, delta, argv):
-        # delta t is finite up to the damped validate's largest time t_cat, and
-        # reduced mod 2 pi it is an ordinary rotation: the run succeeds
+        # delta t is finite at qsurface's t = 1, and reduced mod 2 pi it is an
+        # ordinary rotation; evolve and validate read no detuning: the run succeeds
         doc = set_fields(dimensionless_doc(alpha0=(1.0, 0.0), res=11),
                          {"dimensionless.detuning_over_mu": delta})
         cfg = write_config(tmp_path, doc)

@@ -14,10 +14,10 @@ def damping_sys(alpha0=2.0, gamma=0.1):
     return KerrSystem(alpha0=alpha0, mu=0.0, gamma=gamma)
 
 
-def rhs(mat, sys_):
+def rhs(mat, sys_, detuning=0.0):
     """d rho / dt of the oracle's dense generator, as a matrix."""
     n = mat.shape[0]
-    return (oracles.master_generator(sys_, n) @ mat.ravel()).reshape(n, n)
+    return (oracles.master_generator(sys_, n, detuning) @ mat.ravel()).reshape(n, n)
 
 
 class TestRhs:
@@ -43,8 +43,8 @@ class TestRhs:
     def test_hermiticity_preserving(self):
         rng = np.random.default_rng(1)
         rho = fock.DensityOperator(oracles.random_density(rng, 9))
-        sys_ = KerrSystem(alpha0=0.0, mu=0.7, gamma=0.2, detuning=0.1)
-        deriv = rhs(rho.elements, sys_)
+        sys_ = KerrSystem(alpha0=0.0, mu=0.7, gamma=0.2)
+        deriv = rhs(rho.elements, sys_, detuning=0.1)
         assert np.max(np.abs(deriv - deriv.conj().T)) == 0.0
 
     def test_trace_conserving_inside_cutoff(self):
@@ -118,16 +118,18 @@ class TestEvolve:
             assert abs(m1 - law) < 1e-8
 
     def test_trace_conserved(self):
-        # the exact propagator holds |tr rho - 1| at rounding level, far inside
-        # the 1e-10 trace check of every DensityOperator it yields
+        # the exact propagator, and the detuning's turn after it, hold |tr rho - 1|
+        # at rounding level, far inside the 1e-10 trace check of every DensityOperator
+        times = (0.1, 0.55, 1.0, 20.0)
         for alpha0, gamma, delta in (
             (2.0, 0.02, 0.0), (6.0 * np.exp(1j), 0.1, 0.3), (12.0, 1.0, -0.3), (12.0j, 1e-3, 0.3)
         ):
-            sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
+            sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
             for psi in (fock.coherent_state(alpha0), fock.cat_state(alpha0)):
                 rho0 = fock.density_from_pure(psi)
-                for rho in lindblad.evolve(sys_, rho0, (0.1, 0.55, 1.0, 20.0)):
-                    assert abs(float(np.trace(rho.elements).real) - 1.0) <= 1e-13
+                for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
+                    for state in (rho, fock.turn(rho, delta, t)):
+                        assert abs(float(np.trace(state.elements).real) - 1.0) <= 1e-13
 
     def test_fourth_order_convergence(self):
         # halving dt shrinks the RK4 oracle's error against the closed form ~16x
@@ -144,22 +146,23 @@ class TestEvolve:
             exact[k] = math.comb(5, k) * p**k * (1 - p) ** (5 - k)
         errs = {}
         for dt in (0.05, 0.025):
-            out = oracles.rk4_integrate(rho0, sys_, t, dt)
+            out = oracles.rk4_integrate(rho0, sys_, t, dt, 0.0)
             errs[dt] = np.max(np.abs(np.diag(out).real - exact))
         ratio = errs[0.05] / errs[0.025]
         assert 13.0 < ratio < 22.0
 
     @pytest.mark.parametrize(
-        "sys_",
-        [KerrSystem(alpha0=0.0, mu=1.0, gamma=0.5, detuning=0.3),
-         damping_sys(alpha0=0.0, gamma=0.5),
-         KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0)],
+        "sys_, delta",
+        [(KerrSystem(alpha0=0.0, mu=1.0, gamma=0.5), 0.3),
+         (damping_sys(alpha0=0.0, gamma=0.5), 0.0),
+         (KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0), 0.0)],
         ids=["damped_detuned_kerr", "damping_only", "undamped"],
     )
-    def test_truncation_is_exact(self, sys_):
+    def test_truncation_is_exact(self, sys_, delta):
         # d rho_mn/dt reads only rho_mn and rho_{m+1,n+1}, so levels that start
-        # empty stay empty: the N-level run is the leading block of the run
-        # padded with zeros, bit for bit, even for |11><11|, all in the top level
+        # empty stay empty: the N-level run, turned by the detuning, is the leading
+        # block of the run padded with zeros, bit for bit, even for |11><11|, all
+        # in the top level
         rng = np.random.default_rng(6)
         top = fock.density_from_pure(fock.FockVector(np.eye(12)[11])).elements
         times = (0.0, 0.5, 2.0)
@@ -169,7 +172,8 @@ class TestEvolve:
             padded[:n, :n] = mat
             states = lindblad.evolve(sys_, fock.DensityOperator(mat), times)
             wider = lindblad.evolve(sys_, fock.DensityOperator(padded), times)
-            for rho, big in zip(states, wider):
+            for t, rho, big in zip(times, states, wider):
+                rho, big = fock.turn(rho, delta, t), fock.turn(big, delta, t)
                 assert np.array_equal(big.elements[:n, :n], rho.elements)
                 assert not big.elements[n:].any() and not big.elements[:, n:].any()
 
@@ -202,7 +206,7 @@ BATCH_SYSTEMS = [
     (1.0, 0.0, 0.0),
     (1.0, 0.01, 0.0),
     (1.0, 0.3, 0.0),
-    (0.7, 0.2, 0.3),  # detuned
+    (0.7, 0.2, 0.3),  # detuned: the turn by delta t commutes with the propagator
     (1e-9, 1e-9, 0.0),  # lam_k -> 0: the Taylor branch on most bands at every time
 ]
 
@@ -213,13 +217,19 @@ class TestBatchedTimes:
     def test_stack_equals_scalar_calls(self, mu, gamma, delta, n):
         rng = np.random.default_rng(n)
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        sys_ = KerrSystem(alpha0=0.0, mu=mu, gamma=gamma, detuning=delta)
+        sys_ = KerrSystem(alpha0=0.0, mu=mu, gamma=gamma)
         # t = 0 and 1e-9 put every band in the Taylor branch
         times = np.array([0.0, 1e-9, 0.3, 1.7, 40.0])
         stack = lindblad.integrate_matrix(mat, sys_, times)
         assert stack.shape == (times.size, n, n)
         for t, out in zip(times, stack):
             assert np.array_equal(out, lindblad.integrate_matrix(mat, sys_, float(t)))
+            # delta n commutes with the Kerr term and loss is covariant under the
+            # turn u = e^{-i delta t n}, so turning before or after propagating agrees
+            u = np.exp(-1j * math.fmod(delta * t, 2 * math.pi) * np.arange(n))
+            turned = lindblad.integrate_matrix(u[:, None] * mat * u.conj(), sys_, float(t))
+            bound = 1e-13 * np.max(np.abs(out))
+            assert np.max(np.abs(turned - u[:, None] * out * u.conj())) <= bound
 
     def test_scalar_time_gives_matrix(self):
         mat = np.eye(6, dtype=complex) / 6.0
@@ -247,12 +257,11 @@ class TestBatchedTimes:
         n = 25
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0, detuning=0.3)
+        sys_ = KerrSystem(alpha0=0.0, mu=1.0, gamma=0.0)
         m, k = np.indices((n, n))
         times = np.array([0.0, 0.7, 40.0])
-        # mu t and delta t, each reduced mod 2 pi once, times its level difference
-        mu_t, delta_t = (np.fmod(rate * times, 2 * np.pi)[:, None, None] for rate in (1.0, 0.3))
-        angle = mu_t * (m**2 - k**2) - delta_t * (m - k)
+        # mu t, reduced mod 2 pi once, times m^2 - k^2
+        angle = np.fmod(times, 2 * np.pi)[:, None, None] * (m**2 - k**2)
         out = lindblad.integrate_matrix(mat, sys_, times)
         # phase first, as integrate_matrix multiplies: NumPy's complex
         # product does not commute bit for bit
@@ -353,13 +362,14 @@ class TestQFromRho:
     @pytest.mark.parametrize("delta", (0.3, -0.8, 1.5))
     def test_dual_path_agreement_detuned(self, delta, gamma):
         alpha0 = 1.5 + 0.5j
-        sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma, detuning=delta)
+        # both states turned to the lab frame, as qsurface turns them
+        sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
         times = (0.7, 1.9, 3.0)
         grid = PhaseGrid(center=0j, half_extent=5.0, resolution=21)
         for t, rho in zip(times, lindblad.evolve(sys_, rho0, times)):
-            ana = q_surface(grid, density(t, sys_))
-            num = q_surface(grid, rho)
+            ana = q_surface(grid, fock.turn(density(t, sys_), delta, t))
+            num = q_surface(grid, fock.turn(rho, delta, t))
             assert np.max(np.abs(ana.values - num.values)) < 1e-6
 
     @pytest.mark.parametrize(
@@ -367,10 +377,10 @@ class TestQFromRho:
         [(2.0, 1e-7, 1e7), (2.0, 1e-7, 3e7), (3.0, 1e-8, 1e8), (2.0, 1e-9, 1e9)],
     )
     def test_dual_path_agreement_at_long_damped_times(self, alpha0, gamma, t):
-        # the closed form's band weights take lam_k t = (gamma + 2 i mu k) t
-        # unreduced, and at gamma t near 1 the damped part they weight is not
-        # small; up to mu t = 1e9 the backends still agree (measured max |dQ|
-        # 2.5e-16 to 5.6e-16)
+        # both backends' band weights take e^{-lam_k t} as e^{-gamma t} times a
+        # phase of the reduced mu t, and at gamma t near 1 the damped part they
+        # weight is not small; up to mu t = 1e9 the backends agree (measured
+        # max |dQ| 2.2e-16 to 5.6e-16)
         sys_ = KerrSystem(alpha0=alpha0, mu=1.0, gamma=gamma)
         rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
         rho, = lindblad.evolve(sys_, rho0, (t,))  # both states validate as they are built

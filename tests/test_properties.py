@@ -38,24 +38,35 @@ alpha0s = st.builds(
     t=times,
     n=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alpha0=st.builds(cmath.rect, st.floats(0.0, 0.5), st.floats(0.0, 2.0 * math.pi)),
+    backend=st.sampled_from(["analytic", "numeric"]),
 )
-def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed):
-    sys_ = KerrSystem(alpha0=0.0, mu=mu, gamma=gamma, detuning=delta)
-    rho0 = oracles.random_density(np.random.default_rng(seed), n)
+def test_propagator_matches_rk4_oracle(mu, gamma, delta, t, n, seed, alpha0, backend):
+    # turn o backend against RK4 on the detuned master equation, whose own
+    # delta term pins the sign of the turn: a random state on n levels through
+    # the propagator, or |alpha0> (at most 15 levels) through the closed form
+    sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma)
+    if backend == "analytic":
+        rho0, rho = density(0.0, sys_), density(t, sys_)
+    else:
+        rho0 = fock.DensityOperator(oracles.random_density(np.random.default_rng(seed), n))
+        rho = fock.DensityOperator(lindblad.integrate_matrix(rho0.elements, sys_, t))
+    n = rho0.cutoff
     # RK4's global error is ~ t rate^5 dt^4 / 120 for the fastest element;
     # rate * dt = 2e-3 keeps it below 1e-10 over the whole range
     rate = mu * (n - 1) ** 2 + abs(delta) * (n - 1) + gamma * (n - 1) + 1.0
-    ref = oracles.rk4_integrate(rho0, sys_, t, 2e-3 / rate)
-    exact = lindblad.integrate_matrix(rho0, sys_, t)
-    assert np.max(np.abs(exact - ref)) <= 1e-9
+    ref = oracles.rk4_integrate(rho0.elements, sys_, t, 2e-3 / rate, delta)
+    assert np.max(np.abs(fock.turn(rho, delta, t).elements - ref)) <= 1e-9
 
 
 @PROPERTY
 @given(alpha0=alpha0s, mu=mus, gamma=gammas, delta=deltas, t=times)
 def test_backends_agree(alpha0, mu, gamma, delta, t):
-    sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta)
+    # both states turned to the lab frame, as qsurface turns them
+    sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma)
     num, = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))
     ana = density(t, sys_)
+    num, ana = fock.turn(num, delta, t), fock.turn(ana, delta, t)
     grid = PhaseGrid(center=0j, half_extent=abs(alpha0) + 3.0, resolution=21)
     assert np.max(np.abs(q_surface(grid, ana).values - q_surface(grid, num).values)) <= 1e-6
 
@@ -82,8 +93,8 @@ centers = st.one_of(st.just(0j), st.builds(complex, st.floats(-1.0, 1.0), st.flo
 )
 @example(alpha0=2.0, gamma=0.0, delta=0.3, grid={"half_extent": 5.0, "resolution": 21})
 def test_validate_passes(alpha0, gamma, delta, grid):
-    # undamped detuned configs included: revival and parity hold at the
-    # detuning-rotated alpha0
+    # detuned configs included: validate reads no detuning, so revival and
+    # parity hold at alpha0 itself
     doc = {
         "schema_version": 1,
         "mode": "dimensionless",
@@ -132,18 +143,14 @@ def test_q_grid_matches_gemm_oracle(alpha0, gamma, t, backend):
     backend=st.sampled_from(["analytic", "numeric"]),
 )
 def test_detuning_is_a_rotation(alpha0, mu, gamma, delta, t, backend):
-    # rho_delta(t) = U rho_0(t) U^H, U = diag(e^{-i delta t m}), at any t: the
-    # reduced angle delta t multiplies m - n, as the reduced mu t does m^2 - n^2.
-    # The rounding of an angle up to 2 pi (m^2 - n^2) reaches 1.2e-14 max|rho|
-    # in a random search of this domain; phases formed from the unreduced
-    # products missed by up to 5e-12 at t <= 1e3 and 1e-8 at t <= 1e9
-    def state(sys_):
-        if backend == "analytic":
-            return density(t, sys_).elements
-        rho0 = fock.density_from_pure(fock.coherent_state(alpha0))
-        return next(lindblad.evolve(sys_, rho0, (t,))).elements
-
-    rho = state(KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma, detuning=delta))
-    rho_0 = state(KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma))
-    u = np.exp(-1j * math.fmod(delta * t, 2 * math.pi) * np.arange(len(rho)))
-    assert np.max(np.abs(rho - u[:, None] * rho_0 * u.conj())) <= 2e-14 * np.max(np.abs(rho))
+    # turn o backend against the oracle's lab-frame factor e^{-i delta t (m - n)},
+    # up to t = 1e9: delta t is reduced mod 2 pi once, so the turn keeps its
+    # precision at any t. Its sign is pinned by the oracles' unreduced delta terms
+    # (test_propagator_matches_rk4_oracle, test_matches_z_form, test_matches_series_oracle)
+    sys_ = KerrSystem(alpha0=alpha0, mu=mu, gamma=gamma)
+    if backend == "analytic":
+        rho = density(t, sys_)
+    else:
+        rho, = lindblad.evolve(sys_, fock.density_from_pure(fock.coherent_state(alpha0)), (t,))
+    ref = oracles.detuning_turn(delta, t, rho.cutoff) * rho.elements
+    assert np.max(np.abs(fock.turn(rho, delta, t).elements - ref)) <= 2e-14 * np.max(np.abs(ref))
