@@ -101,11 +101,6 @@ class PhaseGrid:
         offsets = np.linspace(-h, h, self.resolution) if h else np.array([-0.0])
         return c.real + offsets, c.imag + offsets
 
-    def points(self) -> np.ndarray:
-        """Complex grid points, shape (resolution, resolution), [im, re] (range-checked by axes)."""
-        re, im = self.axes()
-        return re[np.newaxis, :] + 1j * im[:, np.newaxis]
-
 
 @dataclass(frozen=True, eq=False)
 class QSurface:
@@ -122,11 +117,9 @@ class QSurface:
         n = self.grid.resolution
         if vals.shape != (n, n):
             raise ValueError(f"values shape {vals.shape} does not match grid {n}x{n}")
-        if not np.isfinite(vals).all():
-            raise ValueError("Q values must be finite")
-        if not (_Q_FLOOR <= vals.min() and vals.max() <= _Q_CEIL):
+        if not (_Q_FLOOR <= vals.min() and vals.max() <= _Q_CEIL):  # NaN fails it too
             raise ValueError(
-                f"Q values outside [{_Q_FLOOR}, {_Q_CEIL}]: "
+                f"Q values must be finite and within [{_Q_FLOOR}, {_Q_CEIL}]: "
                 f"min {vals.min()!r}, max {vals.max()!r}"
             )
         vals.flags.writeable = False

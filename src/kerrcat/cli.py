@@ -363,33 +363,33 @@ def _max_diff(a, b) -> float:
 
 
 def cmd_validate(config: RunConfig) -> dict:
-    """Checks that compare independent computations (see the module docstring)."""
+    """Checks that compare independent computations (see the module docstring).
+
+    Each Q surface is read by the one check that uses it and then dropped.
+    """
     sys_ = config.sys
     checks = []
     t_cat = math.pi / (2.0 * sys_.mu)
 
-    # the surface checks the grid's probe range before the Gaussian squares it
-    surf0 = q_surface(config.grid, density(0.0, sys_))
-    points = config.grid.points()
+    def coherent_check(name: str, rho: fock.DensityOperator, beta: complex, tol: float) -> dict:
+        """rho's Q against |beta>'s, which is exactly exp(-|alpha - beta|^2) on the grid."""
+        q = q_surface(config.grid, rho).values  # checks the probe range before the Gaussian
+        re, im = config.grid.axes()
+        gaussian = np.exp(-np.abs((re - beta.real) + 1j * (im - beta.imag)[:, np.newaxis]) ** 2)
+        return _check(name, _max_diff(q, gaussian), tol)
 
-    def coherent_q(beta: complex) -> np.ndarray:
-        """Q of the coherent state |beta> on the grid: exactly exp(-|alpha - beta|^2)."""
-        return np.exp(-np.abs(points - beta) ** 2)
-
-    gaussian = coherent_q(sys_.alpha0)
-    checks.append(_check("initial_condition_analytic", _max_diff(surf0.values, gaussian), 1e-10))
+    checks.append(coherent_check("initial_condition_analytic", density(0.0, sys_),
+                                 sys_.alpha0, 1e-10))
     rho0 = fock.density_from_pure(fock.coherent_state(sys_.alpha0))
-    surf0n = q_surface(config.grid, rho0)
-    checks.append(_check("initial_condition_numeric", _max_diff(surf0n.values, gaussian), 1e-10))
+    checks.append(coherent_check("initial_condition_numeric", rho0, sys_.alpha0, 1e-10))
 
     sample_times = (0.5 * t_cat, t_cat)
     states = lindblad.evolve(sys_, rho0, sample_times)
     decay_err = 0.0
     for label, t, rho in zip(("t_cat_half", "t_cat"), sample_times, states):
         closed = density(t, sys_)  # closed and rho hold t_cat's states after the loop
-        ana = q_surface(config.grid, closed)
-        num = q_surface(config.grid, rho)
-        checks.append(_check(f"dual_path_{label}", _max_diff(ana.values, num.values), 1e-6))
+        checks.append(_check(f"dual_path_{label}", _max_diff(
+            q_surface(config.grid, closed).values, q_surface(config.grid, rho).values), 1e-6))
         err = abs(fock.expectation_n(rho) - abs(sys_.alpha0) ** 2 * math.exp(-sys_.gamma * t))
         decay_err = max(decay_err, err)
     checks.append(_check("energy_decay", float(decay_err), 1e-8))
@@ -410,8 +410,8 @@ def cmd_validate(config: RunConfig) -> dict:
     # undamped, the state is |alpha0> again at 2 pi/mu and |-alpha0> at pi/mu
     if sys_.gamma == 0:
         for name, turns, beta in (("revival", 2.0, sys_.alpha0), ("parity", 1.0, -sys_.alpha0)):
-            surf = q_surface(config.grid, density(turns * math.pi / sys_.mu, sys_))
-            checks.append(_check(name, _max_diff(surf.values, coherent_q(beta)), 1e-8))
+            rho_t = density(turns * math.pi / sys_.mu, sys_)
+            checks.append(coherent_check(name, rho_t, beta, 1e-8))
 
     return {"pass": all(c["pass"] for c in checks), "checks": checks}
 

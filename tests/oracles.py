@@ -8,9 +8,10 @@ integrator instead of the exact propagator, the closed-form Q as a log-space
 double series instead of the Fock-matrix quadratic form, and <n> from the
 second moment of Q instead of the number-basis diagonal. coherent_vector and
 cat_vector are not oracles: they repeat fock.coherent_state's and
-fock.cat_state's arithmetic at a level count the test chooses. q_grid_gemm
-shares fock.q_grid's probes and differs only in the product: the full N x N
-matrix on every probe instead of an eigen-factor of the matrix.
+fock.cat_state's arithmetic at a level count the test chooses, and
+grid_points lays a grid's axes out as the complex points of its Q array.
+q_grid_gemm shares fock.q_grid's probes and differs only in the product: the
+full N x N matrix on every probe instead of an eigen-factor of the matrix.
 """
 
 import cmath
@@ -108,6 +109,12 @@ def husimi_brute(rho_matrix, alpha):
     """<alpha| rho |alpha> with factorial-formula probe amplitudes."""
     probe = coherent_amplitudes_factorial(alpha, rho_matrix.shape[0])
     return float(np.vdot(probe, rho_matrix @ probe).real)
+
+
+def grid_points(grid):
+    """Complex points of ``grid``, shape (resolution, resolution), [im, re] as Q's values."""
+    re, im = grid.axes()
+    return re[np.newaxis, :] + 1j * im[:, np.newaxis]
 
 
 def q_grid_gemm(mat, re, im):

@@ -59,7 +59,7 @@ def test_criterion_1_parameter_reproduction(report):
 def test_criterion_2_initial_condition(report):
     sys_ = KerrSystem(alpha0=2.0, mu=1.0, gamma=0.01)
     grid = PhaseGrid(center=0j, half_extent=7.0, resolution=201)
-    gauss = np.exp(-np.abs(grid.points() - 2.0) ** 2)
+    gauss = np.exp(-np.abs(oracles.grid_points(grid) - 2.0) ** 2)
     err_a = float(np.max(np.abs(q_surface(grid, density(0.0, sys_)).values - gauss)))
     num = q_surface(grid, coherent_density(2.0))
     err_n = float(np.max(np.abs(num.values - gauss)))

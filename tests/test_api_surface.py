@@ -6,8 +6,8 @@ that nothing reads is a tolerance that no longer bounds anything. So each
 ``def``/``class`` and module-level assignment in ``src/kerrcat``, private
 ones included (dunders aside), must be referenced by package code outside
 its own definition: a private helper left behind when its caller goes
-fails too. Tests reach
-the physics through the kernels the commands use, or through
+fails too, and so does a method that no attribute in package code names.
+Tests reach the physics through the kernels the commands use, or through
 ``tests/oracles.py``. Nor does the package hold an ``assert``, which
 ``python -O`` strips, or an exception type that it never raises.
 """
@@ -59,6 +59,21 @@ def test_every_public_name_has_a_package_caller():
 def test_every_private_name_has_a_package_caller():
     # no allowlist: a private helper with no caller is dead code
     assert {name for name in _unreferenced() if name.startswith("_")} == set()
+
+
+def test_every_method_has_a_package_caller():
+    # a method is reached as an attribute, so a bare name of the same spelling
+    # (wigner's ``points`` argument, say) is no caller of it
+    attributes = defaultdict(set)
+    for tree in TREES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes[node.attr].add(node)
+    unused = [f"{cls.name}.{fn.name}" for tree in TREES for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+              and attributes[fn.name] <= set(ast.walk(fn))]
+    assert unused == []
 
 
 def test_no_assert_statements():
@@ -143,7 +158,7 @@ def _nodes_where(test):
             for node in ast.walk(tree) if test(node)]
 
 
-def test_detuning_is_multiplied_only_in_angles():
+def test_detuning_is_multiplied_only_in_turn():
     # the detuning only turns the resonant state, so no system carries it, and
     # fock.turn's angle, delta t reduced once, is its one product with a time;
     # a product of the detuning elsewhere would round each phase on its own

@@ -393,6 +393,21 @@ class TestValidate:
         assert reports[1] == reports[0]
         assert len(reports[0]["checks"]) == len(VALIDATE_CHECKS) + 2 * (gamma == 0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    def test_memory_per_point(self, tmp_path, gamma):
+        # each surface goes straight into its check and each Gaussian is built
+        # from the axes, so at most a Q array, its reference, their difference
+        # and its modulus (32 bytes a point) are live at once
+        res = 401
+        config = cli.load_config(write_config(tmp_path, dimensionless_doc(gamma=gamma, res=res)))
+        tracemalloc.start()
+        try:
+            cli.cmd_validate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * res**2
+
     def test_series_divergence_exits_4(self, tmp_path, capsys):
         # far outside the validated domain the series tail bound blows up
         doc = dimensionless_doc(alpha0=(40.0, 0.0), gamma=0.5, extent=45.0, res=3)
@@ -1383,19 +1398,22 @@ fuzz_fields = {
 # a time is passed as --time=<t>: argparse reads a separate "-1" token as an option
 fuzz_times = st.sampled_from(["0", "0.5", repr(math.pi / 2), "1e300", "-1", "-0.5", "-0.0",
                               "nan", "inf"])
+# --samples from rejected counts through 2^53 - 1 (a linspace too large to
+# allocate past t = 0) to integers past 2^53 that _integer rejects
+fuzz_samples = st.sampled_from([-1, 0, 1, 2, 3, 2**53 - 1, 2**53, 2**63])
 # a bad gamma after a good one, and an alpha0 past 37.6 after a good one
 fuzz_sweeps = st.sampled_from([("", ""), ("1", "0"), ("0,1.5", "0.1"), ("2", "1e308"),
                                ("1,2", "0.01,-0.1"), ("1,40", "0")])
 
 
-def run_every_command(tmp_path, doc, t, backend, sweep) -> list[list[str]]:
+def run_every_command(tmp_path, doc, t, backend, sweep, samples=3) -> list[list[str]]:
     """Each command's stderr lines on ``doc``; every run ends in 0, 2, 3 or 4.
 
     An exception cli.main does not map, or a RuntimeWarning, fails the caller.
     """
     cfg = write_config(tmp_path, doc)
     commands = [["params"], ["qsurface", f"--time={t}", "--backend", backend],
-                ["evolve", f"--t-final={t}", "--samples", "3"], ["validate"],
+                ["evolve", f"--t-final={t}", f"--samples={samples}"], ["validate"],
                 ["sweep", "--alpha0", sweep[0], "--gamma", sweep[1]]]
     errs = []
     for argv in commands:
@@ -1410,12 +1428,13 @@ def run_every_command(tmp_path, doc, t, backend, sweep) -> list[list[str]]:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(doc=st.fixed_dictionaries({}, optional=fuzz_fields), t=fuzz_times,
-       backend=st.sampled_from(["analytic", "numeric"]), sweep=fuzz_sweeps)
-def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend, sweep):
+       backend=st.sampled_from(["analytic", "numeric"]), sweep=fuzz_sweeps, samples=fuzz_samples)
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, doc, t, backend, sweep,
+                                                    samples):
     # every run ends in 0, 2, 3 or 4 with at most a one-line message
     tmp_path = tmp_path_factory.mktemp("fuzz")
     doc = set_fields(dimensionless_doc(res=3), doc)
-    for err in run_every_command(tmp_path, doc, t, backend, sweep):
+    for err in run_every_command(tmp_path, doc, t, backend, sweep, samples):
         assert len(err) <= 1
 
 
